@@ -1,24 +1,12 @@
-"""Per-sample kernels behind the Monte Carlo estimators.
+"""Per-sample kernels behind the Monte Carlo estimators, and the streaming
+reducer that averages them.
 
-Every kernel exists twice: a pure-numpy twin (always available, suffix
-``_numpy``) and a numba ``@njit`` twin (suffix ``_numba``, compiled lazily when
-numba imports). The public names dispatch to one backend, chosen once at
-import time from the ``MISOSEC_BACKEND`` environment variable:
-
-    auto   use numba when importable, else numpy (default)
-    numba  require numba, raise ImportError if missing
-    numpy  force the pure-numpy path
-
-The two backends compute identical formulas but are not bit-identical (they
-link different libm builds); cross-backend agreement is ~1e-12 relative.
-Within one backend results are exactly reproducible. Kernels are pure and
-side-effect free; the numba twins release the GIL.
+The kernels are vectorized numpy, pure and side-effect free. Results are
+exactly reproducible for a given numpy build.
 """
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,46 +15,13 @@ FloatArray = NDArray[np.float64]
 
 _LN2 = math.log(2.0)
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-
-def _resolve_backend() -> str:
-    requested = os.environ.get("MISOSEC_BACKEND", "auto").strip().lower() or "auto"
-    if requested not in ("auto", "numba", "numpy"):
-        warnings.warn(f"unrecognized MISOSEC_BACKEND={requested!r}; using auto")
-        requested = "auto"
-    if requested == "numpy":
-        return "numpy"
-    if not _HAVE_NUMBA:
-        if requested == "numba":
-            raise ImportError("MISOSEC_BACKEND=numba but numba is not importable")
-        return "numpy"
-    return "numba"
-
-
-_ACTIVE = _resolve_backend()
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import time ("numba" or "numpy")."""
-    return _ACTIVE
-
-
-def have_numba() -> bool:
-    return _HAVE_NUMBA
-
-
-def quad_form_numpy(abs2: FloatArray, d: FloatArray) -> FloatArray:
+def quad_form(abs2: FloatArray, d: FloatArray) -> FloatArray:
     """Row-wise quadratic form: out[i] = sum_k d[k] * abs2[i, k]."""
     return abs2 @ d
 
 
-def coupled_integrand_numpy(q: FloatArray, a: float) -> FloatArray:
+def coupled_integrand(q: FloatArray, a: float) -> FloatArray:
     """Per-sample secrecy integrand log2(a+q) - log2(a) - log2(1+q).
 
     Exactly zero elementwise when a == 1 (both log terms coincide) and when
@@ -75,62 +30,54 @@ def coupled_integrand_numpy(q: FloatArray, a: float) -> FloatArray:
     return np.log2(a + q) - np.log2(a) - np.log2(1.0 + q)
 
 
-def log_rate_numpy(q: FloatArray) -> FloatArray:
+def log_rate(q: FloatArray) -> FloatArray:
     """Per-sample rate term log2(1 + q)."""
     return np.log2(1.0 + q)
 
 
-def grad_weights_numpy(q: FloatArray, a: float) -> FloatArray:
+def grad_weights(q: FloatArray, a: float) -> FloatArray:
     """Per-sample gradient weight (1/(a+q) - 1/(1+q)) / ln 2; positive when a < 1."""
     return (1.0 / (a + q) - 1.0 / (1.0 + q)) / _LN2
 
 
-if _HAVE_NUMBA:
+class RunningMoments:
+    """Streaming sample mean and standard error, fed one chunk at a time.
 
-    @njit(cache=True, nogil=True)
-    def quad_form_numba(abs2, d):
-        n, m = abs2.shape
-        out = np.empty(n)
-        for i in range(n):
-            acc = 0.0
-            for k in range(m):
-                acc += d[k] * abs2[i, k]
-            out[i] = acc
-        return out
+    Axis 0 of a chunk indexes samples. A 1-D chunk gives the scalar form; any
+    trailing axes are separate coordinates (the per-coordinate form).
 
-    @njit(cache=True, nogil=True)
-    def coupled_integrand_numba(q, a):
-        n = q.shape[0]
-        out = np.empty(n)
-        log_a = np.log2(a)
-        for i in range(n):
-            out[i] = np.log2(a + q[i]) - log_a - np.log2(1.0 + q[i])
-        return out
+    The mean is the sum of the per-chunk np.sum totals divided by n. The
+    variance merges each chunk's centred sum of squares with the update of
+    Chan, Golub & LeVeque (1979), so it avoids the cancellation of
+    total_sq - n * mean^2 when the spread is small against the mean.
+    """
 
-    @njit(cache=True, nogil=True)
-    def log_rate_numba(q):
-        n = q.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = np.log2(1.0 + q[i])
-        return out
+    def __init__(self) -> None:
+        self.n = 0
+        self.total: float | FloatArray = 0.0
+        self.m2: float | FloatArray = 0.0
 
-    @njit(cache=True, nogil=True)
-    def grad_weights_numba(q, a):
-        n = q.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            out[i] = (1.0 / (a + q[i]) - 1.0 / (1.0 + q[i])) / _LN2
-        return out
+    def add(self, x: FloatArray) -> None:
+        rows = x.shape[0]
+        chunk_total = np.sum(x, axis=0)
+        chunk_mean = chunk_total / rows
+        dev = x - chunk_mean
+        m2 = np.sum(dev * dev, axis=0)
+        if self.n:
+            delta = chunk_mean - self.total / self.n
+            m2 = m2 + delta * delta * (self.n * rows / (self.n + rows))
+        self.total = self.total + chunk_total
+        self.m2 = self.m2 + m2
+        self.n += rows
 
+    def mean_se(self) -> tuple[float | FloatArray, float | FloatArray]:
+        """(mean, std_error of the mean); floats in the scalar form.
 
-if _ACTIVE == "numba":
-    quad_form = quad_form_numba
-    coupled_integrand = coupled_integrand_numba
-    log_rate = log_rate_numba
-    grad_weights = grad_weights_numba
-else:
-    quad_form = quad_form_numpy
-    coupled_integrand = coupled_integrand_numpy
-    log_rate = log_rate_numpy
-    grad_weights = grad_weights_numpy
+        One sample has a centred sum of squares of exactly 0, so its
+        std_error is 0.
+        """
+        mean = self.total / self.n
+        se = np.sqrt(self.m2 / max(self.n - 1, 1) / self.n)
+        if np.ndim(mean) == 0:
+            return float(mean), float(se)
+        return mean, se

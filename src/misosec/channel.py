@@ -10,6 +10,11 @@ generator from (seed, stream, chunk_index). Results are therefore a pure
 function of the inputs and the seed, no matter how the work is split up or
 run in parallel. Types are immutable after construction and safe to share
 across threads.
+
+The Monte Carlo estimators only need |g_k|^2, so iter_abs2 draws it directly:
+one standard_exponential((rows, n_t)) block per (seed, stream, chunk), scaled
+by sigma^2. sample_channel draws the complex entries themselves; it is the
+model-faithful reference that iter_abs2 matches in distribution.
 """
 from __future__ import annotations
 
@@ -57,10 +62,10 @@ class ChannelModel:
             raise ValueError(f"n_t must be an integer, got {self.n_t!r}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
-        if not self.sigma_h > 0:
-            raise ValueError(f"sigma_h must be positive, got {self.sigma_h}")
-        if not self.sigma_g > 0:
-            raise ValueError(f"sigma_g must be positive, got {self.sigma_g}")
+        if not (math.isfinite(self.sigma_h) and self.sigma_h > 0):
+            raise ValueError(f"sigma_h must be finite and positive, got {self.sigma_h}")
+        if not (math.isfinite(self.sigma_g) and self.sigma_g > 0):
+            raise ValueError(f"sigma_g must be finite and positive, got {self.sigma_g}")
 
     @property
     def a(self) -> float:
@@ -86,10 +91,10 @@ class PowerAllocation:
         object.__setattr__(self, "budget", float(self.budget))
         if len(self.d) == 0:
             raise ValueError("allocation must have at least one entry")
-        if not self.budget > 0:
-            raise ValueError(f"budget must be positive, got {self.budget}")
-        if any(x < 0 for x in self.d):
-            raise ValueError(f"allocation entries must be nonnegative, got {self.d}")
+        if not (math.isfinite(self.budget) and self.budget > 0):
+            raise ValueError(f"budget must be finite and positive, got {self.budget}")
+        if not all(math.isfinite(x) and x >= 0 for x in self.d):
+            raise ValueError(f"allocation entries must be finite and nonnegative, got {self.d}")
         if sum(self.d) > self.budget * (1.0 + 1e-9):
             raise ValueError(f"allocation sum {sum(self.d)} exceeds budget {self.budget}")
 
@@ -168,17 +173,23 @@ def iter_abs2(
 ) -> Iterator[NDArray[np.float64]]:
     """Yield chunks of squared entry magnitudes |g_ik|^2, CHUNK rows at a time.
 
-    Bitwise identical to squaring the matching sample_channel draws; streaming
-    avoids materializing count x n_t matrices for large Monte Carlo runs.
+    |g_ik|^2 of a CN(0, sigma^2) entry is Exponential with mean sigma^2, so
+    each chunk is one standard_exponential((rows, n_t)) block from the
+    (seed, stream, chunk) generator, scaled by sigma^2. The values agree with
+    squaring sample_channel draws in distribution, not draw for draw.
+    Streaming avoids materializing count x n_t matrices for large Monte Carlo
+    runs.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    scale = sigma * sigma
     done = 0
     index = 0
     while done < count:
         rows = min(CHUNK, count - done)
-        z = _complex_chunk(_chunk_rng(seed, stream, index), rows, n_t, sigma)
-        yield z.real**2 + z.imag**2
+        abs2 = _chunk_rng(seed, stream, index).standard_exponential((rows, n_t))
+        abs2 *= scale
+        yield abs2
         done += rows
         index += 1
 

@@ -10,6 +10,7 @@ verification margins), 2 invalid arguments or violated preconditions.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -117,6 +118,17 @@ def _method(ns: argparse.Namespace) -> EvalMethod:
     return _METHODS[name](n_samples=ns.samples, seed=ns.seed)
 
 
+def _power(snr_db: float) -> float:
+    """Total power P = 10^(dB/10); a non-finite SNR or power is an invalid argument."""
+    try:
+        P = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        P = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(P)):
+        raise ValueError(f"SNR must be finite and give a finite power, got {snr_db} dB")
+    return P
+
+
 def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -136,7 +148,7 @@ def _cmd_capacity(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
     method = _method(ns)
-    P = 10.0 ** (ns.snr_db / 10.0)
+    P = _power(ns.snr_db)
     est = secrecy_capacity(model, P, method)
     print(f"n_t={model.n_t} sigma_h={model.sigma_h!r} sigma_g={model.sigma_g!r} "
           f"P={P!r} method={method.tag.value}")
@@ -149,7 +161,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
     _fill(ns, seed=0)
-    P = 10.0 ** (ns.snr_db / 10.0)
+    P = _power(ns.snr_db)
     if model.sigma_h <= model.sigma_g:
         # degenerate regime: nothing to optimize, the capacity is 0
         print("degenerate regime sigma_h <= sigma_g: capacity 0, optimization skipped")
@@ -217,7 +229,7 @@ def _sweep_common(ns: argparse.Namespace, kind: SweepKind) -> SweepSpec:
         model=model,
         grid=grid,
         method=method,
-        power=10.0 ** (ns.snr_db / 10.0),
+        power=_power(ns.snr_db),
         output_path=ns.out,
     )
 

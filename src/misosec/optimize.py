@@ -14,6 +14,7 @@ condition on the interior of the simplex.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +29,6 @@ from .channel import (
     RateEstimate,
     iter_abs2,
 )
-from .rates import _mean_se
 
 # substream tags for optimizer-internal randomness
 _POOL_TAG = 7
@@ -109,8 +109,8 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     Idempotent (points already on the simplex are returned unchanged) and
     order preserving.
     """
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not (math.isfinite(P) and P > 0):
+        raise ValueError(f"P must be finite and positive, got {P}")
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
@@ -135,27 +135,14 @@ def _grad_objective(
     """One pass over common draws: gradient, its per-coordinate std errors,
     and the coupled objective estimate at d."""
     a = model.a
-    n_t = d.shape[0]
-    grad_sum = np.zeros(n_t)
-    grad_sq = np.zeros(n_t)
-    total = 0.0
-    total_sq = 0.0
-    for abs2 in iter_abs2(model.sigma_g, n_t, n_samples, seed, STREAM_EAVESDROPPER):
+    objective = _kernels.RunningMoments()
+    gradient = _kernels.RunningMoments()
+    for abs2 in iter_abs2(model.sigma_g, d.shape[0], n_samples, seed, STREAM_EAVESDROPPER):
         q = _kernels.quad_form(abs2, d)
-        vals = _kernels.coupled_integrand(q, a)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-        w = _kernels.grad_weights(q, a)
-        m = abs2 * w[:, None]
-        grad_sum += m.sum(axis=0)
-        grad_sq += (m * m).sum(axis=0)
-    grad = grad_sum / n_samples
-    if n_samples > 1:
-        var = np.maximum(grad_sq - n_samples * grad * grad, 0.0) / (n_samples - 1)
-        grad_se = np.sqrt(var / n_samples)
-    else:
-        grad_se = np.zeros(n_t)
-    mean, se = _mean_se(total, total_sq, n_samples)
+        objective.add(_kernels.coupled_integrand(q, a))
+        gradient.add(abs2 * _kernels.grad_weights(q, a)[:, None])
+    grad, grad_se = gradient.mean_se()
+    mean, se = objective.mean_se()
     obj = RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
     return grad, grad_se, obj
 
@@ -213,8 +200,8 @@ def optimize_allocation(
             "optimizer refuses to run for sigma_h <= sigma_g: "
             "objective nonpositive everywhere, capacity 0"
         )
-    if not P > 0:
-        raise ValueError(f"P must be positive, got {P}")
+    if not (math.isfinite(P) and P > 0):
+        raise ValueError(f"P must be finite and positive, got {P}")
     n_t = model.n_t
     tol = config.tol if config.tol is not None else 1e-3 * P
 

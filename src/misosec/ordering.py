@@ -224,21 +224,14 @@ def verify_lemma_LT_implies_expectation(
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 
-    total = 0.0
-    total_sq = 0.0
-    n_t = dv1.shape[0]
-    for abs2 in iter_abs2(sigma, n_t, n_samples, seed, STREAM_GENERIC):
+    moments = _kernels.RunningMoments()
+    for abs2 in iter_abs2(sigma, dv1.shape[0], n_samples, seed, STREAM_GENERIC):
         q1 = _kernels.quad_form(abs2, dv1)
         q2 = _kernels.quad_form(abs2, dv2)
-        diff = (np.log2(a + q2) - np.log2(1.0 + q2)) - (np.log2(a + q1) - np.log2(1.0 + q1))
-        total += float(np.sum(diff))
-        total_sq += float(np.sum(diff * diff))
-    mean = total / n_samples
-    if n_samples > 1:
-        var = max(total_sq - n_samples * mean * mean, 0.0) / (n_samples - 1)
-        se = math.sqrt(var / n_samples)
-    else:
-        se = 0.0
+        moments.add(
+            (np.log2(a + q2) - np.log2(1.0 + q2)) - (np.log2(a + q1) - np.log2(1.0 + q1))
+        )
+    mean, se = moments.mean_se()
     margin = mean + 3.0 * se
     witness = Witness(
         point=f"d1={list(dv1)}, d2={list(dv2)}, mean={mean}, se={se}",

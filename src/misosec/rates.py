@@ -74,35 +74,22 @@ class EvalMethod:
         return cls(tag=MethodTag.QUADRATURE, n_nodes=n_nodes)
 
 
-def _mean_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return mean, se
-
-
 def _stream_mean_se(
     sigma: float, d: np.ndarray, n_samples: int, seed: int, stream: int
 ) -> tuple[float, float]:
-    """Accumulate mean/se of log2(1 + g^H D g) over chunked draws."""
-    total = 0.0
-    total_sq = 0.0
+    """Mean and std error of log2(1 + g^H D g) over chunked draws."""
+    moments = _kernels.RunningMoments()
     for abs2 in iter_abs2(sigma, d.shape[0], n_samples, seed, stream):
-        vals = _kernels.log_rate(_kernels.quad_form(abs2, d))
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    return _mean_se(total, total_sq, n_samples)
+        moments.add(_kernels.log_rate(_kernels.quad_form(abs2, d)))
+    return moments.mean_se()
 
 
 def ergodic_log_rate_mc(
     sigma: float, alloc: PowerAllocation, n_samples: int, seed: int
 ) -> RateEstimate:
     """Sample-mean estimate of E[log2(1 + sum_k d_k |g_k|^2)], entries at scale sigma."""
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     mean, se = _stream_mean_se(sigma, alloc.as_array(), n_samples, seed, STREAM_GENERIC)
@@ -143,13 +130,10 @@ def secrecy_rate_coupled_mc(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = alloc.as_array()
     a = model.a
-    total = 0.0
-    total_sq = 0.0
+    moments = _kernels.RunningMoments()
     for abs2 in iter_abs2(model.sigma_g, d.shape[0], n_samples, seed, STREAM_EAVESDROPPER):
-        vals = _kernels.coupled_integrand(_kernels.quad_form(abs2, d), a)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    mean, se = _mean_se(total, total_sq, n_samples)
+        moments.add(_kernels.coupled_integrand(_kernels.quad_form(abs2, d), a))
+    mean, se = moments.mean_se()
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
@@ -181,14 +165,14 @@ def ergodic_log_rate_quadrature(
     Uniform allocation is implied: each antenna carries total_power/n_t.
     P = 0 returns exactly 0; negative P is rejected.
     """
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if n_t < 1:
         raise ValueError(f"n_t must be >= 1, got {n_t}")
     if n_nodes < 8:
         raise ValueError(f"n_nodes must be >= 8, got {n_nodes}")
-    if total_power < 0:
-        raise ValueError(f"total_power must be >= 0, got {total_power}")
+    if not (math.isfinite(total_power) and total_power >= 0):
+        raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:
         return 0.0
     nodes, weights = _gamma_rule(int(n_t), int(n_nodes))
@@ -202,8 +186,8 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
     Uses the uniform allocation (optimal under statistical-only transmitter
     knowledge). Returns exactly 0 when sigma_h <= sigma_g or P = 0.
     """
-    if P < 0:
-        raise ValueError(f"P must be >= 0, got {P}")
+    if not (math.isfinite(P) and P >= 0):
+        raise ValueError(f"P must be finite and >= 0, got {P}")
     count = method.n_nodes if method.tag is MethodTag.QUADRATURE else method.n_samples
     if model.sigma_h <= model.sigma_g or P == 0:
         return RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)

@@ -8,6 +8,7 @@ byte-identical file.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -57,6 +58,8 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be nonempty")
+        if not all(math.isfinite(v) for v in self.grid):
+            raise ValueError(f"sweep grid values must be finite, got {self.grid}")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError(f"sweep grid must be strictly increasing, got {self.grid}")
         if self.sweep_kind is SweepKind.ANTENNAS:
@@ -64,8 +67,8 @@ class SweepSpec:
                 raise ValueError(f"antenna grid must hold integers >= 1, got {self.grid}")
             if self.power is None:
                 raise ValueError("antenna sweeps need a fixed power")
-            if self.power < 0:
-                raise ValueError(f"power must be >= 0, got {self.power}")
+            if not (math.isfinite(self.power) and self.power >= 0):
+                raise ValueError(f"power must be finite and >= 0, got {self.power}")
         elif self.power is not None:
             raise ValueError("SNR sweeps derive power from the grid; leave power unset")
 

@@ -2,7 +2,7 @@
 
 Each test prints one "ACCEPTANCE n: PASS" line on success; assertion messages
 carry the matching FAIL line. Seeds are frozen so the gate is deterministic
-for a given backend.
+for a given numpy build.
 """
 import math
 from itertools import product

@@ -43,11 +43,24 @@ def test_sample_channel_spans_chunks():
     gains = sample_channel(model, Side.LEGITIMATE, count, seed=3)
     again = sample_channel(model, Side.LEGITIMATE, count, seed=3)
     assert np.array_equal(gains.entries, again.entries)
-    streamed = np.concatenate(
-        list(iter_abs2(model.sigma_h, model.n_t, count, 3, STREAM_LEGITIMATE))
-    )
+
+    def streamed():
+        return np.concatenate(
+            list(iter_abs2(model.sigma_h, model.n_t, count, 3, STREAM_LEGITIMATE))
+        )
+
+    fast = streamed()
+    assert fast.shape == (count, model.n_t)
+    assert np.array_equal(fast, streamed())
+
+    # the fast path matches the complex draws in distribution, not draw for draw
     direct = gains.entries.real**2 + gains.entries.imag**2
-    assert np.array_equal(streamed, direct)
+    _, p_entries = ks_2samp(fast.ravel(), direct.ravel())
+    assert p_entries > 1e-3
+    alloc = PowerAllocation(d=(2.0, 1.0, 0.25), budget=3.25)
+    d = alloc.as_array()
+    _, p_form = ks_2samp(fast @ d, quadratic_form(gains, alloc))
+    assert p_form > 1e-3
 
 
 def test_sample_channel_rejects_zero_count():
@@ -137,6 +150,9 @@ def test_random_unitary_is_unitary():
         {"n_t": 2, "sigma_h": 0.0, "sigma_g": 1.0},
         {"n_t": 2, "sigma_h": 1.0, "sigma_g": -0.5},
         {"n_t": 2.5, "sigma_h": 1.0, "sigma_g": 1.0},
+        {"n_t": 2, "sigma_h": float("inf"), "sigma_g": 1.0},
+        {"n_t": 2, "sigma_h": 1.0, "sigma_g": float("inf")},
+        {"n_t": 2, "sigma_h": float("nan"), "sigma_g": 1.0},
     ],
 )
 def test_channel_model_validation(kwargs):
@@ -158,6 +174,9 @@ def test_channel_model_ratio():
         ((1.0, -0.1), 1.0),
         ((0.7, 0.7), 1.0),
         ((0.5,), 0.0),
+        ((0.5,), float("inf")),
+        ((0.5,), float("nan")),
+        ((float("nan"), 0.5), 1.0),
     ],
 )
 def test_power_allocation_validation(d, budget):

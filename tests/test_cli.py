@@ -54,6 +54,38 @@ def test_capacity_missing_arguments_exit_2(capsys):
     assert "--sigma-h" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--snr-db", "nan"), ("--snr-db", "inf"), ("--snr-db", "1e5"),
+     ("--sigma-h", "inf"), ("--sigma-g", "nan")],
+)
+@pytest.mark.parametrize("method", ["quad", "coupled"])
+def test_capacity_non_finite_input_exit_2(capsys, flag, value, method):
+    args = [
+        "capacity", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
+        "--snr-db", "10", "--samples", "1000", "--method", method, flag, value,
+    ]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert "capacity_bits" not in captured.out
+
+
+def test_optimize_non_finite_snr_exit_2(capsys):
+    args = ["optimize", "--ntx", "2", "--sigma-h", "0.5", "--sigma-g", "1.0", "--snr-db", "nan"]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_sweep_snr_non_finite_grid_exit_2(capsys):
+    args = [
+        "sweep-snr", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
+        "--snr-grid", "0,nan", "--method", "quad",
+    ]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_unknown_method_exit_2(capsys):
     assert main(CAPACITY_ARGS + ["--method", "bogus"]) == 2
 

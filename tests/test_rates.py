@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from misosec import (
+    CHUNK,
     ChannelModel,
     EvalMethod,
     MethodTag,
@@ -17,6 +18,8 @@ from misosec import (
     secrecy_rate_coupled_mc,
     secrecy_rate_direct_mc,
 )
+from misosec import _kernels
+from misosec.channel import STREAM_EAVESDROPPER, iter_abs2
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -144,6 +147,34 @@ def test_std_error_scales_as_inverse_sqrt_n():
     large = secrecy_rate_coupled_mc(model, alloc, 200_000, seed=7)
     ratio = large.std_error / small.std_error
     assert 0.4 < ratio < 0.6  # ideal 0.5
+
+
+def test_std_error_matches_two_pass_at_high_snr_many_antennas():
+    # at n_t=512 and 60 dB the coupled integrand spreads by ~1e-7 around ~2 bits,
+    # where total_sq - n * mean^2 cancels; the merged centred sums do not
+    model = ChannelModel(n_t=512, sigma_h=1.0, sigma_g=0.5)
+    alloc = PowerAllocation.uniform(512, 1e6)
+    n = CHUNK + 5000
+    est = secrecy_rate_coupled_mc(model, alloc, n, seed=0)
+    d = alloc.as_array()
+    vals = np.concatenate(
+        [
+            _kernels.coupled_integrand(abs2 @ d, model.a)
+            for abs2 in iter_abs2(model.sigma_g, 512, n, 0, STREAM_EAVESDROPPER)
+        ]
+    )
+    two_pass = float(np.std(vals, ddof=1)) / math.sqrt(n)
+    assert est.std_error == pytest.approx(two_pass, rel=1e-9)
+    one_pass = math.sqrt(max(np.sum(vals * vals) - n * est.mean**2, 0.0) / (n - 1) / n)
+    assert abs(one_pass / two_pass - 1.0) > 1e-5
+
+
+@pytest.mark.parametrize("P", [math.inf, math.nan, -math.inf])
+@pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
+def test_capacity_rejects_non_finite_power(tag, P):
+    model = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
+    with pytest.raises(ValueError):
+        secrecy_capacity(model, P, EvalMethod(tag=tag, n_samples=100))
 
 
 @pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
