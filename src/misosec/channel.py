@@ -115,9 +115,11 @@ class PowerAllocation:
 
 @dataclass(frozen=True)
 class RateEstimate:
-    """A Monte Carlo rate estimate in bits per channel use.
+    """A rate estimate in bits per channel use.
 
-    Deterministic evaluations (quadrature, clamps) carry std_error 0.
+    For Monte Carlo, std_error is the standard error of the mean over
+    n_samples draws. For quadrature, std_error is the rule's error estimate
+    and n_samples its node count. Clamps to exactly 0 carry std_error 0.
     """
 
     mean: float

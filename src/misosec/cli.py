@@ -20,7 +20,6 @@ from .channel import ChannelModel
 from .optimize import OptimizerConfig, optimize_allocation
 from .rates import (
     DEFAULT_MC_SAMPLES,
-    DEFAULT_QUAD_NODES,
     EvalMethod,
     asymptote_high_snr,
     asymptote_large_nt,
@@ -32,7 +31,7 @@ from .verify import run_verify_suite
 _METHODS = {
     "direct": EvalMethod.direct_mc,
     "coupled": EvalMethod.coupled_mc,
-    "quad": lambda n_samples, seed, n_nodes: EvalMethod.quadrature(n_nodes),
+    "quad": lambda n_samples, seed: EvalMethod.quadrature(),
 }
 
 # every flag reachable through the config file, with its parser
@@ -44,7 +43,6 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "snr_grid": str,
     "nt_grid": str,
     "samples": int,
-    "nodes": int,
     "method": str,
     "seed": int,
     "out": str,
@@ -52,7 +50,6 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "pairs": int,
     "s_points": int,
     "lemma_samples": int,
-    "opt_samples": int,
     "opt_iters": int,
 }
 
@@ -109,12 +106,10 @@ def _model(ns: argparse.Namespace) -> ChannelModel:
 
 
 def _method(ns: argparse.Namespace) -> EvalMethod:
-    _fill(ns, method="coupled", samples=DEFAULT_MC_SAMPLES, nodes=DEFAULT_QUAD_NODES, seed=0)
+    _fill(ns, method="coupled", samples=DEFAULT_MC_SAMPLES, seed=0)
     name = ns.method
     if name not in _METHODS:
         raise ValueError(f"unknown method {name!r}; choose from direct, coupled, quad")
-    if name == "quad":
-        return EvalMethod.quadrature(ns.nodes)
     return _METHODS[name](n_samples=ns.samples, seed=ns.seed)
 
 
@@ -160,19 +155,14 @@ def _cmd_capacity(ns: argparse.Namespace) -> int:
 def _cmd_optimize(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
-    _fill(ns, seed=0)
+    _fill(ns, seed=0, iters=OptimizerConfig.max_iters)
     P = _power(ns.snr_db)
     if model.sigma_h <= model.sigma_g:
         # degenerate regime: nothing to optimize, the capacity is 0
         print("degenerate regime sigma_h <= sigma_g: capacity 0, optimization skipped")
         print("capacity_bits=0.0 std_error_bits=0.0")
         return 0
-    kwargs: dict[str, object] = {"seed": ns.seed}
-    if ns.samples is not None:
-        kwargs["grad_samples"] = ns.samples
-    if ns.iters is not None:
-        kwargs["max_iters"] = ns.iters
-    trace = optimize_allocation(model, P, OptimizerConfig(**kwargs))
+    trace = optimize_allocation(model, P, OptimizerConfig(max_iters=ns.iters, seed=ns.seed))
     final = trace.final.as_array()
     deviation = float(np.max(np.abs(final - P / model.n_t)))
     print(f"converged={trace.converged} iterations={len(trace.iterates) - 1}")
@@ -185,12 +175,8 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 def _cmd_verify(ns: argparse.Namespace) -> int:
     _fill(ns, seed=0, pairs=400, s_points=50, lemma_samples=200_000)
     optimizer_config = None
-    if ns.opt_samples is not None or ns.opt_iters is not None:
-        optimizer_config = OptimizerConfig(
-            seed=ns.seed,
-            grad_samples=ns.opt_samples or 50_000,
-            max_iters=ns.opt_iters or 250,
-        )
+    if ns.opt_iters is not None:
+        optimizer_config = OptimizerConfig(max_iters=ns.opt_iters, seed=ns.seed)
     result = run_verify_suite(
         ns.seed,
         pairs=ns.pairs,
@@ -266,8 +252,6 @@ def _add_method(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=sorted(_METHODS), default=None)
     parser.add_argument("--samples", type=int, default=None,
                         help=f"MC samples per expectation (default {DEFAULT_MC_SAMPLES})")
-    parser.add_argument("--nodes", type=int, default=None,
-                        help=f"quadrature nodes (default {DEFAULT_QUAD_NODES})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="ascend the power allocation on the simplex")
     p.add_argument("--ntx", type=int, default=None)
     p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--samples", type=int, default=None, help="gradient samples per iteration")
     p.add_argument("--iters", type=int, default=None, help="iteration cap")
     _add_common(p)
     p.set_defaults(func=_cmd_optimize)
@@ -297,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--s-points", dest="s_points", type=int, default=None)
     p.add_argument("--lemma-samples", dest="lemma_samples", type=int, default=None)
-    p.add_argument("--opt-samples", dest="opt_samples", type=int, default=None)
     p.add_argument("--opt-iters", dest="opt_iters", type=int, default=None)
     p.add_argument("--skip-optimizer", action="store_true")
     _add_common(p, sigmas=False)

@@ -1,22 +1,22 @@
-"""Projected stochastic gradient ascent of the secrecy rate over the power simplex.
+"""Projected gradient ascent of the secrecy rate over the power simplex.
 
-The objective is the coupled-estimator secrecy rate as a function of the
-diagonal allocation d on {d >= 0, sum d = P}. Its gradient has the closed
-per-sample form |g_k|^2 (1/(a+q) - 1/(1+q)) / ln 2 with q = g^H D g, so one
-pass over a common set of draws yields gradient and objective together.
+The objective is R(d), the secrecy rate of the diagonal allocation d on
+{d >= 0, sum d = P}, evaluated by Hamdi's MGF integral (rates._mgf_rate),
+which returns the exact gradient dR/dd_k in the same pass. Each iteration
+projects d + step * grad back onto the simplex and backtracks (halving the
+step) until the Armijo condition R(new) >= R(d) + grad . (new - d) / 2
+holds; the next iteration tries twice the accepted step. The run converges
+once a step moves d by less than tol in every coordinate. The whole
+ascent is deterministic: the seed only picks the random start.
 
-Common random numbers across iterations (a seed pool refreshed every
-refresh_every iterations) stabilize the ascent; the step starts at
-step_scale * P / ||grad_1|| and decays as 1/sqrt(t). Convergence is declared
-when the allocation has moved less than tol over the trailing window AND the
-gradient coordinates are equal within noise, which is the stationarity
-condition on the interior of the simplex.
+The Monte Carlo gradient grad_estimate stays as an independent cross-check
+of the exact one.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -29,49 +29,40 @@ from .channel import (
     RateEstimate,
     iter_abs2,
 )
+from .rates import _mgf_rate
 
-# substream tags for optimizer-internal randomness
-_POOL_TAG = 7
+# substream tag of the random start
 _START_TAG = 8
 
 _SIMPLEX_SLACK = 1e-12
+# Armijo fraction: on a quadratic, 1/2 accepts only steps up to 1/curvature,
+# so the ascent contracts toward the optimum instead of oscillating across it
+_ARMIJO = 0.5
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Knobs for the stochastic ascent.
+    """Iteration cap, start seed and movement tolerance of the ascent.
 
-    tol is the movement tolerance over the trailing window; None means
-    1e-3 * P, resolved at run time. Defaults are sized so that runs on the
+    seed picks the random start. tol is the movement tolerance per
+    coordinate; None means 1e-3 * P, resolved at run time. Runs on the
     reference problem (n_t=4, budget 4, scale ratio 0.5) land within 1% of
     the budget per coordinate from any start.
     """
 
     max_iters: int = 250
-    grad_samples: int = 50_000
     seed: int = 0
     tol: float | None = None
-    step_scale: float = 0.5
-    refresh_every: int = 10
-    window: int = 20
+
+    # read by the benchmark replay, not a setting: the sample count of the
+    # Monte Carlo gradient passes it times against the optimizer
+    grad_samples: ClassVar[int] = 50_000
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.grad_samples < 1:
-            raise ValueError(f"grad_samples must be >= 1, got {self.grad_samples}")
-        if self.tol is not None and not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if not self.step_scale > 0:
-            raise ValueError(f"step_scale must be positive, got {self.step_scale}")
-        if self.refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {self.refresh_every}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
-
-    @property
-    def step_schedule(self) -> str:
-        return f"step_scale={self.step_scale} * P / ||grad_1||, decaying as 1/sqrt(t)"
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
 
 
 @dataclass(frozen=True)
@@ -115,7 +106,7 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
     total = float(v.sum())
-    if np.all(v >= 0.0) and abs(total - P) <= _SIMPLEX_SLACK * max(P, 1.0):
+    if np.all(v >= 0.0) and abs(total - P) <= _SIMPLEX_SLACK * P:
         return v.copy()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - P
@@ -123,10 +114,6 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     rho = np.nonzero(u - css / counts > 0)[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
-
-
-def _pool_seed(seed: int, epoch: int) -> int:
-    return int(np.random.SeedSequence((seed % 2**63, _POOL_TAG, epoch)).generate_state(1)[0])
 
 
 def _grad_objective(
@@ -165,15 +152,6 @@ def grad_estimate(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     grad, _, _ = _grad_objective(model, alloc.as_array(), n_samples, seed)
     return grad
-
-
-def objective_value(
-    model: ChannelModel, alloc: PowerAllocation, n_samples: int, seed: int
-) -> RateEstimate:
-    """The optimizer's objective: the coupled secrecy-rate estimate at alloc."""
-    from .rates import secrecy_rate_coupled_mc
-
-    return secrecy_rate_coupled_mc(model, alloc, n_samples, seed)
 
 
 def _random_start(n_t: int, P: float, seed: int) -> NDArray[np.float64]:
@@ -215,38 +193,39 @@ def optimize_allocation(
         raise ValueError(f"start must have shape ({n_t},), got {d.shape}")
     d = project_to_simplex(d, P)
 
-    def wrap(vec: NDArray) -> PowerAllocation:
-        return PowerAllocation(d=tuple(float(x) for x in vec), budget=P)
+    var_h, var_g = model.sigma_h**2, model.sigma_g**2
 
-    if n_t == 1:
-        obj = objective_value(model, wrap(d), config.grad_samples, _pool_seed(config.seed, 0))
-        return OptimizerTrace(iterates=(wrap(d),), objective_values=(obj,), converged=True)
+    def evaluate(vec: NDArray) -> tuple[RateEstimate, NDArray]:
+        rate, err, grad, nodes = _mgf_rate(vec, var_h, var_g)
+        return RateEstimate(mean=rate, std_error=err, n_samples=nodes, seed=config.seed), grad
 
-    iterates = [d]
-    objectives: list[RateEstimate] = []
-    converged = False
-    step0 = 0.0
-    last_seed = _pool_seed(config.seed, 0)
-    for t in range(1, config.max_iters + 1):
-        last_seed = _pool_seed(config.seed, t // config.refresh_every)
-        grad, grad_se, obj = _grad_objective(model, d, config.grad_samples, last_seed)
-        objectives.append(obj)
-        if t == 1:
-            norm = float(np.linalg.norm(grad))
-            step0 = config.step_scale * P / norm if norm > 0 else config.step_scale * P
-        d = project_to_simplex(d + (step0 / np.sqrt(t)) * grad, P)
-        iterates.append(d)
-        if t >= config.window:
-            moved = float(np.max(np.abs(iterates[-1] - iterates[-1 - config.window])))
-            flat = float(np.max(np.abs(grad - grad.mean()))) <= 3.0 * float(np.max(grad_se))
-            if moved < tol and flat:
-                converged = True
+    obj, grad = evaluate(d)
+    iterates, objectives = [d], [obj]
+    spread = float(np.ptp(grad))
+    converged = spread == 0.0  # n_t = 1, or a start at a stationary point
+    # the first trial moves some coordinate by about P; backtracking sizes it
+    step = 0.0 if converged else P / spread
+    for _ in range(0 if converged else config.max_iters):
+        while True:
+            # the centred gradient projects the same, without cancellation
+            new = project_to_simplex(d + step * (grad - grad.mean()), P)
+            new_obj, new_grad = evaluate(new)
+            moved = float(np.max(np.abs(new - d)))
+            ascent = new_obj.mean >= obj.mean + _ARMIJO * float(grad @ (new - d))
+            # a move below tol ends the run either way, so stop shrinking there
+            if ascent or moved < tol:
                 break
-    # one extra evaluation so the final iterate carries an objective too
-    _, _, final_obj = _grad_objective(model, d, config.grad_samples, last_seed)
-    objectives.append(final_obj)
+            step /= 2.0
+        if ascent:
+            d, obj, grad = new, new_obj, new_grad
+            iterates.append(d)
+            objectives.append(obj)
+        if moved < tol:
+            converged = True
+            break
+        step *= 2.0
     return OptimizerTrace(
-        iterates=tuple(wrap(v) for v in iterates),
+        iterates=tuple(PowerAllocation(d=tuple(float(x) for x in v), budget=P) for v in iterates),
         objective_values=tuple(objectives),
         converged=converged,
     )

@@ -1,8 +1,10 @@
 """One-shot verification suite over the ordering machinery and the optimizer.
 
 Runs randomized majorization, Laplace-transform order, Schur-concavity and
-complete-monotonicity probes, the expectation-ordering lemma, and one
-optimizer run that must land on the uniform allocation. Margins use the
+complete-monotonicity probes, the expectation-ordering lemma, a
+deterministic check that the secrecy rate itself is Schur-concave
+(R(d*) >= R(d) whenever d* is majorized by d, by Hamdi's MGF integral), and
+one optimizer run that must land on the uniform allocation. Margins use the
 convention "claim holds iff margin >= -1e-12"; Monte Carlo probes fold their
 noise in as mean + 3 * std_error.
 
@@ -30,6 +32,7 @@ from .ordering import (
     random_majorization_pair,
     verify_lemma_LT_implies_expectation,
 )
+from .rates import _mgf_rate
 
 _MARGIN_SLACK = 1e-12
 
@@ -172,6 +175,26 @@ def run_verify_suite(
                 OrderRelation.COMPLETE_MONOTONE,
                 f"a in {{0,0.1,0.5,0.9}}, {x_points}-point log x grid, n <= {max_order}",
                 cm_witnesses,
+            ),
+        )
+    )
+
+    # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
+    rate_witnesses = [
+        Witness(
+            point=f"pair#{i} sigma_g/sigma_h={r}",
+            margin=_mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0],
+        )
+        for i, (d_star, d) in enumerate(pair_list)
+        for r in (0.5, 0.9)
+    ]
+    checks.append(
+        (
+            "secrecy_rate_schur",
+            OrderCheckReport.from_witnesses(
+                OrderRelation.SCHUR_CONCAVE,
+                f"{len(pair_list)} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral",
+                rate_witnesses,
             ),
         )
     )

@@ -34,7 +34,22 @@ def test_capacity_quadrature_route(capsys):
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "method=quadrature" in out
-    assert "std_error_bits=0.0" in out
+    fields = dict(tok.split("=", 1) for tok in out.split() if "=" in tok)
+    assert 0.0 <= float(fields["std_error_bits"]) <= 1e-6  # the rule's error estimate
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        CAPACITY_ARGS + ["--method", "quad", "--nodes", "64"],
+        ["optimize", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
+         "--snr-db", "10", "--samples", "5000"],
+        ["verify", "--skip-optimizer", "--opt-samples", "5000"],
+    ],
+)
+def test_removed_flags_exit_2(capsys, args):
+    assert main(args) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_capacity_clamps_when_eavesdropper_is_stronger(capsys):
@@ -98,7 +113,7 @@ def test_help_exits_zero(capsys):
 def test_optimize_small_run(capsys):
     args = [
         "optimize", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
-        "--snr-db", "10", "--samples", "5000", "--iters", "30", "--seed", "0",
+        "--snr-db", "10", "--iters", "30", "--seed", "0",
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
@@ -126,7 +141,8 @@ def test_verify_small_run(capsys):
     ]
     assert main(args) == 0
     out = capsys.readouterr().out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == 6
+    assert "PASS secrecy_rate_schur" in out
     assert "FAIL" not in out
     assert "optimizer_uniform" not in out  # skipped
 
@@ -218,6 +234,13 @@ def test_command_line_overrides_config(tmp_path, capsys):
 
 def test_config_unknown_key_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "ntx=2\nbogus_key=1\n")
+    assert main(["capacity", "--config", cfg]) == 2
+    assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["nodes", "opt_samples"])
+def test_config_removed_key_exit_2(tmp_path, capsys, key):
+    cfg = _write_config(tmp_path, f"ntx=2\n{key}=64\n")
     assert main(["capacity", "--config", cfg]) == 2
     assert "unknown config key" in capsys.readouterr().err
 

@@ -1,18 +1,20 @@
 """Optimizer: simplex projection, gradient oracle agreement, ascent behavior."""
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from misosec import (
     ChannelModel,
+    EvalMethod,
     OptimizerConfig,
     OptimizerTrace,
     PowerAllocation,
     grad_estimate,
-    objective_value,
     optimize_allocation,
     project_to_simplex,
+    secrecy_capacity,
     secrecy_rate_coupled_mc,
 )
 from misosec.optimize import _grad_objective
@@ -114,28 +116,28 @@ def test_gradient_matches_one_sided_difference_on_boundary():
 
 
 def test_objective_zero_allocation_exact():
-    est = objective_value(REF_MODEL, PowerAllocation((0.0,) * 4, REF_POWER), 1000, seed=0)
+    est = secrecy_rate_coupled_mc(REF_MODEL, PowerAllocation((0.0,) * 4, REF_POWER), 1000, seed=0)
     assert est.mean == 0.0 and est.std_error == 0.0
 
 
 def test_objective_prefers_uniform_over_spike():
     model = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
-    uniform = objective_value(model, PowerAllocation.uniform(2, 10.0), 200_000, seed=1)
-    spike = objective_value(model, PowerAllocation((10.0, 0.0), 10.0), 200_000, seed=1)
+    uniform = secrecy_rate_coupled_mc(model, PowerAllocation.uniform(2, 10.0), 200_000, seed=1)
+    spike = secrecy_rate_coupled_mc(model, PowerAllocation((10.0, 0.0), 10.0), 200_000, seed=1)
     gap = uniform.mean - spike.mean
     assert gap > 3 * math.hypot(uniform.std_error, spike.std_error)
 
 
 def test_objective_symmetric_under_permutation():
     model = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
-    fwd = objective_value(model, PowerAllocation((7.0, 3.0), 10.0), 200_000, seed=2)
-    rev = objective_value(model, PowerAllocation((3.0, 7.0), 10.0), 200_000, seed=2)
+    fwd = secrecy_rate_coupled_mc(model, PowerAllocation((7.0, 3.0), 10.0), 200_000, seed=2)
+    rev = secrecy_rate_coupled_mc(model, PowerAllocation((3.0, 7.0), 10.0), 200_000, seed=2)
     assert abs(fwd.mean - rev.mean) < 3 * math.hypot(fwd.std_error, rev.std_error)
 
 
 # --- ascent --------------------------------------------------------------
 
-SMALL_CONFIG = OptimizerConfig(max_iters=80, grad_samples=20_000, seed=0)
+SMALL_CONFIG = OptimizerConfig(max_iters=80, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,33 @@ def test_ascent_from_random_start_reaches_uniform():
     assert dev <= 0.01 * REF_POWER
 
 
+def test_eight_antenna_start_that_hit_the_iteration_cap_converges():
+    # the stochastic ascent this replaced stopped at its cap 0.124 from uniform here
+    P = 10.0
+    trace = optimize_allocation(ChannelModel(8, 1.0, 0.7), P, OptimizerConfig(seed=3796490668))
+    assert trace.converged
+    assert max(abs(x - P / 8) for x in trace.final.d) <= 0.01 * P
+
+
+@pytest.mark.parametrize("P", [1e-3, 1e4])
+def test_ascent_reaches_uniform_at_low_and_high_power(P):
+    # at low power R(d) is nearly linear in d, so a step sized by the gradient
+    # alone would barely move and stop early
+    for seed in range(3):
+        trace = optimize_allocation(REF_MODEL, P, OptimizerConfig(seed=seed))
+        assert trace.converged
+        assert max(abs(x - P / 4) for x in trace.final.d) <= 0.01 * P
+
+
+def test_objective_values_are_exact_and_ascend():
+    trace = optimize_allocation(REF_MODEL, REF_POWER, OptimizerConfig(seed=5))
+    means = [obj.mean for obj in trace.objective_values]
+    assert all(hi >= lo for lo, hi in zip(means, means[1:]))
+    exact = secrecy_capacity(REF_MODEL, REF_POWER, EvalMethod.quadrature()).mean
+    assert abs(means[-1] - exact) <= 1e-6
+    assert all(obj.std_error <= 1e-6 for obj in trace.objective_values)
+
+
 def test_single_antenna_is_immediate():
     trace = optimize_allocation(ChannelModel(1, 1.0, 0.5), 2.0, SMALL_CONFIG)
     assert trace.converged
@@ -196,11 +225,11 @@ def test_ascent_rejects_bad_inputs():
     "kwargs",
     [
         {"max_iters": 0},
-        {"grad_samples": 0},
+        {"max_iters": -1},
         {"tol": 0.0},
-        {"step_scale": 0.0},
-        {"refresh_every": 0},
-        {"window": 0},
+        {"tol": -1e-3},
+        {"tol": math.nan},
+        {"tol": math.inf},
     ],
 )
 def test_config_validation(kwargs):
@@ -208,8 +237,11 @@ def test_config_validation(kwargs):
         OptimizerConfig(**kwargs)
 
 
-def test_step_schedule_describes_decay():
-    assert "sqrt" in OptimizerConfig().step_schedule
+def test_config_has_three_settings():
+    assert [f.name for f in fields(OptimizerConfig)] == ["max_iters", "seed", "tol"]
+    # grad_samples is a class constant for the benchmark replay, not a setting
+    with pytest.raises(TypeError):
+        OptimizerConfig(grad_samples=1)
 
 
 def test_trace_rejects_mismatched_lengths():
@@ -220,6 +252,6 @@ def test_trace_rejects_mismatched_lengths():
 
 def test_trace_rejects_off_simplex_iterate():
     bad = PowerAllocation((0.2, 0.2), 1.0)  # valid allocation, but sum != budget
-    good = objective_value(REF_MODEL, PowerAllocation.uniform(4, 4.0), 10, seed=0)
+    good = secrecy_rate_coupled_mc(REF_MODEL, PowerAllocation.uniform(4, 4.0), 10, seed=0)
     with pytest.raises(ValueError):
         OptimizerTrace(iterates=(bad,), objective_values=(good,), converged=True)

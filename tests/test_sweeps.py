@@ -158,7 +158,7 @@ def test_antenna_sweep_quadrature_rows():
     assert [row.n_t for row in rows] == [1, 2, 4, 8]
     for row in rows:
         assert row.sweep_kind == "antennas"
-        assert row.std_error_bits == 0.0  # deterministic route
+        assert row.std_error_bits <= 1e-6  # deterministic route: the rule's error estimate
         assert row.P == 10.0
         assert row.asymptote_bits == asymptote_large_nt(
             ChannelModel(row.n_t, 1.0, 0.5), 10.0

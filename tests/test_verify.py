@@ -10,6 +10,7 @@ EXPECTED_CHECKS = {
     "schur_concave",
     "complete_monotone",
     "lemma_expectation",
+    "secrecy_rate_schur",
 }
 
 SMALL = dict(
@@ -74,3 +75,17 @@ def test_lemma_check_margin_is_positive_not_just_tolerated():
     result = run_verify_suite(seed=0, **SMALL)
     lemma = dict(result.checks)["lemma_expectation"]
     assert lemma.min_margin > 0
+
+
+def test_suite_seed_whose_ascent_missed_its_tolerance_passes():
+    # the stochastic ascent this replaced ended 0.052 from uniform (tolerance 0.04) here
+    result = run_verify_suite(2655919675)
+    assert result.exit_code == 0
+    assert result.optimizer_deviation <= result.optimizer_tol
+
+
+def test_secrecy_rate_schur_margins_are_nonnegative():
+    result = run_verify_suite(seed=3, **SMALL)
+    report = dict(result.checks)["secrecy_rate_schur"]
+    assert report.min_margin >= -1e-12
+    assert len(report.witnesses) == 2 * SMALL["pairs"]
