@@ -36,7 +36,6 @@ from .optimize import (
 from .ordering import (
     MAX_DERIVATIVE_ORDER,
     OrderCheckReport,
-    OrderRelation,
     Witness,
     cm_derivative,
     lt_order_gap,
@@ -92,7 +91,6 @@ __all__ = [
     "OptimizerConfig",
     "OptimizerTrace",
     "OrderCheckReport",
-    "OrderRelation",
     "PowerAllocation",
     "RateEstimate",
     "Side",

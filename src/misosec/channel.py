@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -244,9 +244,3 @@ def random_unitary(n: int, seed: int) -> NDArray[np.complex128]:
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
-
-def as_allocation(d: Iterable[float] | PowerAllocation, budget: float) -> PowerAllocation:
-    """Coerce a raw vector to a PowerAllocation under the given budget."""
-    if isinstance(d, PowerAllocation):
-        return d
-    return PowerAllocation(d=tuple(float(x) for x in d), budget=budget)

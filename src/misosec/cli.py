@@ -50,7 +50,6 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "pairs": int,
     "s_points": int,
     "lemma_samples": int,
-    "opt_iters": int,
 }
 
 
@@ -174,16 +173,12 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
     _fill(ns, seed=0, pairs=400, s_points=50, lemma_samples=200_000)
-    optimizer_config = None
-    if ns.opt_iters is not None:
-        optimizer_config = OptimizerConfig(max_iters=ns.opt_iters, seed=ns.seed)
     result = run_verify_suite(
         ns.seed,
         pairs=ns.pairs,
         s_points=ns.s_points,
         lemma_samples=ns.lemma_samples,
         run_optimizer=not ns.skip_optimizer,
-        optimizer_config=optimizer_config,
     )
     for name, report in result.checks:
         status = "PASS" if report.holds else "FAIL"
@@ -280,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=None)
     p.add_argument("--s-points", dest="s_points", type=int, default=None)
     p.add_argument("--lemma-samples", dest="lemma_samples", type=int, default=None)
-    p.add_argument("--opt-iters", dest="opt_iters", type=int, default=None)
     p.add_argument("--skip-optimizer", action="store_true")
     _add_common(p, sigmas=False)
     p.set_defaults(func=_cmd_verify)

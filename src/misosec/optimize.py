@@ -118,20 +118,15 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
 
 def _grad_objective(
     model: ChannelModel, d: NDArray[np.float64], n_samples: int, seed: int
-) -> tuple[NDArray, NDArray, RateEstimate]:
-    """One pass over common draws: gradient, its per-coordinate std errors,
-    and the coupled objective estimate at d."""
+) -> tuple[NDArray, NDArray]:
+    """One pass over the eavesdropper draws: the gradient and its
+    per-coordinate std errors at d."""
     a = model.a
-    objective = _kernels.RunningMoments()
     gradient = _kernels.RunningMoments()
     for abs2 in iter_abs2(model.sigma_g, d.shape[0], n_samples, seed, STREAM_EAVESDROPPER):
         q = _kernels.quad_form(abs2, d)
-        objective.add(_kernels.coupled_integrand(q, a))
         gradient.add(abs2 * _kernels.grad_weights(q, a)[:, None])
-    grad, grad_se = gradient.mean_se()
-    mean, se = objective.mean_se()
-    obj = RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
-    return grad, grad_se, obj
+    return gradient.mean_se()
 
 
 def grad_estimate(
@@ -150,8 +145,7 @@ def grad_estimate(
         )
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    grad, _, _ = _grad_objective(model, alloc.as_array(), n_samples, seed)
-    return grad
+    return _grad_objective(model, alloc.as_array(), n_samples, seed)[0]
 
 
 def _random_start(n_t: int, P: float, seed: int) -> NDArray[np.float64]:

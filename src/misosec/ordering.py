@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -30,13 +29,6 @@ _SUM_RTOL = 1e-9
 _MARGIN_SLACK = 1e-12
 
 
-class OrderRelation(Enum):
-    MAJORIZATION = "majorization"
-    LT_ORDER = "lt_order"
-    COMPLETE_MONOTONE = "complete_monotone"
-    SCHUR_CONCAVE = "schur_concave"
-
-
 @dataclass(frozen=True)
 class Witness:
     """One probe point and its margin (>= 0 means the claim holds there)."""
@@ -47,45 +39,31 @@ class Witness:
 
 @dataclass(frozen=True)
 class OrderCheckReport:
-    """Outcome of an ordering probe over a parameter grid.
+    """Outcome of an ordering probe: the grid it ran on and one witness per point.
 
-    min_margin is the most-violating value across witnesses; the claim holds
-    when min_margin >= -1e-12 (floating-point slack only).
+    min_margin is the most-violating witness margin; the claim holds when
+    min_margin >= -1e-12 (floating-point slack only).
     """
 
-    relation: OrderRelation
     grid: str
-    min_margin: float
     witnesses: tuple[Witness, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "witnesses", tuple(self.witnesses))
         if not self.witnesses:
             raise ValueError("report requires at least one witness")
-        worst = min(w.margin for w in self.witnesses)
-        if self.min_margin != worst:
-            raise ValueError(
-                f"min_margin {self.min_margin} does not match worst witness {worst}"
-            )
-
-    @classmethod
-    def from_witnesses(
-        cls, relation: OrderRelation, grid: str, witnesses: Sequence[Witness]
-    ) -> OrderCheckReport:
-        witnesses = tuple(witnesses)
-        return cls(
-            relation=relation,
-            grid=grid,
-            min_margin=min(w.margin for w in witnesses),
-            witnesses=witnesses,
-        )
-
-    @property
-    def holds(self) -> bool:
-        return self.min_margin >= -_MARGIN_SLACK
 
     @property
     def worst(self) -> Witness:
         return min(self.witnesses, key=lambda w: w.margin)
+
+    @property
+    def min_margin(self) -> float:
+        return self.worst.margin
+
+    @property
+    def holds(self) -> bool:
+        return self.min_margin >= -_MARGIN_SLACK
 
 
 def _check_equal_sums(x: NDArray, y: NDArray) -> float:
@@ -108,9 +86,14 @@ def majorizes(x: Sequence[float], y: Sequence[float]) -> bool:
     if xv.ndim != 1 or xv.shape != yv.shape:
         raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
     scale = _check_equal_sums(xv, yv)
-    px = np.cumsum(np.sort(xv)[::-1])
-    py = np.cumsum(np.sort(yv)[::-1])
-    return bool(np.all(px >= py - _MARGIN_SLACK * scale))
+    return _majorization_margin(xv, yv) >= -_MARGIN_SLACK * scale
+
+
+def _majorization_margin(x: NDArray, y: NDArray) -> float:
+    """Worst gap between the sorted-descending prefix sums of x and of y."""
+    px = np.cumsum(np.sort(x)[::-1])
+    py = np.cumsum(np.sort(y)[::-1])
+    return float(np.min(px - py, initial=np.inf))
 
 
 def mgf_quadratic_form(d: Sequence[float], sigma: float, s: float) -> float:
@@ -146,8 +129,7 @@ def lt_order_gap(
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     _check_equal_sums(ds, dv)
-    c = s * sigma * sigma
-    return float(np.sum(np.log2(1.0 + c * ds)) - np.sum(np.log2(1.0 + c * dv)))
+    return float(_lt_gaps_grid(ds, dv, sigma, np.array([s]))[0])
 
 
 def _lt_gaps_grid(
@@ -237,8 +219,7 @@ def verify_lemma_LT_implies_expectation(
         point=f"d1={list(dv1)}, d2={list(dv2)}, mean={mean}, se={se}",
         margin=margin,
     )
-    return OrderCheckReport.from_witnesses(
-        relation=OrderRelation.LT_ORDER,
+    return OrderCheckReport(
         grid=f"n_samples={n_samples}, sigma={sigma}, a={a}, seed={seed}",
-        witnesses=[witness],
+        witnesses=(witness,),
     )

@@ -45,6 +45,7 @@ def test_capacity_quadrature_route(capsys):
         ["optimize", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
          "--snr-db", "10", "--samples", "5000"],
         ["verify", "--skip-optimizer", "--opt-samples", "5000"],
+        ["verify", "--skip-optimizer", "--opt-iters", "5"],
     ],
 )
 def test_removed_flags_exit_2(capsys, args):
@@ -147,6 +148,12 @@ def test_verify_small_run(capsys):
     assert "optimizer_uniform" not in out  # skipped
 
 
+@pytest.mark.parametrize("flag, name", [("--pairs", "pairs"), ("--s-points", "s_points")])
+def test_verify_empty_probe_size_exit_2(capsys, flag, name):
+    assert main(["verify", flag, "0", "--skip-optimizer"]) == 2
+    assert name in capsys.readouterr().err
+
+
 SWEEP_ARGS = [
     "sweep-snr", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
     "--snr-grid", "0,10,20", "--samples", "20000", "--seed", "7",
@@ -238,7 +245,7 @@ def test_config_unknown_key_exit_2(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key", ["nodes", "opt_samples"])
+@pytest.mark.parametrize("key", ["nodes", "opt_samples", "opt_iters"])
 def test_config_removed_key_exit_2(tmp_path, capsys, key):
     cfg = _write_config(tmp_path, f"ntx=2\n{key}=64\n")
     assert main(["capacity", "--config", cfg]) == 2

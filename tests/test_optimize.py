@@ -71,7 +71,7 @@ def test_gradient_refuses_degenerate_regime():
 def test_gradient_flat_at_uniform_allocation():
     # symmetry: all coordinates share one expectation at the uniform point
     d = PowerAllocation.uniform(4, REF_POWER).as_array()
-    grad, grad_se, _ = _grad_objective(REF_MODEL, d, 100_000, seed=0)
+    grad, grad_se = _grad_objective(REF_MODEL, d, 100_000, seed=0)
     assert np.all(grad > 0)
     for i in range(4):
         for j in range(i + 1, 4):

@@ -6,7 +6,6 @@ import pytest
 
 from misosec import (
     OrderCheckReport,
-    OrderRelation,
     Witness,
     cm_derivative,
     iter_abs2,
@@ -187,7 +186,6 @@ def test_lemma_equal_allocations_give_exact_zero():
         [2.0, 2.0], [2.0, 2.0], sigma=1.0, a=0.25, n_samples=1000, seed=0
     )
     assert report.min_margin == 0.0
-    assert report.relation is OrderRelation.LT_ORDER
 
 
 def test_lemma_spike_vs_uniform_strictly_positive():
@@ -240,26 +238,17 @@ def test_lemma_rejects_bad_inputs():
 # --- report type ---------------------------------------------------------------
 
 
-def test_report_requires_consistent_min_margin():
-    w = (Witness("p", 1.0),)
-    with pytest.raises(ValueError):
-        OrderCheckReport(
-            relation=OrderRelation.MAJORIZATION, grid="g", min_margin=0.5, witnesses=w
-        )
-
-
 def test_report_requires_witnesses():
     with pytest.raises(ValueError):
-        OrderCheckReport(
-            relation=OrderRelation.MAJORIZATION, grid="g", min_margin=0.0, witnesses=()
-        )
+        OrderCheckReport(grid="g", witnesses=())
 
 
-def test_report_from_witnesses_and_accessors():
+def test_report_derives_margin_worst_and_holds():
     ws = [Witness("first", 2.0), Witness("second", -1e-3), Witness("third", 0.5)]
-    report = OrderCheckReport.from_witnesses(OrderRelation.SCHUR_CONCAVE, "grid", ws)
+    report = OrderCheckReport("grid", ws)
+    assert report.witnesses == tuple(ws)
     assert report.min_margin == -1e-3
     assert report.worst.point == "second"
     assert not report.holds
-    ok = OrderCheckReport.from_witnesses(OrderRelation.SCHUR_CONCAVE, "grid", ws[:1])
-    assert ok.holds
+    assert OrderCheckReport("grid", ws[:1]).holds
+    assert OrderCheckReport("grid", [Witness("slack", -1e-12)]).holds

@@ -158,7 +158,7 @@ def test_exact_gradient_matches_mc_gradient():
     model = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5)
     d = np.array([3.0, 0.5, 0.0, 1.5])
     _, _, exact, _ = _mgf_rate(d, 1.0, 0.25)
-    mc, mc_se, _ = _grad_objective(model, d, 200_000, seed=12)
+    mc, mc_se = _grad_objective(model, d, 200_000, seed=12)
     assert np.all(np.abs(mc - exact) <= 4.0 * mc_se)
     assert np.array_equal(mc, grad_estimate(model, PowerAllocation(tuple(d), 5.0), 200_000, 12))
 

@@ -1,8 +1,8 @@
-"""Verification suite: check composition, exit codes, pair injection."""
+"""Verification suite: check composition, exit codes, size validation."""
 import numpy as np
 import pytest
 
-from misosec import OptimizerConfig, run_verify_suite
+from misosec import run_verify_suite
 
 EXPECTED_CHECKS = {
     "majorization",
@@ -13,9 +13,7 @@ EXPECTED_CHECKS = {
     "secrecy_rate_schur",
 }
 
-SMALL = dict(
-    pairs=40, s_points=10, x_points=8, max_order=6, lemma_samples=20_000, run_optimizer=False
-)
+SMALL = dict(pairs=40, s_points=10, lemma_samples=20_000, run_optimizer=False)
 
 
 def test_small_suite_passes_with_all_checks():
@@ -46,29 +44,10 @@ def test_full_suite_with_optimizer():
         pairs=60,
         s_points=15,
         lemma_samples=50_000,
-        optimizer_config=OptimizerConfig(seed=0),
     )
     assert result.exit_code == 0
     assert result.optimizer_tol == pytest.approx(0.04)
     assert result.optimizer_deviation <= result.optimizer_tol
-
-
-def test_injected_valid_pair_is_accepted():
-    result = run_verify_suite(
-        seed=0, extra_pairs=[([2.0, 2.0], [4.0, 0.0])], **SMALL
-    )
-    assert result.exit_code == 0
-
-
-def test_injected_pair_with_unequal_sums_raises():
-    with pytest.raises(ValueError):
-        run_verify_suite(seed=0, extra_pairs=[([2.0, 2.0], [5.0, 0.0])], **SMALL)
-
-
-def test_injected_non_majorization_pair_raises():
-    # reversed roles: d_star strictly majorizes d, so the precondition fails
-    with pytest.raises(ValueError, match="majorization"):
-        run_verify_suite(seed=0, extra_pairs=[([4.0, 0.0], [2.0, 2.0])], **SMALL)
 
 
 def test_lemma_check_margin_is_positive_not_just_tolerated():
