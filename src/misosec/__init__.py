@@ -34,7 +34,6 @@ from .optimize import (
     project_to_simplex,
 )
 from .ordering import (
-    MAX_DERIVATIVE_ORDER,
     OrderCheckReport,
     Witness,
     cm_derivative,
@@ -59,14 +58,13 @@ from .rates import (
 from .sweeps import (
     CSV_HEADER,
     SweepKind,
-    SweepRow,
     SweepSpec,
     rows_to_csv,
     run_sweep_antennas,
     run_sweep_snr,
     write_csv,
 )
-from .verify import VerifySuiteResult, run_verify_suite
+from .verify import run_verify_suite
 
 __version__ = "0.1.0"
 
@@ -83,7 +81,6 @@ __all__ = [
     "CHUNK",
     "CSV_HEADER",
     "DEFAULT_MC_SAMPLES",
-    "MAX_DERIVATIVE_ORDER",
     "ChannelModel",
     "ComplexGainMatrix",
     "EvalMethod",
@@ -95,9 +92,7 @@ __all__ = [
     "RateEstimate",
     "Side",
     "SweepKind",
-    "SweepRow",
     "SweepSpec",
-    "VerifySuiteResult",
     "Witness",
     "active_backend",
     "asymptote_high_snr",

@@ -25,7 +25,7 @@ from .rates import (
     asymptote_large_nt,
     secrecy_capacity,
 )
-from .sweeps import SweepKind, SweepSpec, rows_to_csv, run_sweep_antennas, run_sweep_snr
+from .sweeps import SweepKind, SweepSpec, _db_to_power, _sweep, rows_to_csv
 from .verify import run_verify_suite
 
 _METHODS = {
@@ -112,17 +112,6 @@ def _method(ns: argparse.Namespace) -> EvalMethod:
     return _METHODS[name](n_samples=ns.samples, seed=ns.seed)
 
 
-def _power(snr_db: float) -> float:
-    """Total power P = 10^(dB/10); a non-finite SNR or power is an invalid argument."""
-    try:
-        P = 10.0 ** (snr_db / 10.0)
-    except OverflowError:
-        P = math.inf
-    if not (math.isfinite(snr_db) and math.isfinite(P)):
-        raise ValueError(f"SNR must be finite and give a finite power, got {snr_db} dB")
-    return P
-
-
 def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
@@ -130,6 +119,8 @@ def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
         raise ValueError(f"bad {kind} grid {text!r}: {exc}") from exc
     if not values:
         raise ValueError(f"{kind} grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{kind} grid values must be finite, got {text!r}")
     return values
 
 
@@ -142,7 +133,7 @@ def _cmd_capacity(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
     method = _method(ns)
-    P = _power(ns.snr_db)
+    P = _db_to_power(ns.snr_db)
     est = secrecy_capacity(model, P, method)
     print(f"n_t={model.n_t} sigma_h={model.sigma_h!r} sigma_g={model.sigma_g!r} "
           f"P={P!r} method={method.tag.value}")
@@ -155,7 +146,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
     _fill(ns, seed=0, iters=OptimizerConfig.max_iters)
-    P = _power(ns.snr_db)
+    P = _db_to_power(ns.snr_db)
     if model.sigma_h <= model.sigma_g:
         # degenerate regime: nothing to optimize, the capacity is 0
         print("degenerate regime sigma_h <= sigma_g: capacity 0, optimization skipped")
@@ -186,48 +177,33 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
         print(f"  grid: {report.grid}")
         print(f"  worst: {report.worst.point} margin={report.worst.margin!r}")
     if not ns.skip_optimizer:
-        opt_ok = result.optimizer_deviation <= result.optimizer_tol
-        print(f"{'PASS' if opt_ok else 'FAIL'} optimizer_uniform "
+        print(f"{'PASS' if result.optimizer_ok else 'FAIL'} optimizer_uniform "
               f"max_dev={result.optimizer_deviation!r} tol={result.optimizer_tol!r}")
     return result.exit_code
 
 
-def _sweep_common(ns: argparse.Namespace, kind: SweepKind) -> SweepSpec:
+def _cmd_sweep(ns: argparse.Namespace) -> int:
     method = _method(ns)
-    if kind is SweepKind.SNR:
+    if ns.kind is SweepKind.SNR:
         _require(ns, "snr_grid")
         grid = _parse_grid(ns.snr_grid, "SNR")
         model = _model(ns)
-        return SweepSpec(
-            sweep_kind=kind, model=model, grid=grid, method=method, output_path=ns.out
-        )
-    _require(ns, "nt_grid", "snr_db", "sigma_h", "sigma_g")
-    grid = _parse_grid(ns.nt_grid, "antenna")
-    # the per-point n_t comes from the grid; the model just carries the scales
-    model = ChannelModel(n_t=max(int(v) for v in grid), sigma_h=ns.sigma_h, sigma_g=ns.sigma_g)
-    return SweepSpec(
-        sweep_kind=kind,
+        power = None
+    else:
+        _require(ns, "nt_grid", "snr_db", "sigma_h", "sigma_g")
+        grid = _parse_grid(ns.nt_grid, "antenna")
+        # the per-point n_t comes from the grid; the model just carries the scales
+        model = ChannelModel(n_t=max(int(v) for v in grid), sigma_h=ns.sigma_h, sigma_g=ns.sigma_g)
+        power = _db_to_power(ns.snr_db)
+    spec = SweepSpec(
+        sweep_kind=ns.kind,
         model=model,
         grid=grid,
         method=method,
-        power=_power(ns.snr_db),
+        power=power,
         output_path=ns.out,
     )
-
-
-def _cmd_sweep_snr(ns: argparse.Namespace) -> int:
-    spec = _sweep_common(ns, SweepKind.SNR)
-    rows = run_sweep_snr(spec)
-    if spec.output_path is None:
-        sys.stdout.write(rows_to_csv(rows))
-    else:
-        print(f"wrote {spec.output_path} ({len(rows)} rows)")
-    return 0
-
-
-def _cmd_sweep_nt(ns: argparse.Namespace) -> int:
-    spec = _sweep_common(ns, SweepKind.ANTENNAS)
-    rows = run_sweep_antennas(spec)
+    rows = _sweep(spec, ns.kind)
     if spec.output_path is None:
         sys.stdout.write(rows_to_csv(rows))
     else:
@@ -286,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     _add_common(p)
     _add_method(p)
-    p.set_defaults(func=_cmd_sweep_snr)
+    p.set_defaults(func=_cmd_sweep, kind=SweepKind.SNR)
 
     p = sub.add_parser("sweep-nt", help="capacity across antenna counts, CSV out")
     p.add_argument("--nt-grid", dest="nt_grid", default=None,
@@ -296,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
     _add_common(p)
     _add_method(p)
-    p.set_defaults(func=_cmd_sweep_nt)
+    p.set_defaults(func=_cmd_sweep, kind=SweepKind.ANTENNAS)
 
     return parser
 

@@ -1,17 +1,19 @@
 """Parameter sweeps over SNR or antenna count, with deterministic CSV emission.
 
-Each sweep point gets its own derived seed (recorded in the output), so a row
-can be reproduced by calling secrecy_capacity with the row's parameters and
-seed. Points run concurrently; rows come back ordered by sweep value no
-matter which point finishes first. Identical spec + seed produces a
-byte-identical file.
+Both sweeps share one code path. Each grid point gives a model, a total power
+and the matching asymptote, is evaluated on a thread pool with its own derived
+seed (recorded in the output), and becomes one SweepRow, so a row can be
+reproduced by calling secrecy_capacity with the row's parameters and seed.
+Rows come back ordered by sweep value no matter which point finishes first.
+The CSV columns are SweepRow's fields in declaration order. Identical spec +
+seed produces a byte-identical file.
 """
 from __future__ import annotations
 
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
@@ -25,11 +27,6 @@ from .rates import (
     secrecy_capacity,
 )
 
-CSV_HEADER = (
-    "sweep_kind,sweep_value,n_t,sigma_h,sigma_g,P,method,"
-    "capacity_bits,std_error_bits,asymptote_bits,seed"
-)
-
 _POINT_TAG = 13
 
 
@@ -38,13 +35,24 @@ class SweepKind(Enum):
     ANTENNAS = "antennas"
 
 
+def _db_to_power(snr_db: float) -> float:
+    """Total power P = 10^(dB/10); a non-finite SNR or power is an invalid argument."""
+    try:
+        P = 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        P = math.inf
+    if not (math.isfinite(snr_db) and math.isfinite(P)):
+        raise ValueError(f"SNR must be finite and give a finite power, got {snr_db} dB")
+    return P
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: what varies (SNR in dB, or n_t), what stays fixed, how to evaluate.
 
     For antenna sweeps the model's n_t is ignored (the grid supplies it) and
     power is the fixed total power. For SNR sweeps power is derived per point
-    as 10^(dB/10) and the power field must stay None.
+    as 10^(dB/10), which must be finite, and the power field must stay None.
     """
 
     sweep_kind: SweepKind
@@ -71,11 +79,14 @@ class SweepSpec:
                 raise ValueError(f"power must be finite and >= 0, got {self.power}")
         elif self.power is not None:
             raise ValueError("SNR sweeps derive power from the grid; leave power unset")
+        else:
+            for snr_db in self.grid:
+                _db_to_power(snr_db)
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One CSV record; field order matches the emitted columns."""
+    """One CSV record: its fields, in order, are the columns; floats are written as exact reprs."""
 
     sweep_kind: str
     sweep_value: float
@@ -94,20 +105,15 @@ class SweepRow:
             raise ValueError(f"std_error_bits must be >= 0, got {self.std_error_bits}")
 
     def as_csv(self) -> str:
-        cells = (
-            self.sweep_kind,
-            repr(float(self.sweep_value)),
-            str(self.n_t),
-            repr(float(self.sigma_h)),
-            repr(float(self.sigma_g)),
-            repr(float(self.P)),
-            self.method,
-            repr(float(self.capacity_bits)),
-            repr(float(self.std_error_bits)),
-            repr(float(self.asymptote_bits)),
-            str(self.seed),
+        # format by declared type, so an int sigma still writes 1.0; annotations
+        # are postponed, so f.type is the type's name
+        return ",".join(
+            repr(float(getattr(self, f.name))) if f.type == "float" else str(getattr(self, f.name))
+            for f in fields(self)
         )
-        return ",".join(cells)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 
 def point_seed(base_seed: int, index: int) -> int:
@@ -117,27 +123,26 @@ def point_seed(base_seed: int, index: int) -> int:
     )
 
 
-def _run_points(fn, count: int) -> list[SweepRow]:
-    workers = min(count, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(count)))
-
-
-def run_sweep_snr(spec: SweepSpec) -> list[SweepRow]:
-    """One row per SNR grid point (dB); capacity plus the high-power limit."""
-    if spec.sweep_kind is not SweepKind.SNR:
-        raise ValueError(f"expected an SNR sweep, got {spec.sweep_kind}")
-    model = spec.model
-    limit = asymptote_high_snr(model)
+def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
+    """One row per grid point, evaluated on a thread pool; writes the CSV if asked."""
+    if spec.sweep_kind is not kind:
+        raise ValueError(f"expected a {kind.value!r} sweep, got {spec.sweep_kind.value!r}")
 
     def eval_point(i: int) -> SweepRow:
-        snr_db = float(spec.grid[i])
-        P = 10.0 ** (snr_db / 10.0)
+        value = float(spec.grid[i])
+        if kind is SweepKind.SNR:
+            model = spec.model
+            P = _db_to_power(value)
+            limit = asymptote_high_snr(model)
+        else:
+            model = replace(spec.model, n_t=int(value))
+            P = float(spec.power)
+            limit = asymptote_large_nt(model, P)
         method = replace(spec.method, seed=point_seed(spec.method.seed, i))
         est = secrecy_capacity(model, P, method)
         return SweepRow(
-            sweep_kind=SweepKind.SNR.value,
-            sweep_value=snr_db,
+            sweep_kind=kind.value,
+            sweep_value=value,
             n_t=model.n_t,
             sigma_h=model.sigma_h,
             sigma_g=model.sigma_g,
@@ -149,41 +154,22 @@ def run_sweep_snr(spec: SweepSpec) -> list[SweepRow]:
             seed=method.seed,
         )
 
-    rows = _run_points(eval_point, len(spec.grid))
+    workers = min(len(spec.grid), os.cpu_count() or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(eval_point, range(len(spec.grid))))
     if spec.output_path is not None:
         write_csv(spec.output_path, rows)
     return rows
+
+
+def run_sweep_snr(spec: SweepSpec) -> list[SweepRow]:
+    """One row per SNR grid point (dB); capacity plus the high-power limit."""
+    return _sweep(spec, SweepKind.SNR)
 
 
 def run_sweep_antennas(spec: SweepSpec) -> list[SweepRow]:
     """One row per antenna count at fixed power; capacity plus the many-antenna limit."""
-    if spec.sweep_kind is not SweepKind.ANTENNAS:
-        raise ValueError(f"expected an antenna sweep, got {spec.sweep_kind}")
-    P = float(spec.power)
-
-    def eval_point(i: int) -> SweepRow:
-        n_t = int(spec.grid[i])
-        model = ChannelModel(n_t=n_t, sigma_h=spec.model.sigma_h, sigma_g=spec.model.sigma_g)
-        method = replace(spec.method, seed=point_seed(spec.method.seed, i))
-        est = secrecy_capacity(model, P, method)
-        return SweepRow(
-            sweep_kind=SweepKind.ANTENNAS.value,
-            sweep_value=float(n_t),
-            n_t=n_t,
-            sigma_h=model.sigma_h,
-            sigma_g=model.sigma_g,
-            P=P,
-            method=method.tag.value,
-            capacity_bits=est.mean,
-            std_error_bits=est.std_error,
-            asymptote_bits=asymptote_large_nt(model, P),
-            seed=method.seed,
-        )
-
-    rows = _run_points(eval_point, len(spec.grid))
-    if spec.output_path is not None:
-        write_csv(spec.output_path, rows)
-    return rows
+    return _sweep(spec, SweepKind.ANTENNAS)
 
 
 def rows_to_csv(rows: Sequence[SweepRow]) -> str:

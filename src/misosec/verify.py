@@ -45,12 +45,20 @@ _LT_SIGMAS = (1.0, np.sqrt(2.0))
 
 @dataclass(frozen=True)
 class VerifySuiteResult:
-    """Named probe reports plus the optimizer-to-uniform outcome."""
+    """Named probe reports plus the optimizer-to-uniform outcome.
+
+    optimizer_ok is True when the ascent converged within optimizer_tol of
+    uniform, or was skipped.
+    """
 
     checks: tuple[tuple[str, OrderCheckReport], ...]
     optimizer_deviation: float
     optimizer_tol: float
-    exit_code: int
+    optimizer_ok: bool
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if (all(rep.holds for _, rep in self.checks) and self.optimizer_ok) else 1
 
     @property
     def passed(self) -> bool:
@@ -176,10 +184,9 @@ def run_verify_suite(
         opt_tol = 0.01 * P
         opt_ok = trace.converged and opt_dev <= opt_tol
 
-    exit_code = 0 if (all(rep.holds for _, rep in checks) and opt_ok) else 1
     return VerifySuiteResult(
         checks=tuple(checks),
         optimizer_deviation=opt_dev,
         optimizer_tol=opt_tol,
-        exit_code=exit_code,
+        optimizer_ok=opt_ok,
     )

@@ -1,8 +1,9 @@
 """CLI behavior through main(argv): outputs, exit codes, config file handling."""
 import pytest
 
-from misosec import CSV_HEADER
+from misosec import CSV_HEADER, OrderCheckReport, Witness
 from misosec.cli import main
+from misosec.verify import VerifySuiteResult
 
 CAPACITY_ARGS = [
     "capacity", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
@@ -93,12 +94,16 @@ def test_optimize_non_finite_snr_exit_2(capsys):
     assert "finite" in capsys.readouterr().err
 
 
-def test_sweep_snr_non_finite_grid_exit_2(capsys):
-    args = [
-        "sweep-snr", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
-        "--snr-grid", "0,nan", "--method", "quad",
-    ]
-    assert main(args) == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["sweep-snr", "--ntx", "2", "--snr-grid", "0,nan"], id="snr-nan"),
+        pytest.param(["sweep-snr", "--ntx", "2", "--snr-grid", "0,4000"], id="snr-overflow"),
+        pytest.param(["sweep-nt", "--nt-grid", "1,inf", "--snr-db", "10"], id="nt-inf"),
+    ],
+)
+def test_sweep_non_finite_grid_exit_2(capsys, args):
+    assert main(args + ["--sigma-h", "1.0", "--sigma-g", "0.5", "--method", "quad"]) == 2
     assert "finite" in capsys.readouterr().err
 
 
@@ -146,6 +151,22 @@ def test_verify_small_run(capsys):
     assert "PASS secrecy_rate_schur" in out
     assert "FAIL" not in out
     assert "optimizer_uniform" not in out  # skipped
+
+
+def test_verify_optimizer_line_follows_optimizer_ok(capsys, monkeypatch):
+    # an ascent that stopped at its cap within tolerance of uniform still fails
+    report = OrderCheckReport("one point", [Witness(point="p", margin=0.0)])
+    result = VerifySuiteResult(
+        checks=(("majorization", report),),
+        optimizer_deviation=0.001,
+        optimizer_tol=0.04,
+        optimizer_ok=False,
+    )
+    monkeypatch.setattr("misosec.cli.run_verify_suite", lambda *args, **kwargs: result)
+    assert main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS majorization" in out
+    assert "FAIL optimizer_uniform" in out
 
 
 @pytest.mark.parametrize("flag, name", [("--pairs", "pairs"), ("--s-points", "s_points")])

@@ -1,5 +1,5 @@
 """Sweeps: spec validation, row content, CSV determinism, row reproducibility."""
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ from misosec import (
     secrecy_capacity,
     write_csv,
 )
+from misosec.sweeps import SweepRow
 
 MODEL = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
 
@@ -43,6 +44,11 @@ def test_spec_rejects_empty_grid():
 def test_spec_rejects_non_increasing_grid():
     with pytest.raises(ValueError):
         snr_spec(grid=(0.0, 10.0, 10.0))
+
+
+def test_spec_rejects_snr_grid_with_overflowing_power():
+    with pytest.raises(ValueError, match="finite"):
+        snr_spec(grid=(0.0, 4000.0))
 
 
 def test_spec_rejects_power_on_snr_sweep():
@@ -192,6 +198,23 @@ def test_csv_header_and_field_count(snr_rows):
     assert lines[-1] == ""  # trailing newline
     for line in lines[1:-1]:
         assert len(line.split(",")) == len(CSV_HEADER.split(","))
+
+
+def test_csv_header_is_the_row_fields_and_cells_follow_declared_types():
+    assert CSV_HEADER.split(",") == [f.name for f in fields(SweepRow)]
+    spec = SweepSpec(
+        sweep_kind=SweepKind.ANTENNAS,
+        model=ChannelModel(2, 1, 0.5),
+        grid=(1.0, 2.0),
+        method=EvalMethod.quadrature(),
+        power=4,
+    )
+    lines = rows_to_csv(run_sweep_antennas(spec)).split("\n")
+    columns = CSV_HEADER.split(",")
+    for line in lines[1:-1]:
+        cells = dict(zip(columns, line.split(",")))
+        assert cells["sigma_h"] == "1.0"
+        assert cells["P"] == "4.0"
 
 
 def test_csv_round_trips_exact_floats(snr_rows):
