@@ -62,10 +62,13 @@ class ChannelModel:
             raise ValueError(f"n_t must be an integer, got {self.n_t!r}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
-        if not (math.isfinite(self.sigma_h) and self.sigma_h > 0):
-            raise ValueError(f"sigma_h must be finite and positive, got {self.sigma_h}")
-        if not (math.isfinite(self.sigma_g) and self.sigma_g > 0):
-            raise ValueError(f"sigma_g must be finite and positive, got {self.sigma_g}")
+        # every rate route works with the variances and their ratio a, so a
+        # sigma whose square overflows or underflows is as unusable as inf
+        for name, sigma in (("sigma_h", self.sigma_h), ("sigma_g", self.sigma_g)):
+            if not (math.isfinite(sigma) and sigma > 0 and 0 < sigma * sigma < math.inf):
+                raise ValueError(f"{name} and its square must be finite and positive, got {sigma}")
+        if not 0 < self.a < math.inf:
+            raise ValueError(f"a = sigma_g^2/sigma_h^2 must be finite and positive, got {self.a}")
 
     @property
     def a(self) -> float:

@@ -47,9 +47,6 @@ _CASTS: dict[str, Callable[[str], object]] = {
     "seed": int,
     "out": str,
     "iters": int,
-    "pairs": int,
-    "s_points": int,
-    "lemma_samples": int,
 }
 
 
@@ -163,14 +160,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    _fill(ns, seed=0, pairs=400, s_points=50, lemma_samples=200_000)
-    result = run_verify_suite(
-        ns.seed,
-        pairs=ns.pairs,
-        s_points=ns.s_points,
-        lemma_samples=ns.lemma_samples,
-        run_optimizer=not ns.skip_optimizer,
-    )
+    result = run_verify_suite(ns.seed or 0, run_optimizer=not ns.skip_optimizer)
     for name, report in result.checks:
         status = "PASS" if report.holds else "FAIL"
         print(f"{status} {name} min_margin={report.min_margin!r}")
@@ -248,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("verify", help="run the stochastic-ordering verification suite")
-    p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--s-points", dest="s_points", type=int, default=None)
-    p.add_argument("--lemma-samples", dest="lemma_samples", type=int, default=None)
     p.add_argument("--skip-optimizer", action="store_true")
     _add_common(p, sigmas=False)
     p.set_defaults(func=_cmd_verify)

@@ -108,6 +108,10 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     total = float(v.sum())
     if np.all(v >= 0.0) and abs(total - P) <= _SIMPLEX_SLACK * P:
         return v.copy()
+    # a nan or inf entry never passes the check above, and would leave no rho below
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"entries must be finite, got v[{bad[0]}] = {v[bad[0]]}")
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - P
     counts = np.arange(1, v.size + 1, dtype=np.float64)
@@ -191,7 +195,7 @@ def optimize_allocation(
 
     def evaluate(vec: NDArray) -> tuple[RateEstimate, NDArray]:
         rate, err, grad, nodes = _mgf_rate(vec, var_h, var_g)
-        return RateEstimate(mean=rate, std_error=err, n_samples=nodes, seed=config.seed), grad
+        return RateEstimate(float(rate), float(err), n_samples=nodes, seed=config.seed), grad
 
     obj, grad = evaluate(d)
     iterates, objectives = [d], [obj]

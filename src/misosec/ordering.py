@@ -86,14 +86,15 @@ def majorizes(x: Sequence[float], y: Sequence[float]) -> bool:
     if xv.ndim != 1 or xv.shape != yv.shape:
         raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
     scale = _check_equal_sums(xv, yv)
-    return _majorization_margin(xv, yv) >= -_MARGIN_SLACK * scale
+    return bool(_majorization_margin(xv, yv) >= -_MARGIN_SLACK * scale)
 
 
-def _majorization_margin(x: NDArray, y: NDArray) -> float:
-    """Worst gap between the sorted-descending prefix sums of x and of y."""
-    px = np.cumsum(np.sort(x)[::-1])
-    py = np.cumsum(np.sort(y)[::-1])
-    return float(np.min(px - py, initial=np.inf))
+def _majorization_margin(x: NDArray, y: NDArray) -> NDArray[np.float64]:
+    """Worst gap between the sorted-descending prefix sums of x and of y,
+    per row along the last axis (leading axes broadcast)."""
+    px = np.cumsum(np.sort(x)[..., ::-1], axis=-1)
+    py = np.cumsum(np.sort(y)[..., ::-1], axis=-1)
+    return np.min(px - py, axis=-1, initial=np.inf)
 
 
 def mgf_quadratic_form(d: Sequence[float], sigma: float, s: float) -> float:
@@ -135,10 +136,14 @@ def lt_order_gap(
 def _lt_gaps_grid(
     d_star: NDArray, d: NDArray, sigma: float, s_grid: NDArray
 ) -> NDArray[np.float64]:
-    """Vectorized lt_order_gap over a whole s grid (validation done by caller)."""
-    c = (sigma * sigma) * s_grid[:, None]
-    return np.sum(np.log2(1.0 + c * d_star[None, :]), axis=1) - np.sum(
-        np.log2(1.0 + c * d[None, :]), axis=1
+    """Vectorized lt_order_gap over a whole s grid (validation done by caller).
+
+    Leading axes of the (..., n) rows broadcast against s_grid's: (k, n) rows
+    give (k, S) gaps on an (S,) grid and one gap per row on a (k, 1) column.
+    """
+    c = (sigma * sigma) * s_grid[..., None]
+    return np.sum(np.log2(1.0 + c * d_star[..., None, :]), axis=-1) - np.sum(
+        np.log2(1.0 + c * d[..., None, :]), axis=-1
     )
 
 

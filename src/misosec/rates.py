@@ -149,13 +149,17 @@ def secrecy_rate_coupled_mc(
 
 def _mgf_rate(
     d: NDArray[np.float64], var_h: float, var_g: float
-) -> tuple[float, float, NDArray[np.float64], int]:
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], int]:
     """E[log2(1 + h^H D h)] - E[log2(1 + g^H D g)] by Hamdi's MGF integral.
 
     Entries of h and g have variances var_h and var_g; var_g = 0 makes
-    M_g = 1 and leaves the single rate E[log2(1 + h^H D h)]. Returns the
-    rate, an error estimate (the gap to the rule of twice the step), the
-    exact gradient dR/dd_k and the node count. After s = e^u the rate is
+    M_g = 1 and leaves the single rate E[log2(1 + h^H D h)]. d has shape
+    (..., n_t): each row along the last axis is one allocation, and a 1-D d
+    is a batch of one. Returns the rates and error estimates (the gap to the
+    rule of twice the step), both of shape d.shape[:-1], the exact gradients
+    dR/dd_k of d's shape, and the node count. The whole batch shares the
+    rule of its largest entry, so a row's rate can differ from its own
+    single-row call by a few ulps. After s = e^u the rate is
     int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
@@ -164,20 +168,21 @@ def _mgf_rate(
     bottom = -math.log(max(c_max, 1.0)) - _MGF_DEPTH
     nodes = math.ceil((_MGF_TOP - bottom) / _MGF_STEP) + 1
     s = np.exp(_MGF_TOP - _MGF_STEP * np.arange(nodes))
-    x_h = s[:, None] * (var_h * d)
-    x_g = s[:, None] * (var_g * d)
-    log_h = np.sum(np.log1p(x_h), axis=1)
-    log_g = np.sum(np.log1p(x_g), axis=1)
+    x_h = s[:, None] * (var_h * d[..., None, :])
+    x_g = s[:, None] * (var_g * d[..., None, :])
+    log_h = np.sum(np.log1p(x_h), axis=-1)
+    log_g = np.sum(np.log1p(x_g), axis=-1)
     decay = np.exp(-s)
     m_h = np.exp(-log_h)
     m_g = np.exp(-log_g)
     f = decay * m_g * -np.expm1(log_g - log_h)
-    rate = _MGF_STEP * float(np.sum(f)) / _LN2
-    coarse = 2.0 * _MGF_STEP * float(np.sum(f[::2])) / _LN2
+    rate = _MGF_STEP * np.sum(f, axis=-1) / _LN2
+    coarse = 2.0 * _MGF_STEP * np.sum(f[..., ::2], axis=-1) / _LN2
     # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
     w = decay * s
-    grad = var_h * ((w * m_h) @ (1.0 / (1.0 + x_h))) - var_g * ((w * m_g) @ (1.0 / (1.0 + x_g)))
-    return rate, abs(rate - coarse), grad * (_MGF_STEP / _LN2), nodes
+    grad = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
+            - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
+    return rate, np.abs(rate - coarse), grad * (_MGF_STEP / _LN2), nodes
 
 
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:
@@ -194,7 +199,7 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
         raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:
         return 0.0
-    return _mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0]
+    return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
 
 
 def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateEstimate:
@@ -212,7 +217,7 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
     alloc = PowerAllocation.uniform(model.n_t, P)
     if method.tag is MethodTag.QUADRATURE:
         mean, err, _, nodes = _mgf_rate(alloc.as_array(), model.sigma_h**2, model.sigma_g**2)
-        return RateEstimate(mean=mean, std_error=err, n_samples=nodes, seed=method.seed)
+        return RateEstimate(float(mean), float(err), n_samples=nodes, seed=method.seed)
     if method.tag is MethodTag.DIRECT_MC:
         return secrecy_rate_direct_mc(model, alloc, method.n_samples, method.seed)
     return secrecy_rate_coupled_mc(model, alloc, method.n_samples, method.seed)

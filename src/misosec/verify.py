@@ -10,8 +10,6 @@ noise in as mean + 3 * std_error.
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
-Invalid sizes (pairs or s_points below 1) raise ValueError, which the CLI
-maps to exit code 2.
 """
 from __future__ import annotations
 
@@ -32,9 +30,13 @@ from .ordering import (
 )
 from .rates import _mgf_rate
 
-# random pairs: dimension drawn from _PAIR_DIMS, total power _PAIR_TOTAL
+# _PAIRS random pairs: dimension drawn from _PAIR_DIMS, total power _PAIR_TOTAL
+_PAIRS = 400
 _PAIR_DIMS = (2, 3, 4, 8)
 _PAIR_TOTAL = 4.0
+# LT probe's s grid size, and draws per expectation-lemma case
+_S_POINTS = 50
+_LEMMA_SAMPLES = 200_000
 # complete-monotonicity grid: log-spaced x in [1e-3, 1e3], orders 0.._CM_ORDERS
 _CM_X_POINTS = 25
 _CM_ORDERS = 10
@@ -65,70 +67,66 @@ class VerifySuiteResult:
         return self.exit_code == 0
 
 
-def _s_grid(points: int) -> np.ndarray:
-    # half-open (1e-3, 1e3]: drop the left endpoint of an extended log grid
-    return np.logspace(-3.0, 3.0, points + 1)[1:]
+def _in_order(witnesses: dict) -> list[Witness]:
+    return [witnesses[key] for key in sorted(witnesses)]
 
 
-def run_verify_suite(
-    seed: int = 0,
-    *,
-    pairs: int = 400,
-    s_points: int = 50,
-    lemma_samples: int = 200_000,
-    run_optimizer: bool = True,
-) -> VerifySuiteResult:
+def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuiteResult:
     """Run every ordering probe and (optionally) the optimizer check.
 
-    pairs random (d_star, d) pairs feed the pair probes, s_points sets the LT
-    probe's s grid and lemma_samples the draws per lemma case; the
-    complete-monotonicity grid and the pair dimensions and total are fixed.
-    The optimizer runs OptimizerConfig(seed=seed) on the reference problem.
+    The probe sizes are fixed: _PAIRS random (d_star, d) pairs feed the pair
+    probes, the LT probe runs on _S_POINTS log-spaced s and each lemma case
+    on _LEMMA_SAMPLES draws. The optimizer runs OptimizerConfig(seed=seed)
+    on the reference problem.
     """
-    if pairs < 1:
-        raise ValueError(f"pairs must be >= 1, got {pairs}")
-    if s_points < 1:
-        raise ValueError(f"s_points must be >= 1, got {s_points}")
     rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
     pair_list: list[tuple[np.ndarray, np.ndarray]] = []
-    for _ in range(pairs):
+    by_dim: dict[int, list[int]] = {}
+    for i in range(_PAIRS):
         n = int(rng.choice(_PAIR_DIMS))
         pair_list.append(random_majorization_pair(n, _PAIR_TOTAL, rng))
-    checks: list[tuple[str, OrderCheckReport]] = []
+        by_dim.setdefault(n, []).append(i)
+    s_draws = np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(_PAIRS)])
+    s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
-    # majorization: every generated pair must satisfy d_star majorized by d,
-    # with the margin being the worst prefix-sum gap
-    maj_witnesses = [
-        Witness(point=f"pair#{i} n={d.size}", margin=_majorization_margin(d, d_star))
-        for i, (d_star, d) in enumerate(pair_list)
-    ]
-    grid = f"{pairs} random pairs, dims {_PAIR_DIMS}, total {_PAIR_TOTAL}"
-    checks.append(("majorization", OrderCheckReport(grid, maj_witnesses)))
-
-    # LT order across the whole s grid, both variance conventions
-    s_grid = _s_grid(s_points)
-    lt_witnesses = []
-    for i, (d_star, d) in enumerate(pair_list):
-        for sigma in _LT_SIGMAS:
+    # each pair probe makes one array call per pair dimension (and per sigma
+    # or ratio); its witnesses are keyed by (pair, sigma or ratio) and
+    # reported in that order
+    maj_w: dict[int, Witness] = {}
+    lt_w: dict[tuple[int, int], Witness] = {}
+    schur_w: dict[int, Witness] = {}
+    rate_w: dict[tuple[int, int], Witness] = {}
+    for rows in by_dim.values():
+        d_star = np.array([pair_list[i][0] for i in rows])
+        d = np.array([pair_list[i][1] for i in rows])
+        # majorization: every generated pair must satisfy d_star majorized by d,
+        # with the margin being the worst prefix-sum gap
+        for i, margin in zip(rows, _majorization_margin(d, d_star).tolist()):
+            maj_w[i] = Witness(point=f"pair#{i} n={d.shape[1]}", margin=margin)
+        # LT order across the whole s grid, both variance conventions
+        for m, sigma in enumerate(_LT_SIGMAS):
             gaps = _lt_gaps_grid(d_star, d, float(sigma), s_grid)
-            j = int(np.argmin(gaps))
-            lt_witnesses.append(
-                Witness(
-                    point=f"pair#{i} sigma^2={float(sigma) ** 2:g} s={s_grid[j]:.6g}",
-                    margin=float(gaps[j]),
-                )
-            )
-    grid = f"{pairs} pairs x {s_points} log-spaced s in (1e-3, 1e3], sigma^2 in {{1, 2}}"
-    checks.append(("lt_order", OrderCheckReport(grid, lt_witnesses)))
+            worst = np.argmin(gaps, axis=-1)
+            for i, j, margin in zip(rows, worst, np.min(gaps, axis=-1).tolist()):
+                point = f"pair#{i} sigma^2={float(sigma) ** 2:g} s={s_grid[j]:.6g}"
+                lt_w[i, m] = Witness(point=point, margin=margin)
+        # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
+        gaps = _lt_gaps_grid(d_star, d, 1.0, s_draws[rows, None])[:, 0]
+        for i, margin in zip(rows, gaps.tolist()):
+            schur_w[i] = Witness(point=f"pair#{i} s={s_draws[i]:.6g}", margin=margin)
+        # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
+        for m, r in enumerate((0.5, 0.9)):
+            gaps = _mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0]
+            for i, margin in zip(rows, gaps.tolist()):
+                rate_w[i, m] = Witness(point=f"pair#{i} sigma_g/sigma_h={r}", margin=margin)
 
-    # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
-    schur_witnesses = []
-    for i, (d_star, d) in enumerate(pair_list):
-        s = float(10.0 ** rng.uniform(-3.0, 3.0))
-        gap = _lt_gaps_grid(d_star, d, 1.0, np.array([s]))[0]
-        schur_witnesses.append(Witness(point=f"pair#{i} s={s:.6g}", margin=float(gap)))
-    grid = f"{pairs} pairs, one random s each, sigma^2=1"
-    checks.append(("schur_concave", OrderCheckReport(grid, schur_witnesses)))
+    checks: list[tuple[str, OrderCheckReport]] = []
+    grid = f"{_PAIRS} random pairs, dims {_PAIR_DIMS}, total {_PAIR_TOTAL}"
+    checks.append(("majorization", OrderCheckReport(grid, _in_order(maj_w))))
+    grid = f"{_PAIRS} pairs x {_S_POINTS} log-spaced s in (1e-3, 1e3], sigma^2 in {{1, 2}}"
+    checks.append(("lt_order", OrderCheckReport(grid, _in_order(lt_w))))
+    grid = f"{_PAIRS} pairs, one random s each, sigma^2=1"
+    checks.append(("schur_concave", OrderCheckReport(grid, _in_order(schur_w))))
 
     # complete monotonicity sign pattern on the (a, x, n) grid
     cm_witnesses = []
@@ -143,17 +141,8 @@ def run_verify_suite(
     grid = f"a in {{0,0.1,0.5,0.9}}, {_CM_X_POINTS}-point log x grid, n <= {_CM_ORDERS}"
     checks.append(("complete_monotone", OrderCheckReport(grid, cm_witnesses)))
 
-    # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
-    rate_witnesses = [
-        Witness(
-            point=f"pair#{i} sigma_g/sigma_h={r}",
-            margin=_mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0],
-        )
-        for i, (d_star, d) in enumerate(pair_list)
-        for r in (0.5, 0.9)
-    ]
-    grid = f"{pairs} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
-    checks.append(("secrecy_rate_schur", OrderCheckReport(grid, rate_witnesses)))
+    grid = f"{_PAIRS} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
+    checks.append(("secrecy_rate_schur", OrderCheckReport(grid, _in_order(rate_w))))
 
     # expectation-ordering lemma on canonical and random pairs (shared draws)
     d_star_r, d_r = pair_list[0]
@@ -165,10 +154,10 @@ def run_verify_suite(
     lemma_witnesses = []
     for j, (d1, d2, a) in enumerate(lemma_cases):
         rep = verify_lemma_LT_implies_expectation(
-            d1, d2, sigma=1.0, a=a, n_samples=lemma_samples, seed=seed + j
+            d1, d2, sigma=1.0, a=a, n_samples=_LEMMA_SAMPLES, seed=seed + j
         )
         lemma_witnesses.append(Witness(point=f"case#{j} a={a}", margin=rep.min_margin))
-    grid = f"{len(lemma_cases)} pairs, {lemma_samples} shared draws each"
+    grid = f"{len(lemma_cases)} pairs, {_LEMMA_SAMPLES} shared draws each"
     checks.append(("lemma_expectation", OrderCheckReport(grid, lemma_witnesses)))
 
     # optimizer-to-uniform check on the reference problem

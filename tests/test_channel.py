@@ -153,6 +153,9 @@ def test_random_unitary_is_unitary():
         {"n_t": 2, "sigma_h": float("inf"), "sigma_g": 1.0},
         {"n_t": 2, "sigma_h": 1.0, "sigma_g": float("inf")},
         {"n_t": 2, "sigma_h": float("nan"), "sigma_g": 1.0},
+        {"n_t": 2, "sigma_h": 1e200, "sigma_g": 1.0},  # square overflows
+        {"n_t": 2, "sigma_h": 1.0, "sigma_g": 1e-200},  # square underflows to 0
+        {"n_t": 2, "sigma_h": 1e150, "sigma_g": 1e-150},  # a underflows to 0
     ],
 )
 def test_channel_model_validation(kwargs):

@@ -58,6 +58,14 @@ def test_projection_rejects_bad_inputs():
         project_to_simplex([1.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_start_is_named(bad):
+    with pytest.raises(ValueError, match=r"finite, got v\[0\] = "):
+        project_to_simplex([bad, 1.0], 4.0)
+    with pytest.raises(ValueError, match="finite"):
+        optimize_allocation(ChannelModel(2, 1.0, 0.5), 4.0, start=[bad, 1.0])
+
+
 # --- gradient ------------------------------------------------------------
 
 

@@ -127,6 +127,28 @@ def test_quadrature_error_estimate_bounds_the_error():
                 assert est.n_samples > 1  # the node count
 
 
+@pytest.mark.parametrize("n_t", [1, 4, 8, 128])
+@pytest.mark.parametrize("ratio", [0.1, 0.5, 0.9, 0.999])
+def test_batched_rows_match_single_row_calls(n_t, ratio):
+    # one random allocation per power from -20 to 60 dB, all in one batch
+    rng = np.random.default_rng(n_t)
+    powers = 10.0 ** (np.arange(-20.0, 61.0, 20.0) / 10.0)
+    D = powers[:, None] * rng.dirichlet(np.ones(n_t), size=powers.size)
+    rates, errs, grads, nodes = _mgf_rate(D, 1.0, ratio**2)
+    assert rates.shape == errs.shape == powers.shape and grads.shape == D.shape
+    singles = [_mgf_rate(row, 1.0, ratio**2) for row in D]
+    assert nodes == max(single[3] for single in singles)
+    # the batch's longer node rule reorders numpy's pairwise sums, so rows may
+    # move by a few ulps: of the rate, and of the two single-rate gradient
+    # terms whose difference is the secrecy gradient
+    eps = np.finfo(np.float64).eps
+    for row, rate, err, grad, (rate1, _, grad1, _) in zip(D, rates, errs, grads, singles):
+        assert abs(rate - rate1) <= 4 * eps * abs(rate1)
+        terms = np.abs(_mgf_rate(row, 1.0, 0.0)[2]) + np.abs(_mgf_rate(row, ratio**2, 0.0)[2])
+        assert np.all(np.abs(grad - grad1) <= 4 * eps * terms)
+        assert err >= abs(rate - _integral_rate(row, 1.0, ratio)) - 1e-14
+
+
 @pytest.mark.parametrize("n_t", [1, 4])
 def test_quadrature_keeps_relative_accuracy_at_tiny_power(n_t):
     # first order in P: E[log(1 + q)] ~ E[q] = sigma^2 P; M_g - M_h cancels naively here
