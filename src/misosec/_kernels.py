@@ -1,5 +1,5 @@
 """Per-sample kernels behind the Monte Carlo estimators, and the streaming
-reducer that averages them.
+reducer arithmetic that averages them (channel.stream_moments schedules it).
 
 The kernels are vectorized numpy, pure and side-effect free. Results are
 exactly reproducible for a given numpy build.
@@ -18,6 +18,10 @@ _LN2 = math.log(2.0)
 
 def quad_form(abs2: FloatArray, d: FloatArray) -> FloatArray:
     """Row-wise quadratic form: out[i] = sum_k d[k] * abs2[i, k]."""
+    if d.shape[0] == 1:
+        # a one-term sum is the product itself, the same bits as abs2 @ d,
+        # which spends several times longer on BLAS's per-row dot setup
+        return abs2[:, 0] * d[0]
     return abs2 @ d
 
 
@@ -46,10 +50,15 @@ class RunningMoments:
     Axis 0 of a chunk indexes samples. A 1-D chunk gives the scalar form; any
     trailing axes are separate coordinates (the per-coordinate form).
 
-    The mean is the sum of the per-chunk np.sum totals divided by n. The
-    variance merges each chunk's centred sum of squares with the update of
-    Chan, Golub & LeVeque (1979), so it avoids the cancellation of
-    total_sq - n * mean^2 when the spread is small against the mean.
+    The work is split in two halves. chunk(x) forms one chunk's
+    (rows, total, m2): its np.sum total and its centred sum of squares. It is
+    pure, so workers may run it on many chunks at once. merge folds those
+    stats in with the update of Chan, Golub & LeVeque (1979), which avoids
+    the cancellation of total_sq - n * mean^2 when the spread is small
+    against the mean; add(x) is merge(*chunk(x)). The mean is the sum of the
+    merged totals divided by n. Merging depends on its order in floating
+    point, so the invariant is the merge order: the same chunks merged in
+    the same order give the same bits, whichever threads formed them.
     """
 
     def __init__(self) -> None:
@@ -57,18 +66,26 @@ class RunningMoments:
         self.total: float | FloatArray = 0.0
         self.m2: float | FloatArray = 0.0
 
-    def add(self, x: FloatArray) -> None:
+    @staticmethod
+    def chunk(x: FloatArray) -> tuple[int, float | FloatArray, float | FloatArray]:
+        """One chunk's (rows, total, centred sum of squares) along axis 0."""
         rows = x.shape[0]
-        chunk_total = np.sum(x, axis=0)
-        chunk_mean = chunk_total / rows
-        dev = x - chunk_mean
-        m2 = np.sum(dev * dev, axis=0)
+        total = np.sum(x, axis=0)
+        dev = x - total / rows
+        dev *= dev
+        return rows, total, np.sum(dev, axis=0)
+
+    def merge(self, rows: int, total: float | FloatArray, m2: float | FloatArray) -> None:
+        """Fold in the stats of the next chunk, as chunk() formed them."""
         if self.n:
-            delta = chunk_mean - self.total / self.n
+            delta = total / rows - self.total / self.n
             m2 = m2 + delta * delta * (self.n * rows / (self.n + rows))
-        self.total = self.total + chunk_total
+        self.total = self.total + total
         self.m2 = self.m2 + m2
         self.n += rows
+
+    def add(self, x: FloatArray) -> None:
+        self.merge(*self.chunk(x))
 
     def mean_se(self) -> tuple[float | FloatArray, float | FloatArray]:
         """(mean, std_error of the mean); floats in the scalar form.

@@ -11,17 +11,25 @@ function of the inputs and the seed, no matter how the work is split up or
 run in parallel. Types are immutable after construction and safe to share
 across threads.
 
-The Monte Carlo estimators only need |g_k|^2, so iter_abs2 draws it directly:
-one standard_exponential((rows, n_t)) block per (seed, stream, chunk), scaled
-by sigma^2. sample_channel draws the complex entries themselves; it is the
-model-faithful reference that iter_abs2 matches in distribution.
+The Monte Carlo estimators only need |g_k|^2, so they draw it directly: one
+standard_exponential((rows, n_t)) block per (seed, stream, chunk), scaled by
+sigma^2. stream_moments is the one reducer they all use. It runs each
+chunk's draw, kernel and chunk statistics on the usable cores, in the
+calling thread and on one process-wide thread pool, and merges the
+statistics in chunk order in the calling thread. So every seeded result is
+bit-identical to merging the chunks of iter_abs2 one by one, whatever the
+core count and however many threads call at once. sample_channel draws the
+complex entries themselves; it is the model-faithful reference that the
+direct draws match in distribution.
 """
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,6 +44,34 @@ STREAM_LEGITIMATE = 0
 STREAM_EAVESDROPPER = 1
 STREAM_GENERIC = 2
 STREAM_UNITARY = 3
+
+# cores this process may run on; sizes the chunk pool and the sweeps' point threads
+USABLE_CORES = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+
+
+def _new_pool() -> ThreadPoolExecutor:
+    # the thread that asks for the chunks runs them too (see stream_moments),
+    # so one worker per other core keeps every usable core busy
+    return ThreadPoolExecutor(
+        max_workers=max(USABLE_CORES - 1, 1), thread_name_prefix="misosec-chunk"
+    )
+
+
+# every Monte Carlo chunk of the process runs here or in its caller; the
+# workers start on first use
+_POOL = _new_pool()
+
+
+def _renew_pool_in_child() -> None:
+    # a forked child inherits the pool but none of its threads
+    global _POOL
+    _POOL = _new_pool()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
 class Side(Enum):
@@ -173,6 +209,22 @@ def _complex_chunk(
     return (re + 1j * im) * (sigma * math.sqrt(0.5))
 
 
+def _chunk_rows(count: int) -> list[tuple[int, int]]:
+    """(chunk index, rows) of each chunk of a count-row stream."""
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
+    return [(index, min(CHUNK, count - index * CHUNK)) for index in range(-(-count // CHUNK))]
+
+
+def _draw_abs2(
+    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int
+) -> NDArray[np.float64]:
+    """Chunk index of a stream: |g_ik|^2 as Exponential(1) draws scaled by sigma^2."""
+    abs2 = _chunk_rng(seed, stream, index).standard_exponential((rows, n_t))
+    abs2 *= sigma * sigma
+    return abs2
+
+
 def iter_abs2(
     sigma: float, n_t: int, count: int, seed: int, stream: int
 ) -> Iterator[NDArray[np.float64]]:
@@ -185,18 +237,61 @@ def iter_abs2(
     Streaming avoids materializing count x n_t matrices for large Monte Carlo
     runs.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    scale = sigma * sigma
-    done = 0
-    index = 0
-    while done < count:
-        rows = min(CHUNK, count - done)
-        abs2 = _chunk_rng(seed, stream, index).standard_exponential((rows, n_t))
-        abs2 *= scale
-        yield abs2
-        done += rows
-        index += 1
+    chunks = _chunk_rows(count)
+    return (_draw_abs2(sigma, n_t, rows, seed, stream, index) for index, rows in chunks)
+
+
+def _chunk_stats(
+    fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int,
+) -> tuple[int, float | _kernels.FloatArray, float | _kernels.FloatArray]:
+    return _kernels.RunningMoments.chunk(fn(_draw_abs2(sigma, n_t, rows, seed, stream, index)))
+
+
+def stream_moments(
+    fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    draws: Sequence[tuple[float, int]],
+    n_t: int,
+    count: int,
+    seed: int,
+) -> list[tuple[float | _kernels.FloatArray, float | _kernels.FloatArray]]:
+    """Mean and std error of fn over count rows of each (sigma, stream) in draws.
+
+    fn maps a (rows, n_t) chunk of |g_ik|^2 to per-row values: shape (rows,)
+    for the scalar form, (rows, ...) for the per-coordinate form. Every chunk
+    of every draw is queued on the shared pool at once, and the calling
+    thread works too: it runs the chunks no worker has started, from the
+    last one back, while the workers take them from the first one on. The
+    partial stats are then merged in chunk order, so the result is
+    bit-identical to
+    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(fn(abs2))`.
+    The caller only ever waits on chunks a worker is running, so a call
+    cannot deadlock, however many threads call at once.
+    Returns one RunningMoments.mean_se() per draw, in order.
+    """
+    chunks = _chunk_rows(count)
+    tasks = [
+        (fn, sigma, n_t, rows, seed, stream, index)
+        for sigma, stream in draws
+        for index, rows in chunks
+    ]
+    futures = [_POOL.submit(_chunk_stats, *task) for task in tasks]
+    stats: list[tuple | None] = [None] * len(tasks)
+    try:
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():
+                stats[i] = _chunk_stats(*tasks[i])
+        out = []
+        for start in range(0, len(tasks), len(chunks)):
+            moments = _kernels.RunningMoments()
+            for i in range(start, start + len(chunks)):
+                moments.merge(*(futures[i].result() if stats[i] is None else stats[i]))
+            out.append(moments.mean_se())
+        return out
+    finally:
+        # after a failure, drop the chunks nobody has started
+        for future in futures:
+            future.cancel()
 
 
 def sample_channel(

@@ -27,9 +27,9 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-    iter_abs2,
+    stream_moments,
 )
-from .rates import _mgf_rate
+from .rates import _check_headroom, _mgf_rate
 
 # substream tag of the random start
 _START_TAG = 8
@@ -126,11 +126,10 @@ def _grad_objective(
     """One pass over the eavesdropper draws: the gradient and its
     per-coordinate std errors at d."""
     a = model.a
-    gradient = _kernels.RunningMoments()
-    for abs2 in iter_abs2(model.sigma_g, d.shape[0], n_samples, seed, STREAM_EAVESDROPPER):
-        q = _kernels.quad_form(abs2, d)
-        gradient.add(abs2 * _kernels.grad_weights(q, a)[:, None])
-    return gradient.mean_se()
+    return stream_moments(
+        lambda abs2: abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None],
+        ((model.sigma_g, STREAM_EAVESDROPPER),), d.shape[0], n_samples, seed,
+    )[0]
 
 
 def grad_estimate(
@@ -168,7 +167,8 @@ def optimize_allocation(
     start=None draws a random simplex point from config.seed. Non-convergence
     within max_iters is reported via converged=False with the trace intact,
     not an exception. Refuses the degenerate regime sigma_h <= sigma_g, where
-    the objective is nonpositive and the capacity is 0.
+    the objective is nonpositive and the capacity is 0, and a P whose rule
+    nodes could overflow, as secrecy_capacity does.
     """
     config = config or OptimizerConfig()
     if model.sigma_h <= model.sigma_g:
@@ -178,6 +178,7 @@ def optimize_allocation(
         )
     if not (math.isfinite(P) and P > 0):
         raise ValueError(f"P must be finite and positive, got {P}")
+    _check_headroom(model, P)
     n_t = model.n_t
     tol = config.tol if config.tol is not None else 1e-3 * P
 

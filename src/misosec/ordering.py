@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import _kernels
-from .channel import STREAM_GENERIC, iter_abs2
+from .channel import STREAM_GENERIC, stream_moments
 
 # factorials stay exactly representable in float64 up to 20!
 MAX_DERIVATIVE_ORDER = 20
@@ -211,14 +211,14 @@ def verify_lemma_LT_implies_expectation(
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 
-    moments = _kernels.RunningMoments()
-    for abs2 in iter_abs2(sigma, dv1.shape[0], n_samples, seed, STREAM_GENERIC):
+    def difference(abs2: NDArray) -> NDArray:
         q1 = _kernels.quad_form(abs2, dv1)
         q2 = _kernels.quad_form(abs2, dv2)
-        moments.add(
-            (np.log2(a + q2) - np.log2(1.0 + q2)) - (np.log2(a + q1) - np.log2(1.0 + q1))
-        )
-    mean, se = moments.mean_se()
+        return (np.log2(a + q2) - np.log2(1.0 + q2)) - (np.log2(a + q1) - np.log2(1.0 + q1))
+
+    ((mean, se),) = stream_moments(
+        difference, ((sigma, STREAM_GENERIC),), dv1.shape[0], n_samples, seed
+    )
     margin = mean + 3.0 * se
     witness = Witness(
         point=f"d1={list(dv1)}, d2={list(dv2)}, mean={mean}, se={se}",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -36,7 +37,7 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-    iter_abs2,
+    stream_moments,
 )
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -47,6 +48,12 @@ _LN2 = math.log(2.0)
 # It spans min(-ln max sigma^2 d_k, 0) - DEPTH, where the integrand is below
 # e^-40 of its peak, to TOP, past which e^{-s} < e^-54.
 _MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 40.0
+# Bound on the factor the routes put on max(P, 1) * sigma^2 before a log: an
+# Exponential(1) draw stays below 45 (numpy's ziggurat tail, 7.7 - ln 2^-53)
+# and a quadratic form's weights sum to P; the MGF rule's largest node is
+# s = e^4 < 55. The draws are scaled by sigma^2 before any power weights
+# them, hence max(P, 1).
+_HEADROOM = 1e3
 
 
 class MethodTag(Enum):
@@ -84,14 +91,9 @@ class EvalMethod:
         return cls(tag=MethodTag.QUADRATURE)
 
 
-def _stream_mean_se(
-    sigma: float, d: np.ndarray, n_samples: int, seed: int, stream: int
-) -> tuple[float, float]:
-    """Mean and std error of log2(1 + g^H D g) over chunked draws."""
-    moments = _kernels.RunningMoments()
-    for abs2 in iter_abs2(sigma, d.shape[0], n_samples, seed, stream):
-        moments.add(_kernels.log_rate(_kernels.quad_form(abs2, d)))
-    return moments.mean_se()
+def _log_rate_of(d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-row log2(1 + g^H D g) of a chunk of |g_k|^2."""
+    return lambda abs2: _kernels.log_rate(_kernels.quad_form(abs2, d))
 
 
 def ergodic_log_rate_mc(
@@ -102,7 +104,10 @@ def ergodic_log_rate_mc(
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    mean, se = _stream_mean_se(sigma, alloc.as_array(), n_samples, seed, STREAM_GENERIC)
+    d = alloc.as_array()
+    ((mean, se),) = stream_moments(
+        _log_rate_of(d), ((sigma, STREAM_GENERIC),), d.shape[0], n_samples, seed
+    )
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
@@ -111,13 +116,16 @@ def secrecy_rate_direct_mc(
 ) -> RateEstimate:
     """E_h[log2(1+h^H D h)] - E_g[log2(1+g^H D g)] from independent h and g streams.
 
-    std_error combines both terms in quadrature.
+    std_error combines both terms in quadrature. Both streams are reduced in
+    one call, so their chunks share the pool.
     """
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = alloc.as_array()
-    mean_h, se_h = _stream_mean_se(model.sigma_h, d, n_samples, seed, STREAM_LEGITIMATE)
-    mean_g, se_g = _stream_mean_se(model.sigma_g, d, n_samples, seed, STREAM_EAVESDROPPER)
+    draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
+    (mean_h, se_h), (mean_g, se_g) = stream_moments(
+        _log_rate_of(d), draws, d.shape[0], n_samples, seed
+    )
     return RateEstimate(
         mean=mean_h - mean_g,
         std_error=math.hypot(se_h, se_g),
@@ -140,10 +148,10 @@ def secrecy_rate_coupled_mc(
         raise ValueError(f"n_samples must be >= 1, got {n_samples}")
     d = alloc.as_array()
     a = model.a
-    moments = _kernels.RunningMoments()
-    for abs2 in iter_abs2(model.sigma_g, d.shape[0], n_samples, seed, STREAM_EAVESDROPPER):
-        moments.add(_kernels.coupled_integrand(_kernels.quad_form(abs2, d), a))
-    mean, se = moments.mean_se()
+    ((mean, se),) = stream_moments(
+        lambda abs2: _kernels.coupled_integrand(_kernels.quad_form(abs2, d), a),
+        ((model.sigma_g, STREAM_EAVESDROPPER),), d.shape[0], n_samples, seed,
+    )
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
@@ -202,11 +210,22 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
     return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
 
 
+def _check_headroom(model: ChannelModel, P: float) -> None:
+    """Reject a P and sigmas whose draws or rule nodes could overflow."""
+    if not math.isfinite(_HEADROOM * max(P, 1.0) * max(model.sigma_h**2, model.sigma_g**2)):
+        raise ValueError(
+            f"P * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
+            f"got P={P}, sigma_h={model.sigma_h}, sigma_g={model.sigma_g}"
+        )
+
+
 def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateEstimate:
     """Secrecy capacity at total power P under the selected evaluation method.
 
     Uses the uniform allocation (optimal under statistical-only transmitter
-    knowledge). Returns exactly 0 when sigma_h <= sigma_g or P = 0.
+    knowledge). Returns exactly 0 when sigma_h <= sigma_g or P = 0. Otherwise
+    rejects a P and sigmas whose draws or rule nodes could overflow: those
+    where _HEADROOM * max(P, 1) * max(sigma_h^2, sigma_g^2) is not finite.
     """
     if not (math.isfinite(P) and P >= 0):
         raise ValueError(f"P must be finite and >= 0, got {P}")
@@ -214,6 +233,7 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
         # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
         count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
         return RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
+    _check_headroom(model, P)
     alloc = PowerAllocation.uniform(model.n_t, P)
     if method.tag is MethodTag.QUADRATURE:
         mean, err, _, nodes = _mgf_rate(alloc.as_array(), model.sigma_h**2, model.sigma_g**2)

@@ -1,9 +1,14 @@
 """Parameter sweeps over SNR or antenna count, with deterministic CSV emission.
 
 Both sweeps share one code path. Each grid point gives a model, a total power
-and the matching asymptote, is evaluated on a thread pool with its own derived
-seed (recorded in the output), and becomes one SweepRow, so a row can be
-reproduced by calling secrecy_capacity with the row's parameters and seed.
+and the matching asymptote, is evaluated with its own derived seed (recorded
+in the output), and becomes one SweepRow, so a row can be reproduced by
+calling secrecy_capacity with the row's parameters and seed. Points run on
+a few point threads, one per usable core at most. For the Monte Carlo
+routes each point's chunks go through channel.stream_moments, which runs
+them on the point's thread and on the one shared chunk pool and merges
+them in chunk order; running points side by side keeps that pool fed
+across point boundaries.
 Rows come back ordered by sweep value no matter which point finishes first.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
@@ -11,7 +16,6 @@ seed produces a byte-identical file.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -19,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import USABLE_CORES, ChannelModel
 from .rates import (
     EvalMethod,
     asymptote_high_snr,
@@ -124,7 +128,7 @@ def point_seed(base_seed: int, index: int) -> int:
 
 
 def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
-    """One row per grid point, evaluated on a thread pool; writes the CSV if asked."""
+    """One row per grid point, evaluated on point threads; writes the CSV if asked."""
     if spec.sweep_kind is not kind:
         raise ValueError(f"expected a {kind.value!r} sweep, got {spec.sweep_kind.value!r}")
 
@@ -154,8 +158,7 @@ def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
             seed=method.seed,
         )
 
-    workers = min(len(spec.grid), os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(spec.grid), USABLE_CORES)) as pool:
         rows = list(pool.map(eval_point, range(len(spec.grid))))
     if spec.output_path is not None:
         write_csv(spec.output_path, rows)

@@ -1,0 +1,52 @@
+"""The names the benchmark under perfbench/ reads from the package.
+
+The benchmark replays each Monte Carlo call stage by stage through
+channel.iter_abs2 and the four _kernels functions and requires the replayed
+mean to equal the call's bit for bit. It also records active_backend() and
+times gradient passes of OptimizerConfig.grad_samples draws. These tests
+fail when a rename or a change of reduction order would break it.
+"""
+from pathlib import Path
+
+import pytest
+
+import misosec
+from misosec import ChannelModel, EvalMethod, PowerAllocation, secrecy_capacity
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    root = str(Path(__file__).resolve().parent.parent)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(root)
+        import perfbench.tracing
+        import perfbench.workloads  # noqa: F401  (the benchmark's entry imports)
+
+        yield perfbench.tracing
+
+
+@pytest.mark.parametrize("n_t", [1, 64])
+@pytest.mark.parametrize(
+    "method",
+    [EvalMethod.coupled_mc(40_000, 5), EvalMethod.direct_mc(40_000, 5)],
+    ids=["coupled", "direct"],
+)
+def test_replay_capacity_matches_the_call(tracing, n_t, method):
+    model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
+    tr = tracing.Tracer("contract")
+    with tr.span("rates.capacity") as call:
+        est = secrecy_capacity(model, 10.0, method)
+    assert tracing.replay_capacity(tr, call, model, 10.0, method, est.mean) is True
+
+
+def test_grad_replay_and_host_facts_resolve(tracing):
+    model = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5)
+    tr = tracing.Tracer("contract")
+    with tr.span("optimize.optimize_allocation") as call:
+        pass
+    alloc = PowerAllocation.uniform(4, 4.0)
+    seconds = tracing.replay_grad_pass(tr, call, model, alloc, 2000, 1, 1.0)
+    assert seconds > 0
+    assert tr.total("kernels.grad_weights") > 0
+    assert misosec.active_backend() == "numpy"
+    assert isinstance(misosec.OptimizerConfig.grad_samples, int)

@@ -78,9 +78,10 @@ def test_capacity_missing_arguments_exit_2(capsys):
     "flag, value",
     [("--snr-db", "nan"), ("--snr-db", "inf"), ("--snr-db", "1e5"),
      ("--sigma-h", "inf"), ("--sigma-g", "nan"),
-     ("--sigma-h", "1e200"), ("--sigma-g", "1e-200")],  # squares overflow / underflow
+     ("--sigma-h", "1e200"), ("--sigma-g", "1e-200"),  # squares overflow / underflow
+     ("--sigma-h", "1e154"), ("--sigma-h", "1e153")],  # P * sigma^2 overflows / has no headroom
 )
-@pytest.mark.parametrize("method", ["quad", "coupled"])
+@pytest.mark.parametrize("method", ["quad", "coupled", "direct"])
 def test_capacity_non_finite_input_exit_2(capsys, flag, value, method):
     args = [
         "capacity", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
@@ -94,6 +95,12 @@ def test_capacity_non_finite_input_exit_2(capsys, flag, value, method):
 
 def test_optimize_non_finite_snr_exit_2(capsys):
     args = ["optimize", "--ntx", "2", "--sigma-h", "0.5", "--sigma-g", "1.0", "--snr-db", "nan"]
+    assert main(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_optimize_power_without_headroom_exit_2(capsys):
+    args = ["optimize", "--ntx", "2", "--sigma-h", "1e154", "--sigma-g", "1.0", "--snr-db", "10"]
     assert main(args) == 2
     assert "finite" in capsys.readouterr().err
 

@@ -1,9 +1,17 @@
 """Per-sample kernels and the streaming reducer."""
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import misosec
 from misosec import _kernels as K
+from misosec import channel
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +84,120 @@ def test_running_moments_per_coordinate():
 def test_running_moments_constant_and_single_sample():
     assert _feed([np.zeros(10), np.zeros(3)]) == (0.0, 0.0)
     assert _feed([np.array([2.5])]) == (2.5, 0.0)
+
+
+# --- the pooled chunk reducer ----------------------------------------------
+
+CHUNK = channel.CHUNK
+# one row, one full chunk, one row past it, and 7 chunks with a short tail
+COUNTS = [1, CHUNK, CHUNK + 1, 6 * CHUNK + 123]
+D = np.array([0.5, 1.5, 2.0])
+FORMS = {
+    "scalar": lambda abs2: K.coupled_integrand(K.quad_form(abs2, D), 0.3),
+    "per_coordinate": lambda abs2: abs2 * K.grad_weights(K.quad_form(abs2, D), 0.3)[:, None],
+}
+
+
+def _serial(fn, sigma, count, seed, stream):
+    moments = K.RunningMoments()
+    for abs2 in channel.iter_abs2(sigma, 3, count, seed, stream):
+        moments.add(fn(abs2))
+    return moments.mean_se()
+
+
+def _assert_bit_identical(got, want):
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+        assert type(g) is type(w)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+@pytest.mark.parametrize("count", COUNTS)
+def test_stream_moments_bit_identical_to_serial_loop(form, count):
+    fn = FORMS[form]
+    (got,) = channel.stream_moments(fn, ((0.7, channel.STREAM_EAVESDROPPER),), 3, count, 11)
+    _assert_bit_identical(got, _serial(fn, 0.7, count, 11, channel.STREAM_EAVESDROPPER))
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_stream_moments_reduces_each_draw_in_order(form):
+    fn = FORMS[form]
+    draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
+    count = 2 * CHUNK + 9
+    got = channel.stream_moments(fn, draws, 3, count, 4)
+    assert len(got) == 2
+    for g, (sigma, stream) in zip(got, draws):
+        _assert_bit_identical(g, _serial(fn, sigma, count, 4, stream))
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_stream_moments_same_bits_on_one_worker(monkeypatch, form):
+    fn = FORMS[form]
+    count = 6 * CHUNK + 123
+    pooled = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, count, 2)
+    with ThreadPoolExecutor(max_workers=1) as one:
+        monkeypatch.setattr(channel, "_POOL", one)
+        single = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, count, 2)
+    _assert_bit_identical(single[0], pooled[0])
+    _assert_bit_identical(single[0], _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
+
+
+def test_stream_moments_finishes_while_every_worker_is_busy(monkeypatch):
+    # the caller runs every chunk no worker has started, so a pool whose
+    # workers are all taken cannot stall it
+    release = threading.Event()
+    fn = FORMS["scalar"]
+    with ThreadPoolExecutor(max_workers=1) as busy:
+        blocker = busy.submit(release.wait, 60)
+        monkeypatch.setattr(channel, "_POOL", busy)
+        try:
+            (got,) = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, 3 * CHUNK, 8)
+            finished_while_blocked = not blocker.done()
+        finally:
+            release.set()
+    assert finished_while_blocked
+    _assert_bit_identical(got, _serial(fn, 0.7, 3 * CHUNK, 8, channel.STREAM_GENERIC))
+
+
+def test_stream_moments_raises_the_chunk_error_and_stays_usable():
+    def boom(abs2):
+        raise FloatingPointError("chunk failed")
+
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        channel.stream_moments(boom, ((1.0, channel.STREAM_GENERIC),), 2, 5 * CHUNK, 0)
+    fn = FORMS["scalar"]
+    (got,) = channel.stream_moments(fn, ((1.0, channel.STREAM_GENERIC),), 3, 100, 0)
+    _assert_bit_identical(got, _serial(fn, 1.0, 100, 0, channel.STREAM_GENERIC))
+
+
+def test_stream_moments_rejects_empty_count():
+    with pytest.raises(ValueError, match="count"):
+        channel.stream_moments(FORMS["scalar"], ((1.0, channel.STREAM_GENERIC),), 3, 0, 0)
+
+
+def _run_python(code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_import_starts_no_thread():
+    _run_python("import threading, misosec; assert threading.active_count() == 1")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_gets_its_own_pool():
+    # a child forked after the pool ran inherits no pool threads; its calls
+    # must still finish, with the parent's bits
+    code = """
+import multiprocessing as mp
+from misosec import ChannelModel, EvalMethod, secrecy_capacity
+def cap(seed):
+    model = ChannelModel(2, 1.0, 0.5)
+    return secrecy_capacity(model, 10.0, EvalMethod.coupled_mc(70_000, seed)).mean
+if __name__ == "__main__":
+    here = cap(1)
+    with mp.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(cap, (1,)).get(timeout=60) == here
+"""
+    _run_python(code)

@@ -301,6 +301,28 @@ def test_capacity_rejects_non_finite_power(tag, P):
         secrecy_capacity(model, P, EvalMethod(tag=tag, n_samples=100))
 
 
+@pytest.mark.parametrize(
+    "sigma_h, P", [(1e154, 10.0), (1e153, 10.0), (1e153, 1e-300), (1e3, 1e305)]
+)
+@pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
+def test_capacity_rejects_power_without_headroom(tag, sigma_h, P):
+    # finite P and sigmas whose draws or MGF nodes could overflow
+    model = ChannelModel(n_t=2, sigma_h=sigma_h, sigma_g=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        secrecy_capacity(model, P, EvalMethod(tag=tag, n_samples=100))
+
+
+@pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
+def test_capacity_with_headroom_stays_finite(tag):
+    # the largest sigma_h the check admits at P = 10, and its clamp
+    # counterpart, where nothing is drawn
+    model = ChannelModel(n_t=2, sigma_h=1e152, sigma_g=1.0)
+    est = secrecy_capacity(model, 10.0, EvalMethod(tag=tag, n_samples=1000))
+    assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.mean > 0
+    clamp = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=1e154)
+    assert secrecy_capacity(clamp, 10.0, EvalMethod(tag=tag, n_samples=100)).mean == 0.0
+
+
 @pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
 @pytest.mark.parametrize("sigma_h, sigma_g", [(0.5, 1.0), (1.0, 1.0)])
 def test_capacity_clamps_to_exact_zero(tag, sigma_h, sigma_g):

@@ -1,4 +1,6 @@
 """Sweeps: spec validation, row content, CSV determinism, row reproducibility."""
+import sys
+import threading
 from dataclasses import fields, replace
 
 import pytest
@@ -237,3 +239,37 @@ def test_write_csv_wraps_oserror_with_path(tmp_path, snr_rows):
     bad = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="missing_dir"):
         write_csv(str(bad), snr_rows)
+
+
+# --- concurrent callers of the shared chunk pool ---------------------------
+
+
+def test_concurrent_callers_get_serial_bits():
+    # more callers than cores, each submitting many chunks to the one pool;
+    # a short switch interval interleaves their submits and merges
+    model = ChannelModel(n_t=3, sigma_h=1.0, sigma_g=0.6)
+    sweep = snr_spec(grid=(0.0, 5.0, 10.0, 20.0), method=EvalMethod.direct_mc(70_000, seed=9))
+    calls = {
+        "coupled": lambda: secrecy_capacity(model, 10.0, EvalMethod.coupled_mc(150_001, seed=3)),
+        "direct": lambda: secrecy_capacity(model, 10.0, EvalMethod.direct_mc(150_001, seed=3)),
+        "sweep": lambda: rows_to_csv(run_sweep_snr(sweep)),
+    }
+    serial = {name: call() for name, call in calls.items()}
+    results: dict = {}
+
+    def run(name):
+        results[name] = [calls[name]() for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(name,), daemon=True) for name in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a caller did not finish: deadlock?"
+    for name, value in serial.items():
+        assert results[name] == [value, value], name
