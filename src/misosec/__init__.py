@@ -11,8 +11,10 @@ the uniform allocation: majorization, Laplace-transform order, complete
 monotonicity and Schur concavity, down to the secrecy rate itself.
 
 Every Monte Carlo route draws the squared channel magnitudes |g_k|^2
-directly as Exponential(sigma^2) in counter-seeded chunks and averages
-vectorized numpy kernels over them with one streaming reducer.
+directly as Exponential(sigma^2) in counter-seeded chunks, or, at an equal
+allocation over 5 or more antennas, each row's sum ||g||^2 as one
+sigma^2 Gamma(n_t) draw, and averages vectorized numpy kernels over them
+with one streaming reducer.
 """
 from .channel import (
     CHUNK,

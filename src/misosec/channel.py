@@ -13,7 +13,13 @@ across threads.
 
 The Monte Carlo estimators only need |g_k|^2, so they draw it directly: one
 standard_exponential((rows, n_t)) block per (seed, stream, chunk), scaled by
-sigma^2. stream_moments is the one reducer they all use. It runs each
+sigma^2. A route that only needs the per-row sum sum_k |g_k|^2 (an equal
+allocation, see rates) may ask for the summed layout instead: one
+standard_gamma(n_t, (rows, 1)) block per (seed, stream, chunk), scaled by
+sigma^2, since the sum of n_t Exponential(1) draws is Gamma(n_t, 1). It
+draws from the same generators and chunk layout, but it is a different
+stream: its values agree with summing the per-entry chunks in distribution,
+not draw for draw. stream_moments is the one reducer they all use. It runs each
 chunk's draw, kernel and chunk statistics on the usable cores, in the
 calling thread and on one process-wide thread pool, and merges the
 statistics in chunk order in the calling thread. So every seeded result is
@@ -217,10 +223,15 @@ def _chunk_rows(count: int) -> list[tuple[int, int]]:
 
 
 def _draw_abs2(
-    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int
+    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int, summed: bool = False
 ) -> NDArray[np.float64]:
-    """Chunk index of a stream: |g_ik|^2 as Exponential(1) draws scaled by sigma^2."""
-    abs2 = _chunk_rng(seed, stream, index).standard_exponential((rows, n_t))
+    """Chunk index of a stream: |g_ik|^2 as Exponential(1) draws scaled by sigma^2.
+
+    summed draws each row's sum over the n_t entries instead, as one Gamma(n_t, 1)
+    draw scaled by sigma^2: a (rows, 1) chunk whatever n_t is.
+    """
+    rng = _chunk_rng(seed, stream, index)
+    abs2 = rng.standard_gamma(n_t, (rows, 1)) if summed else rng.standard_exponential((rows, n_t))
     abs2 *= sigma * sigma
     return abs2
 
@@ -243,9 +254,10 @@ def iter_abs2(
 
 def _chunk_stats(
     fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
-    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int,
+    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int, summed: bool,
 ) -> tuple[int, float | _kernels.FloatArray, float | _kernels.FloatArray]:
-    return _kernels.RunningMoments.chunk(fn(_draw_abs2(sigma, n_t, rows, seed, stream, index)))
+    abs2 = _draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
+    return _kernels.RunningMoments.chunk(fn(abs2))
 
 
 def stream_moments(
@@ -254,24 +266,29 @@ def stream_moments(
     n_t: int,
     count: int,
     seed: int,
+    *,
+    _summed: bool = False,
 ) -> list[tuple[float | _kernels.FloatArray, float | _kernels.FloatArray]]:
     """Mean and std error of fn over count rows of each (sigma, stream) in draws.
 
     fn maps a (rows, n_t) chunk of |g_ik|^2 to per-row values: shape (rows,)
-    for the scalar form, (rows, ...) for the per-coordinate form. Every chunk
+    for the scalar form, (rows, ...) for the per-coordinate form. With
+    _summed, fn gets (rows, 1) chunks of the row sums sum_k |g_ik|^2 instead,
+    each row one Gamma(n_t) draw scaled by sigma^2 (see _draw_abs2). Every chunk
     of every draw is queued on the shared pool at once, and the calling
     thread works too: it runs the chunks no worker has started, from the
     last one back, while the workers take them from the first one on. The
     partial stats are then merged in chunk order, so the result is
     bit-identical to
-    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(fn(abs2))`.
+    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(fn(abs2))`
+    (or to the same loop over the summed chunks).
     The caller only ever waits on chunks a worker is running, so a call
     cannot deadlock, however many threads call at once.
     Returns one RunningMoments.mean_se() per draw, in order.
     """
     chunks = _chunk_rows(count)
     tasks = [
-        (fn, sigma, n_t, rows, seed, stream, index)
+        (fn, sigma, n_t, rows, seed, stream, index, _summed)
         for sigma, stream in draws
         for index, rows in chunks
     ]

@@ -29,7 +29,7 @@ from .channel import (
     RateEstimate,
     stream_moments,
 )
-from .rates import _check_headroom, _mgf_rate
+from .rates import _check_headroom, _check_mc_samples, _mgf_rate
 
 # substream tag of the random start
 _START_TAG = 8
@@ -137,17 +137,20 @@ def grad_estimate(
 ) -> NDArray[np.float64]:
     """MC gradient of the coupled secrecy objective at alloc (bits per unit power).
 
-    Shares the eavesdropper draw stream with secrecy_rate_coupled_mc, so a
-    central finite difference of that estimator at the same seed differs from
-    this gradient only by curvature. Every coordinate is positive when a < 1.
+    Needs each |g_k|^2, so it always draws the per-entry layout. It shares
+    the eavesdropper draw stream with secrecy_rate_coupled_mc only where that
+    estimator draws per entry too (allocations rates._draw_layout does not
+    sum: unequal ones, or fewer than _GAMMA_MIN_NT antennas). There a central
+    finite difference of the estimator at the same seed differs from this
+    gradient only by curvature. Every coordinate is positive when a < 1.
+    n_samples must be at least 2.
     """
     if model.sigma_h <= model.sigma_g:
         raise ValueError(
             "gradient undefined in the degenerate regime sigma_h <= sigma_g "
             "(objective nonpositive, capacity 0)"
         )
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_mc_samples(n_samples)
     return _grad_objective(model, alloc.as_array(), n_samples, seed)[0]
 
 

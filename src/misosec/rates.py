@@ -17,6 +17,14 @@ All rates are in bits per channel use. The three evaluation routes:
   an error estimate (the difference from the rule of twice the step). The
   same pass gives the exact gradient dR/dd_k, which the optimizer ascends.
 
+The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
+q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
+sigma^2. So from _GAMMA_MIN_NT antennas on, an equal allocation draws each row
+as that one variate (channel's summed layout) and weights it by d[:1]; every
+other allocation draws the n_t per-entry exponentials and forms q by
+quad_form. _draw_layout makes that choice. Each route reports a std_error,
+so it needs at least two samples.
+
 The capacity is clamped to exactly 0 whenever sigma_h <= sigma_g.
 """
 from __future__ import annotations
@@ -48,12 +56,29 @@ _LN2 = math.log(2.0)
 # It spans min(-ln max sigma^2 d_k, 0) - DEPTH, where the integrand is below
 # e^-40 of its peak, to TOP, past which e^{-s} < e^-54.
 _MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 40.0
-# Bound on the factor the routes put on max(P, 1) * sigma^2 before a log: an
-# Exponential(1) draw stays below 45 (numpy's ziggurat tail, 7.7 - ln 2^-53)
-# and a quadratic form's weights sum to P; the MGF rule's largest node is
-# s = e^4 < 55. The draws are scaled by sigma^2 before any power weights
-# them, hence max(P, 1).
+# Bound on the factor the routes put on max(P, n_t) * sigma^2 before a log.
+# An Exponential(1) draw stays below 45 (numpy's ziggurat tail, 7.7 - ln 2^-53)
+# and a quadratic form's weights sum to P. A summed draw has Gamma(n)/n below
+# 31 for n >= _GAMMA_MIN_NT: numpy's Marsaglia-Tsang step returns
+# b (1 + X / (3 sqrt b))^3, b = n - 1/3, for a standard normal X that its
+# ziggurat keeps below 13.8 (3.65 - 0.274 ln 2^-53). So the row sum
+# sigma^2 Gamma(n_t) stays below 31 n_t sigma^2 until the weight P/n_t takes it
+# below 31 P sigma^2. The MGF rule's largest node is s = e^4 < 55. The draws
+# are scaled by sigma^2 before any power weights them, hence max(P, n_t).
 _HEADROOM = 1e3
+# Smallest n_t at which an equal allocation draws each row as one Gamma(n_t)
+# variate. standard_gamma (Marsaglia & Tsang, ACM TOMS 26(3), 2000) costs about
+# the same per row whatever n_t is; n_t exponentials plus the quad_form gemv
+# grow with n_t. Per CHUNK rows on a 2-core host: 0.8-1.3 ms for the variate,
+# against 0.5-0.8 ms at n_t=2, a tie at 3-4 and 1.2-2.0 ms at n_t=5 per entry.
+# A measured crossover, not a setting.
+_GAMMA_MIN_NT = 5
+
+
+def _check_mc_samples(n_samples: int) -> None:
+    # one draw has no spread to measure, so its std_error of 0 would claim an exact answer
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2 for a Monte Carlo std error, got {n_samples}")
 
 
 class MethodTag(Enum):
@@ -64,8 +89,8 @@ class MethodTag(Enum):
 
 @dataclass(frozen=True)
 class EvalMethod:
-    """How to evaluate an expectation: MC with n_samples and a seed, or the
-    deterministic MGF integral (n_samples unused, seed carried only as a
+    """How to evaluate an expectation: MC with n_samples >= 2 and a seed, or
+    the deterministic MGF integral (n_samples unused, seed carried only as a
     record)."""
 
     tag: MethodTag
@@ -75,7 +100,9 @@ class EvalMethod:
     def __post_init__(self) -> None:
         if not isinstance(self.tag, MethodTag):
             raise ValueError(f"tag must be a MethodTag, got {self.tag!r}")
-        if self.n_samples < 1:
+        if self.tag is not MethodTag.QUADRATURE:
+            _check_mc_samples(self.n_samples)
+        elif self.n_samples < 1:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
     @classmethod
@@ -91,6 +118,17 @@ class EvalMethod:
         return cls(tag=MethodTag.QUADRATURE)
 
 
+def _draw_layout(d: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
+    """The allocation the kernels see for d, and whether its rows are drawn summed.
+
+    An equal d with at least _GAMMA_MIN_NT entries weights each row's one
+    Gamma(n_t) sum by d[:1]; any other d keeps its per-entry draws.
+    """
+    if d.shape[0] >= _GAMMA_MIN_NT and np.all(d == d[0]):
+        return d[:1], True
+    return d, False
+
+
 def _log_rate_of(d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Per-row log2(1 + g^H D g) of a chunk of |g_k|^2."""
     return lambda abs2: _kernels.log_rate(_kernels.quad_form(abs2, d))
@@ -102,11 +140,10 @@ def ergodic_log_rate_mc(
     """Sample-mean estimate of E[log2(1 + sum_k d_k |g_k|^2)], entries at scale sigma."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    d = alloc.as_array()
+    _check_mc_samples(n_samples)
+    d, summed = _draw_layout(alloc.as_array())
     ((mean, se),) = stream_moments(
-        _log_rate_of(d), ((sigma, STREAM_GENERIC),), d.shape[0], n_samples, seed
+        _log_rate_of(d), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
     )
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
@@ -119,12 +156,11 @@ def secrecy_rate_direct_mc(
     std_error combines both terms in quadrature. Both streams are reduced in
     one call, so their chunks share the pool.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    d = alloc.as_array()
+    _check_mc_samples(n_samples)
+    d, summed = _draw_layout(alloc.as_array())
     draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
     (mean_h, se_h), (mean_g, se_g) = stream_moments(
-        _log_rate_of(d), draws, d.shape[0], n_samples, seed
+        _log_rate_of(d), draws, alloc.n_t, n_samples, seed, _summed=summed
     )
     return RateEstimate(
         mean=mean_h - mean_g,
@@ -144,13 +180,12 @@ def secrecy_rate_coupled_mc(
     for the same quantity as secrecy_rate_direct_mc. Per-sample values vanish
     identically when a = 1 or the allocation is all zeros.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
-    d = alloc.as_array()
+    _check_mc_samples(n_samples)
+    d, summed = _draw_layout(alloc.as_array())
     a = model.a
     ((mean, se),) = stream_moments(
         lambda abs2: _kernels.coupled_integrand(_kernels.quad_form(abs2, d), a),
-        ((model.sigma_g, STREAM_EAVESDROPPER),), d.shape[0], n_samples, seed,
+        ((model.sigma_g, STREAM_EAVESDROPPER),), alloc.n_t, n_samples, seed, _summed=summed,
     )
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
@@ -211,11 +246,11 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
 
 
 def _check_headroom(model: ChannelModel, P: float) -> None:
-    """Reject a P and sigmas whose draws or rule nodes could overflow."""
-    if not math.isfinite(_HEADROOM * max(P, 1.0) * max(model.sigma_h**2, model.sigma_g**2)):
+    """Reject a P, n_t and sigmas whose draws or rule nodes could overflow."""
+    if not math.isfinite(_HEADROOM * max(P, model.n_t) * max(model.sigma_h**2, model.sigma_g**2)):
         raise ValueError(
-            f"P * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
-            f"got P={P}, sigma_h={model.sigma_h}, sigma_g={model.sigma_g}"
+            f"max(P, n_t) * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
+            f"got P={P}, n_t={model.n_t}, sigma_h={model.sigma_h}, sigma_g={model.sigma_g}"
         )
 
 
@@ -224,8 +259,8 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
 
     Uses the uniform allocation (optimal under statistical-only transmitter
     knowledge). Returns exactly 0 when sigma_h <= sigma_g or P = 0. Otherwise
-    rejects a P and sigmas whose draws or rule nodes could overflow: those
-    where _HEADROOM * max(P, 1) * max(sigma_h^2, sigma_g^2) is not finite.
+    rejects a P, n_t and sigmas whose draws or rule nodes could overflow: those
+    where _HEADROOM * max(P, n_t) * max(sigma_h^2, sigma_g^2) is not finite.
     """
     if not (math.isfinite(P) and P >= 0):
         raise ValueError(f"P must be finite and >= 0, got {P}")

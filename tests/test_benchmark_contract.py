@@ -2,7 +2,9 @@
 
 The benchmark replays each Monte Carlo call stage by stage through
 channel.iter_abs2 and the four _kernels functions and requires the replayed
-mean to equal the call's bit for bit. It also records active_backend() and
+mean to equal the call's bit for bit. The replay draws per entry, so it
+matches only where the routes do: below rates._GAMMA_MIN_NT antennas (the
+n_t=1 and 4 points of mc_capacity; its n_t=64 calls draw Gamma row sums). It also records active_backend() and
 times gradient passes of OptimizerConfig.grad_samples draws. These tests
 fail when a rename or a change of reduction order would break it.
 """
@@ -25,7 +27,7 @@ def tracing():
         yield perfbench.tracing
 
 
-@pytest.mark.parametrize("n_t", [1, 64])
+@pytest.mark.parametrize("n_t", [1, 4])
 @pytest.mark.parametrize(
     "method",
     [EvalMethod.coupled_mc(40_000, 5), EvalMethod.direct_mc(40_000, 5)],

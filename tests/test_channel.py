@@ -15,7 +15,8 @@ from misosec import (
     random_unitary,
     sample_channel,
 )
-from misosec.channel import STREAM_LEGITIMATE
+from misosec.channel import STREAM_EAVESDROPPER, STREAM_LEGITIMATE, _draw_abs2
+from misosec.rates import _GAMMA_MIN_NT, _draw_layout
 
 
 def test_sample_channel_deterministic():
@@ -61,6 +62,21 @@ def test_sample_channel_spans_chunks():
     d = alloc.as_array()
     _, p_form = ks_2samp(fast @ d, quadratic_form(gains, alloc))
     assert p_form > 1e-3
+
+
+@pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])
+def test_summed_rows_match_complex_draws_in_distribution(n_t):
+    # the equal-allocation routes draw q as (P/n_t) * sigma^2 Gamma(n_t) per row
+    model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
+    alloc = PowerAllocation.uniform(n_t, 10.0)
+    weights, summed = _draw_layout(alloc.as_array())
+    assert summed and weights.shape == (1,)
+    count = 20_000
+    drawn = _draw_abs2(model.sigma_g, n_t, count, 4, STREAM_EAVESDROPPER, 0, summed=True)
+    assert drawn.shape == (count, 1)
+    gains = sample_channel(model, Side.EAVESDROPPER, count, seed=5)
+    _, p_value = ks_2samp(drawn[:, 0] * weights[0], quadratic_form(gains, alloc))
+    assert p_value > 1e-3
 
 
 def test_sample_channel_rejects_zero_count():

@@ -83,14 +83,34 @@ def test_capacity_missing_arguments_exit_2(capsys):
 )
 @pytest.mark.parametrize("method", ["quad", "coupled", "direct"])
 def test_capacity_non_finite_input_exit_2(capsys, flag, value, method):
-    args = [
-        "capacity", "--ntx", "2", "--sigma-h", "1.0", "--sigma-g", "0.5",
-        "--snr-db", "10", "--samples", "1000", "--method", method, flag, value,
-    ]
-    assert main(args) == 2
+    # n_t=2 draws per entry; n_t=8 draws one Gamma(8) row sum per sample
+    for ntx in ("2", "8"):
+        args = [
+            "capacity", "--ntx", ntx, "--sigma-h", "1.0", "--sigma-g", "0.5",
+            "--snr-db", "10", "--samples", "1000", "--method", method, flag, value,
+        ]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "capacity_bits" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["capacity", "--ntx", "2", "--snr-db", "10", "--method", "coupled"],
+        ["capacity", "--ntx", "2", "--snr-db", "10", "--method", "direct"],
+        ["sweep-snr", "--ntx", "2", "--snr-grid", "0,10", "--method", "coupled"],
+        ["sweep-nt", "--nt-grid", "1,8", "--snr-db", "10", "--method", "direct"],
+    ],
+    ids=["capacity-coupled", "capacity-direct", "sweep-snr", "sweep-nt"],
+)
+def test_one_sample_exit_2(capsys, args):
+    # one draw has no spread, so a std error of 0 would claim an exact answer
+    assert main(args + ["--sigma-h", "1", "--sigma-g", "0.5", "--samples", "1"]) == 2
     captured = capsys.readouterr()
-    assert "finite" in captured.err
-    assert "capacity_bits" not in captured.out
+    assert "n_samples" in captured.err
+    assert "std_error_bits" not in captured.out
 
 
 def test_optimize_non_finite_snr_exit_2(capsys):

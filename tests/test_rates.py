@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,15 @@ from misosec import (
     secrecy_rate_direct_mc,
 )
 from misosec import _kernels, grad_estimate
-from misosec.channel import STREAM_EAVESDROPPER, iter_abs2
+from misosec.channel import (
+    STREAM_EAVESDROPPER,
+    STREAM_GENERIC,
+    STREAM_LEGITIMATE,
+    _chunk_rng,
+    _chunk_rows,
+)
 from misosec.optimize import _grad_objective
-from misosec.rates import _mgf_rate
+from misosec.rates import _GAMMA_MIN_NT, _mgf_rate
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -218,6 +225,13 @@ def test_mc_rejects_bad_inputs():
         ergodic_log_rate_mc(1.0, alloc, 0, seed=0)
     with pytest.raises(ValueError):
         ergodic_log_rate_mc(-1.0, alloc, 10, seed=0)
+    # one sample has no spread to estimate a std error from
+    model = ChannelModel(n_t=1, sigma_h=1.0, sigma_g=0.5)
+    for route in (ergodic_log_rate_mc, secrecy_rate_direct_mc, secrecy_rate_coupled_mc,
+                  grad_estimate):
+        first = 1.0 if route is ergodic_log_rate_mc else model
+        with pytest.raises(ValueError, match="n_samples"):
+            route(first, alloc, 1, seed=0)
 
 
 def test_direct_zero_mean_at_equal_scales():
@@ -273,6 +287,75 @@ def test_std_error_scales_as_inverse_sqrt_n():
     assert 0.4 < ratio < 0.6  # ideal 0.5
 
 
+def _summed_chunks(sigma, n_t, count, seed, stream):
+    """The summed layout by hand: per chunk, one standard_gamma(n_t) draw per row times sigma^2."""
+    for index, rows in _chunk_rows(count):
+        yield _chunk_rng(seed, stream, index).standard_gamma(n_t, rows) * (sigma * sigma)
+
+
+def _serial_mean_se(fn, chunks):
+    moments = _kernels.RunningMoments()
+    for chunk in chunks:
+        moments.add(fn(chunk))
+    return moments.mean_se()
+
+
+@pytest.mark.parametrize("count", [2, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])
+def test_equal_allocation_routes_merge_gamma_chunks_serially(n_t, count):
+    # bit for bit: q = (P/n_t) * sigma^2 Gamma(n_t), chunks merged one by one in order
+    model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
+    alloc = PowerAllocation.uniform(n_t, 10.0)
+    w = alloc.d[0]
+    seed = 9
+
+    def stream(sigma, tag):
+        return _summed_chunks(sigma, n_t, count, seed, tag)
+
+    coupled = secrecy_rate_coupled_mc(model, alloc, count, seed)
+    ref = _serial_mean_se(
+        lambda g: _kernels.coupled_integrand(g * w, model.a), stream(0.5, STREAM_EAVESDROPPER)
+    )
+    assert (coupled.mean, coupled.std_error) == ref
+
+    direct = secrecy_rate_direct_mc(model, alloc, count, seed)
+    mean_h, se_h = _serial_mean_se(
+        lambda g: _kernels.log_rate(g * w), stream(1.0, STREAM_LEGITIMATE)
+    )
+    mean_g, se_g = _serial_mean_se(
+        lambda g: _kernels.log_rate(g * w), stream(0.5, STREAM_EAVESDROPPER)
+    )
+    assert (direct.mean, direct.std_error) == (mean_h - mean_g, math.hypot(se_h, se_g))
+
+    single = ergodic_log_rate_mc(0.7, alloc, count, seed)
+    ref = _serial_mean_se(lambda g: _kernels.log_rate(g * w), stream(0.7, STREAM_GENERIC))
+    assert (single.mean, single.std_error) == ref
+
+
+@pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64, 512])
+def test_equal_allocation_mc_agrees_with_quadrature(n_t):
+    model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
+    exact = secrecy_capacity(model, 10.0, EvalMethod.quadrature()).mean
+    coupled = secrecy_capacity(model, 10.0, EvalMethod.coupled_mc(200_000, seed=3))
+    direct = secrecy_capacity(model, 10.0, EvalMethod.direct_mc(200_000, seed=3))
+    assert abs(coupled.mean - exact) < 4 * coupled.std_error
+    assert abs(direct.mean - exact) < 4 * direct.std_error
+    assert coupled.std_error < direct.std_error
+
+
+def test_equal_allocation_memory_does_not_scale_with_antennas():
+    # a per-entry CHUNK x 512 block alone would take 134 MB
+    model = ChannelModel(n_t=512, sigma_h=1.0, sigma_g=0.5)
+    alloc = PowerAllocation.uniform(512, 10.0)
+    tracemalloc.start()
+    try:
+        secrecy_rate_coupled_mc(model, alloc, CHUNK, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_std_error_matches_two_pass_at_high_snr_many_antennas():
     # at n_t=512 and 60 dB the coupled integrand spreads by ~1e-7 around ~2 bits,
     # where total_sq - n * mean^2 cancels; the merged centred sums do not
@@ -280,11 +363,11 @@ def test_std_error_matches_two_pass_at_high_snr_many_antennas():
     alloc = PowerAllocation.uniform(512, 1e6)
     n = CHUNK + 5000
     est = secrecy_rate_coupled_mc(model, alloc, n, seed=0)
-    d = alloc.as_array()
+    # the route's own draws: one Gamma(512) row sum per sample
     vals = np.concatenate(
         [
-            _kernels.coupled_integrand(abs2 @ d, model.a)
-            for abs2 in iter_abs2(model.sigma_g, 512, n, 0, STREAM_EAVESDROPPER)
+            _kernels.coupled_integrand(g * alloc.d[0], model.a)
+            for g in _summed_chunks(model.sigma_g, 512, n, 0, STREAM_EAVESDROPPER)
         ]
     )
     two_pass = float(np.std(vals, ddof=1)) / math.sqrt(n)
@@ -314,13 +397,29 @@ def test_capacity_rejects_power_without_headroom(tag, sigma_h, P):
 
 @pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
 def test_capacity_with_headroom_stays_finite(tag):
-    # the largest sigma_h the check admits at P = 10, and its clamp
+    # about the largest sigma_h the check admits at P = 10 (per-entry draws at
+    # n_t=2, Gamma row sums from _GAMMA_MIN_NT on), and its clamp
     # counterpart, where nothing is drawn
-    model = ChannelModel(n_t=2, sigma_h=1e152, sigma_g=1.0)
-    est = secrecy_capacity(model, 10.0, EvalMethod(tag=tag, n_samples=1000))
-    assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.mean > 0
+    for n_t, sigma_h in ((2, 1e152), (_GAMMA_MIN_NT, 1e152), (64, 5e151), (512, 1.8e151)):
+        model = ChannelModel(n_t=n_t, sigma_h=sigma_h, sigma_g=1.0)
+        est = secrecy_capacity(model, 10.0, EvalMethod(tag=tag, n_samples=1000))
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error) and est.mean > 0
     clamp = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=1e154)
     assert secrecy_capacity(clamp, 10.0, EvalMethod(tag=tag, n_samples=100)).mean == 0.0
+
+
+@pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
+def test_headroom_counts_the_antennas(tag):
+    # a Gamma(n_t) row sum is drawn at sigma^2 before P/n_t weights it, so the
+    # check takes max(P, n_t): admitted at n_t=2, rejected at n_t=64
+    assert secrecy_capacity(
+        ChannelModel(n_t=2, sigma_h=1e152, sigma_g=1.0), 10.0, EvalMethod(tag=tag, n_samples=100)
+    ).mean > 0
+    with pytest.raises(ValueError, match="finite"):
+        secrecy_capacity(
+            ChannelModel(n_t=64, sigma_h=1e152, sigma_g=1.0), 10.0,
+            EvalMethod(tag=tag, n_samples=100),
+        )
 
 
 @pytest.mark.parametrize("tag", [MethodTag.DIRECT_MC, MethodTag.COUPLED_MC, MethodTag.QUADRATURE])
@@ -381,5 +480,9 @@ def test_asymptote_large_nt_values():
 def test_eval_method_validation():
     with pytest.raises(ValueError):
         EvalMethod(tag=MethodTag.COUPLED_MC, n_samples=0)
+    for tag in (MethodTag.COUPLED_MC, MethodTag.DIRECT_MC):
+        with pytest.raises(ValueError, match="n_samples"):
+            EvalMethod(tag=tag, n_samples=1)
+    assert EvalMethod(tag=MethodTag.QUADRATURE, n_samples=1).n_samples == 1  # unused there
     with pytest.raises(ValueError):
         EvalMethod(tag="coupled_mc")  # enum required
