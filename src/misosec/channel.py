@@ -164,7 +164,7 @@ class RateEstimate:
 
     For Monte Carlo, std_error is the standard error of the mean over
     n_samples draws. For quadrature, std_error is the rule's error estimate
-    and n_samples its node count. Clamps to exactly 0 carry std_error 0.
+    and n_samples its explicit node count. Clamps to exactly 0 carry std_error 0.
     """
 
     mean: float
@@ -173,6 +173,10 @@ class RateEstimate:
     seed: int
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.mean) and math.isfinite(self.std_error)):
+            raise ValueError(
+                f"mean and std_error must be finite, got {self.mean} and {self.std_error}"
+            )
         if self.std_error < 0:
             raise ValueError(f"std_error must be >= 0, got {self.std_error}")
         if self.n_samples < 1:

@@ -21,6 +21,7 @@ from numpy.typing import NDArray
 
 from . import _kernels
 from .channel import STREAM_GENERIC, stream_moments
+from .rates import _check_mc_samples
 
 # factorials stay exactly representable in float64 up to 20!
 MAX_DERIVATIVE_ORDER = 20
@@ -206,8 +207,7 @@ def verify_lemma_LT_implies_expectation(
         raise ValueError(f"a must lie in [0, 1), got {a}")
     if not sigma > 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    _check_mc_samples(n_samples)
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 

@@ -13,9 +13,11 @@ All rates are in bits per channel use. The three evaluation routes:
       R(d) = (1/ln 2) int_0^inf e^{-s}/s [M_g(s) - M_h(s)] ds,
       M(s) = prod_k 1/(1 + s sigma^2 d_k),
 
-  on one fixed trapezoid rule in u = ln s. Deterministic; its std_error is
-  an error estimate (the difference from the rule of twice the step). The
-  same pass gives the exact gradient dR/dd_k, which the optimizer ascends.
+  on one fixed trapezoid rule in u = ln s whose left tail, where the
+  integrand is a power series in s, is summed by one weighted node.
+  Deterministic; its std_error is an error estimate (the difference from the
+  rule of twice the step). The same pass gives the exact gradient dR/dd_k,
+  which the optimizer ascends.
 
 The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
 q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
@@ -53,9 +55,26 @@ DEFAULT_MC_SAMPLES = 1_000_000
 _LN2 = math.log(2.0)
 # Trapezoid rule in u = ln s. The integrand is analytic for |Im u| < pi/2, so
 # the error falls as exp(-pi^2/step): ~1e-17 relative at 1/4, ~1e-9 at 1/2.
-# It spans min(-ln max sigma^2 d_k, 0) - DEPTH, where the integrand is below
-# e^-40 of its peak, to TOP, past which e^{-s} < e^-54.
-_MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 40.0
+# Its explicit nodes u = TOP - k step run from TOP, past which e^{-s} < e^-54,
+# down to s_L, the first node of even k at or below e^-DEPTH / c, where
+# c = max(max(sigma_h^2, sigma_g^2) * S, 1) and S is the largest row sum of d;
+# the even k lets the rule of twice the step end on s_L too. The rule's nodes
+# below, s_L e^{-j step} for j >= 1, are summed by one node at
+# s_L / (e^step + 1) of weight step coth(step/2), which matches their sums of
+# s and of s^2 exactly (the coarse rule's node sits at s_L / (e^{2 step} + 1),
+# weight 2 step coth(step)). For s <= 1/c the integrand is a power series in s
+# whose s^m coefficient is at most e m |sigma_h^2 - sigma_g^2| S c^{m-1}, so
+# past its s and s^2 terms it is within 3e |sigma_h^2 - sigma_g^2| S s (cs)^2,
+# and the tail is summed to within 3.2 |sigma_h^2 - sigma_g^2| S c^2 s_L^3.
+# The integral over s <= 1/c alone gives the rate at least
+# |sigma_h^2 - sigma_g^2| S / (2 e^2 c) nats. With c s_L <= e^-DEPTH the tail
+# error is below 47 e^{-3 DEPTH} of the rate; DEPTH = 14 makes that e^-38,
+# and each gradient term (coefficients up to e (2c)^m) stays within e^-37:
+# below half an ulp. DEPTH is that bound, not a setting.
+_MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 14.0
+# The tail nodes of the rules of step h and 2h, as fractions of s_L, and their weights.
+_MGF_TAIL_AT = 1.0 / (np.exp([_MGF_STEP, 2 * _MGF_STEP]) + 1.0)
+_MGF_TAIL_WEIGHT = (_MGF_STEP / math.tanh(_MGF_STEP / 2), 2 * _MGF_STEP / math.tanh(_MGF_STEP))
 # Bound on the factor the routes put on max(P, n_t) * sigma^2 before a log.
 # An Exponential(1) draw stays below 45 (numpy's ziggurat tail, 7.7 - ln 2^-53)
 # and a quadratic form's weights sum to P. A summed draw has Gamma(n)/n below
@@ -137,10 +156,14 @@ def _log_rate_of(d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 def ergodic_log_rate_mc(
     sigma: float, alloc: PowerAllocation, n_samples: int, seed: int
 ) -> RateEstimate:
-    """Sample-mean estimate of E[log2(1 + sum_k d_k |g_k|^2)], entries at scale sigma."""
+    """Sample-mean estimate of E[log2(1 + sum_k d_k |g_k|^2)], entries at scale sigma.
+
+    Rejects a budget, n_t and sigma without headroom, as secrecy_capacity does.
+    """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
     _check_mc_samples(n_samples)
+    _check_headroom(alloc.budget, alloc.n_t, sigma)
     d, summed = _draw_layout(alloc.as_array())
     ((mean, se),) = stream_moments(
         _log_rate_of(d), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
@@ -200,17 +223,24 @@ def _mgf_rate(
     (..., n_t): each row along the last axis is one allocation, and a 1-D d
     is a batch of one. Returns the rates and error estimates (the gap to the
     rule of twice the step), both of shape d.shape[:-1], the exact gradients
-    dR/dd_k of d's shape, and the node count. The whole batch shares the
-    rule of its largest entry, so a row's rate can differ from its own
-    single-row call by a few ulps. After s = e^u the rate is
+    dR/dd_k of d's shape, and the node count: the rule's explicit nodes,
+    without the two tail nodes that sum everything below them. The whole
+    batch shares the rule of its largest row sum, so a row's rate can differ
+    from its own single-row call by a few ulps. After s = e^u the rate is
     int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
     """
-    c_max = max(var_h, var_g) * float(np.max(d))
-    bottom = -math.log(max(c_max, 1.0)) - _MGF_DEPTH
-    nodes = math.ceil((_MGF_TOP - bottom) / _MGF_STEP) + 1
-    s = np.exp(_MGF_TOP - _MGF_STEP * np.arange(nodes))
+    h = _MGF_STEP
+    c = max(var_h, var_g) * float(np.max(np.sum(d, axis=-1)))
+    last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * h))
+    s = np.exp(_MGF_TOP - h * np.arange(last + 1))
+    s = np.concatenate((s, s[-1] * _MGF_TAIL_AT))
+    weight = np.full(s.size, h)  # the rule of step h: its nodes and its tail node
+    weight[-2:] = (_MGF_TAIL_WEIGHT[0], 0.0)
+    coarse = np.zeros(s.size)  # the rule of step 2h: the even nodes and its own tail node
+    coarse[:-2:2] = 2 * h
+    coarse[-1] = _MGF_TAIL_WEIGHT[1]
     x_h = s[:, None] * (var_h * d[..., None, :])
     x_g = s[:, None] * (var_g * d[..., None, :])
     log_h = np.sum(np.log1p(x_h), axis=-1)
@@ -219,20 +249,21 @@ def _mgf_rate(
     m_h = np.exp(-log_h)
     m_g = np.exp(-log_g)
     f = decay * m_g * -np.expm1(log_g - log_h)
-    rate = _MGF_STEP * np.sum(f, axis=-1) / _LN2
-    coarse = 2.0 * _MGF_STEP * np.sum(f[..., ::2], axis=-1) / _LN2
+    rate = f @ weight / _LN2
+    rate_coarse = f @ coarse / _LN2
     # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
-    w = decay * s
+    w = decay * s * weight
     grad = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
             - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
-    return rate, np.abs(rate - coarse), grad * (_MGF_STEP / _LN2), nodes
+    return rate, np.abs(rate - rate_coarse), grad / _LN2, last + 1
 
 
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:
     """Deterministic E[log2(1 + (P/n_t) ||g||^2)], entries of g at scale sigma.
 
     Uniform allocation is implied: each antenna carries total_power/n_t.
-    P = 0 returns exactly 0; negative P is rejected.
+    P = 0 returns exactly 0; negative P is rejected, and so are a P, n_t and
+    sigma without headroom, as in secrecy_capacity.
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
@@ -242,15 +273,16 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
         raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:
         return 0.0
+    _check_headroom(total_power, n_t, sigma)
     return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
 
 
-def _check_headroom(model: ChannelModel, P: float) -> None:
-    """Reject a P, n_t and sigmas whose draws or rule nodes could overflow."""
-    if not math.isfinite(_HEADROOM * max(P, model.n_t) * max(model.sigma_h**2, model.sigma_g**2)):
+def _check_headroom(P: float, n_t: int, sigma: float) -> None:
+    """Reject a P, n_t and largest scale sigma whose draws or rule nodes could overflow."""
+    if not math.isfinite(_HEADROOM * max(P, n_t) * (sigma * sigma)):
         raise ValueError(
             f"max(P, n_t) * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
-            f"got P={P}, n_t={model.n_t}, sigma_h={model.sigma_h}, sigma_g={model.sigma_g}"
+            f"got P={P}, n_t={n_t}, sigma={sigma}"
         )
 
 
@@ -268,7 +300,7 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
         # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
         count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
         return RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
-    _check_headroom(model, P)
+    _check_headroom(P, model.n_t, max(model.sigma_h, model.sigma_g))
     alloc = PowerAllocation.uniform(model.n_t, P)
     if method.tag is MethodTag.QUADRATURE:
         mean, err, _, nodes = _mgf_rate(alloc.as_array(), model.sigma_h**2, model.sigma_g**2)

@@ -1,4 +1,6 @@
 """Sampling determinism, ensemble moments, and domain-type validation."""
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
@@ -215,6 +217,9 @@ def test_rate_estimate_validation():
         RateEstimate(mean=0.1, std_error=-1e-9, n_samples=10, seed=0)
     with pytest.raises(ValueError):
         RateEstimate(mean=0.1, std_error=0.0, n_samples=0, seed=0)
+    for mean, se in ((math.inf, 0.0), (math.nan, 0.0), (0.1, math.nan), (0.1, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            RateEstimate(mean=mean, std_error=se, n_samples=10, seed=0)
 
 
 def test_gain_matrix_is_readonly():

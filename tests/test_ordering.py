@@ -233,6 +233,9 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 0.0, 0.25, 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 0.25, 0, 0)
+    # one draw has no spread to give an error bar from
+    with pytest.raises(ValueError, match="n_samples"):
+        verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 0.25, 1, 0)
 
 
 # --- report type ---------------------------------------------------------------

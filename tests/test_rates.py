@@ -58,6 +58,9 @@ def test_quadrature_zero_power_is_exactly_zero():
         {"sigma": 0.0, "total_power": 1.0, "n_t": 2},
         {"sigma": 1.0, "total_power": 1.0, "n_t": 0},
         {"sigma": 1.0, "total_power": math.nan, "n_t": 2},
+        # no headroom: sigma^2 or the power overflows the rule's nodes
+        {"sigma": 1e200, "total_power": 1.0, "n_t": 1},
+        {"sigma": 1.0, "total_power": 1e308, "n_t": 4},
     ],
 )
 def test_quadrature_rejects_bad_inputs(kwargs):
@@ -103,7 +106,7 @@ def test_quadrature_matches_closed_form_at_high_snr(n_t):
 
 
 def test_quadrature_matches_integral_up_to_128_antennas():
-    for n_t in (1, 2, 4, 8, 64, 128):
+    for n_t in (1, 2, 4, 8, 64, 128, 256):
         for db in (-20.0, 0.0, 20.0, 40.0, 60.0):
             P = 10.0 ** (db / 10.0)
             for ratio in (0.1, 0.5, 0.9, 0.999):
@@ -132,6 +135,53 @@ def test_quadrature_error_estimate_bounds_the_error():
                 assert est.std_error >= err - 1e-14
                 assert 0.0 < est.std_error <= 1e-6  # reported, unlike the old rule's 0
                 assert est.n_samples > 1  # the node count
+
+
+def _node_by_node_rule(d, var_h, var_g):
+    """The rule without its tail node, every sum exact: step 1/4 from u = 4 down
+    to 40 below -ln max(max var * d_k, 1). Returns the rate and the single-rate
+    gradient terms of var_h and var_g, whose difference is the gradient."""
+    bottom = -math.log(max(max(var_h, var_g) * float(np.max(d)), 1.0)) - 40.0
+    s = np.exp(4.0 - 0.25 * np.arange(math.ceil((4.0 - bottom) / 0.25) + 1))
+    scale = 0.25 / math.log(2.0)
+    x_h, x_g = s[:, None] * (var_h * d), s[:, None] * (var_g * d)
+    log_h, log_g = np.sum(np.log1p(x_h), axis=-1), np.sum(np.log1p(x_g), axis=-1)
+    f = np.exp(-s) * np.exp(-log_g) * -np.expm1(log_g - log_h)
+
+    def term(var, log_m, x):
+        w = (np.exp(-s) * s * np.exp(-log_m))[:, None] / (1.0 + x)
+        return var * scale * np.array([math.fsum(col) for col in w.T])
+
+    return scale * math.fsum(f), term(var_h, log_h, x_h), term(var_g, log_g, x_g)
+
+
+_TAIL_GRID_NT = [1, 2, 4, 8, 64, 128, 256]
+_TAIL_GRID_DB = np.arange(-60.0, 61.0, 10.0)
+
+
+@pytest.mark.parametrize("n_t", _TAIL_GRID_NT)
+def test_tail_node_matches_the_node_by_node_rule(n_t):
+    # the rule without its tail node stops at e^-40 of the peak, which drops up
+    # to n_t e^-40 of the rate (5 eps at n_t=256); the tail node keeps it
+    rng = np.random.default_rng(n_t)
+    eps = np.finfo(np.float64).eps
+    for P in 10.0 ** (_TAIL_GRID_DB / 10.0):
+        for d in (np.full(n_t, P / n_t), P * rng.dirichlet(np.ones(n_t))):
+            for ratio in (0.1, 0.5, 0.9, 0.999):
+                rate, _, grad, _ = _mgf_rate(d, 1.0, ratio**2)
+                ref, term_h, term_g = _node_by_node_rule(d, 1.0, ratio**2)
+                assert abs(rate - ref) <= 8 * eps * abs(ref), (P, ratio, d)
+                terms = np.abs(term_h) + np.abs(term_g)
+                assert np.all(np.abs(grad - (term_h - term_g)) <= 4 * eps * terms)
+
+
+def test_tail_node_keeps_at_most_129_explicit_nodes():
+    # the count depends on the largest row sum only: 73 nodes up to a unit
+    # scale, 129 at 60 dB; the rule without its tail node took 177-233 here
+    for n_t in _TAIL_GRID_NT:
+        for P in 10.0 ** (_TAIL_GRID_DB / 10.0):
+            nodes = _mgf_rate(np.full(n_t, P / n_t), 1.0, 0.25)[3]
+            assert 73 <= nodes <= 129, (n_t, P, nodes)
 
 
 @pytest.mark.parametrize("n_t", [1, 4, 8, 128])
@@ -232,6 +282,10 @@ def test_mc_rejects_bad_inputs():
         first = 1.0 if route is ergodic_log_rate_mc else model
         with pytest.raises(ValueError, match="n_samples"):
             route(first, alloc, 1, seed=0)
+    # no headroom: sigma^2 or the budget overflows the draws
+    for sigma, budget in ((1e200, 1.0), (1.0, 1e308)):
+        with pytest.raises(ValueError, match="finite"):
+            ergodic_log_rate_mc(sigma, PowerAllocation.uniform(4, budget), 1000, seed=0)
 
 
 def test_direct_zero_mean_at_equal_scales():
