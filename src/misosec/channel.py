@@ -24,9 +24,9 @@ chunk's draw, kernel and chunk statistics on the usable cores, in the
 calling thread and on one process-wide thread pool, and merges the
 statistics in chunk order in the calling thread. So every seeded result is
 bit-identical to merging the chunks of iter_abs2 one by one, whatever the
-core count and however many threads call at once. sample_channel draws the
-complex entries themselves; it is the model-faithful reference that the
-direct draws match in distribution.
+core count and however many threads call at once. No route draws the complex
+entries themselves; the tests keep a complex reference sampler, which these
+draws match in distribution.
 """
 from __future__ import annotations
 
@@ -34,7 +34,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +48,6 @@ CHUNK = 1 << 15
 STREAM_LEGITIMATE = 0
 STREAM_EAVESDROPPER = 1
 STREAM_GENERIC = 2
-STREAM_UNITARY = 3
 
 # cores this process may run on; sizes the chunk pool and the sweeps' point threads
 USABLE_CORES = (
@@ -80,13 +78,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
-class Side(Enum):
-    """Which channel of the wiretap pair to draw."""
-
-    LEGITIMATE = "legitimate"
-    EAVESDROPPER = "eavesdropper"
-
-
 @dataclass(frozen=True)
 class ChannelModel:
     """MISO wiretap ensemble: n_t transmit antennas with per-entry scales sigma_h, sigma_g.
@@ -115,9 +106,6 @@ class ChannelModel:
     @property
     def a(self) -> float:
         return self.sigma_g**2 / self.sigma_h**2
-
-    def scale(self, side: Side) -> float:
-        return self.sigma_h if side is Side.LEGITIMATE else self.sigma_g
 
 
 @dataclass(frozen=True)
@@ -183,40 +171,9 @@ class RateEstimate:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
-@dataclass(frozen=True)
-class ComplexGainMatrix:
-    """Batched channel draws: one row per realization, one column per antenna."""
-
-    entries: NDArray[np.complex128]
-    scale: float
-
-    def __post_init__(self) -> None:
-        if self.entries.ndim != 2:
-            raise ValueError(f"entries must be 2-D, got shape {self.entries.shape}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        self.entries.setflags(write=False)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-
 def _chunk_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     # SeedSequence entropy words must be nonnegative; fold negative seeds
     return np.random.default_rng(np.random.SeedSequence((seed % 2**63, stream, index)))
-
-
-def _complex_chunk(
-    rng: np.random.Generator, rows: int, cols: int, sigma: float
-) -> NDArray[np.complex128]:
-    re = rng.standard_normal((rows, cols))
-    im = rng.standard_normal((rows, cols))
-    return (re + 1j * im) * (sigma * math.sqrt(0.5))
 
 
 def _chunk_rows(count: int) -> list[tuple[int, int]]:
@@ -248,7 +205,7 @@ def iter_abs2(
     |g_ik|^2 of a CN(0, sigma^2) entry is Exponential with mean sigma^2, so
     each chunk is one standard_exponential((rows, n_t)) block from the
     (seed, stream, chunk) generator, scaled by sigma^2. The values agree with
-    squaring sample_channel draws in distribution, not draw for draw.
+    squared complex Gaussian entries in distribution, not draw for draw.
     Streaming avoids materializing count x n_t matrices for large Monte Carlo
     runs.
     """
@@ -313,53 +270,3 @@ def stream_moments(
         # after a failure, drop the chunks nobody has started
         for future in futures:
             future.cancel()
-
-
-def sample_channel(
-    model: ChannelModel, side: Side, count: int, seed: int
-) -> ComplexGainMatrix:
-    """Draw count independent realizations of the selected channel.
-
-    Deterministic in (model, side, count, seed). The legitimate and
-    eavesdropper sides use disjoint substreams, so mixed-side experiments
-    never share randomness by accident.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    sigma = model.scale(side)
-    stream = STREAM_LEGITIMATE if side is Side.LEGITIMATE else STREAM_EAVESDROPPER
-    out = np.empty((count, model.n_t), dtype=np.complex128)
-    done = 0
-    index = 0
-    while done < count:
-        rows = min(CHUNK, count - done)
-        out[done : done + rows] = _complex_chunk(
-            _chunk_rng(seed, stream, index), rows, model.n_t, sigma
-        )
-        done += rows
-        index += 1
-    return ComplexGainMatrix(entries=out, scale=sigma)
-
-
-def quadratic_form(
-    gains: ComplexGainMatrix, alloc: PowerAllocation
-) -> NDArray[np.float64]:
-    """Per-row value of the form sum_k d_k |g_k|^2; always nonnegative."""
-    if gains.cols != alloc.n_t:
-        raise ValueError(
-            f"dimension mismatch: gains have {gains.cols} columns, allocation has {alloc.n_t}"
-        )
-    abs2 = gains.entries.real**2 + gains.entries.imag**2
-    return _kernels.quad_form(abs2, alloc.as_array())
-
-
-def random_unitary(n: int, seed: int) -> NDArray[np.complex128]:
-    """Haar-distributed n x n unitary via phase-fixed QR of a Gaussian draw."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = _chunk_rng(seed, STREAM_UNITARY, 0)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
-

@@ -22,7 +22,6 @@ from .rates import (
     DEFAULT_MC_SAMPLES,
     EvalMethod,
     asymptote_high_snr,
-    asymptote_large_nt,
     secrecy_capacity,
 )
 from .sweeps import SweepKind, SweepSpec, _db_to_power, _sweep, rows_to_csv

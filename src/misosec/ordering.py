@@ -106,10 +106,10 @@ def mgf_quadratic_form(d: Sequence[float], sigma: float, s: float) -> float:
     dv = np.asarray(d, dtype=np.float64)
     if np.any(dv < 0):
         raise ValueError(f"allocation entries must be nonnegative, got {list(dv)}")
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive, got {s}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     return float(np.prod(1.0 / (1.0 + s * sigma * sigma * dv)))
 
 
@@ -126,10 +126,10 @@ def lt_order_gap(
     dv = np.asarray(d, dtype=np.float64)
     if np.any(ds < 0) or np.any(dv < 0):
         raise ValueError("allocation entries must be nonnegative")
-    if not s > 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(s) and s > 0):
+        raise ValueError(f"s must be finite and positive, got {s}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     _check_equal_sums(ds, dv)
     return float(_lt_gaps_grid(ds, dv, sigma, np.array([s]))[0])
 
@@ -205,8 +205,8 @@ def verify_lemma_LT_implies_expectation(
     dv2 = np.asarray(d2, dtype=np.float64)
     if not 0 <= a < 1:
         raise ValueError(f"a must lie in [0, 1), got {a}")
-    if not sigma > 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
     _check_mc_samples(n_samples)
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")

@@ -16,8 +16,9 @@ All rates are in bits per channel use. The three evaluation routes:
   on one fixed trapezoid rule in u = ln s whose left tail, where the
   integrand is a power series in s, is summed by one weighted node.
   Deterministic; its std_error is an error estimate (the difference from the
-  rule of twice the step). The same pass gives the exact gradient dR/dd_k,
-  which the optimizer ascends.
+  rule of twice the step, but never below the rounding error of the sum).
+  The same pass gives the exact gradient dR/dd_k, which the optimizer
+  ascends.
 
 The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
 q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
@@ -53,6 +54,7 @@ from .channel import (
 DEFAULT_MC_SAMPLES = 1_000_000
 
 _LN2 = math.log(2.0)
+_EPS = float(np.finfo(np.float64).eps)
 # Trapezoid rule in u = ln s. The integrand is analytic for |Im u| < pi/2, so
 # the error falls as exp(-pi^2/step): ~1e-17 relative at 1/4, ~1e-9 at 1/2.
 # Its explicit nodes u = TOP - k step run from TOP, past which e^{-s} < e^-54,
@@ -177,9 +179,11 @@ def secrecy_rate_direct_mc(
     """E_h[log2(1+h^H D h)] - E_g[log2(1+g^H D g)] from independent h and g streams.
 
     std_error combines both terms in quadrature. Both streams are reduced in
-    one call, so their chunks share the pool.
+    one call, so their chunks share the pool. Rejects a budget, n_t and
+    sigmas without headroom, as secrecy_capacity does.
     """
     _check_mc_samples(n_samples)
+    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
     d, summed = _draw_layout(alloc.as_array())
     draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
     (mean_h, se_h), (mean_g, se_g) = stream_moments(
@@ -201,9 +205,11 @@ def secrecy_rate_coupled_mc(
     Evaluates log2(a+q) - log2(a) - log2(1+q) per sample with q = g^H D g and
     a = sigma_g^2/sigma_h^2, so the std_error reflects the coupling. Unbiased
     for the same quantity as secrecy_rate_direct_mc. Per-sample values vanish
-    identically when a = 1 or the allocation is all zeros.
+    identically when a = 1 or the allocation is all zeros. Rejects a budget,
+    n_t and sigmas without headroom, as secrecy_capacity does.
     """
     _check_mc_samples(n_samples)
+    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
     d, summed = _draw_layout(alloc.as_array())
     a = model.a
     ((mean, se),) = stream_moments(
@@ -222,12 +228,13 @@ def _mgf_rate(
     M_g = 1 and leaves the single rate E[log2(1 + h^H D h)]. d has shape
     (..., n_t): each row along the last axis is one allocation, and a 1-D d
     is a batch of one. Returns the rates and error estimates (the gap to the
-    rule of twice the step), both of shape d.shape[:-1], the exact gradients
-    dR/dd_k of d's shape, and the node count: the rule's explicit nodes,
-    without the two tail nodes that sum everything below them. The whole
-    batch shares the rule of its largest row sum, so a row's rate can differ
-    from its own single-row call by a few ulps. After s = e^u the rate is
-    int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
+    rule of twice the step, but at least eps * sum |f| weight / ln 2, the
+    rounding error of the weighted sum), both of shape d.shape[:-1], the
+    exact gradients dR/dd_k of d's shape, and the node count: the rule's
+    explicit nodes, without the two tail nodes that sum everything below
+    them. The whole batch shares the rule of its largest row sum, so a row's
+    rate can differ from its own single-row call by a few ulps. After s = e^u
+    the rate is int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
     """
@@ -255,7 +262,8 @@ def _mgf_rate(
     w = decay * s * weight
     grad = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
             - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
-    return rate, np.abs(rate - rate_coarse), grad / _LN2, last + 1
+    err = np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2)
+    return rate, err, grad / _LN2, last + 1
 
 
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:

@@ -6,8 +6,10 @@ mean to equal the call's bit for bit. The replay draws per entry, so it
 matches only where the routes do: below rates._GAMMA_MIN_NT antennas (the
 n_t=1 and 4 points of mc_capacity; its n_t=64 calls draw Gamma row sums). It also records active_backend() and
 times gradient passes of OptimizerConfig.grad_samples draws. These tests
-fail when a rename or a change of reduction order would break it.
+fail when a rename, a removed public name or a change of reduction order
+would break it.
 """
+import re
 from pathlib import Path
 
 import pytest
@@ -21,8 +23,9 @@ def tracing():
     root = str(Path(__file__).resolve().parent.parent)
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(root)
+        import perfbench.layers  # noqa: F401  (the benchmark's entry imports)
         import perfbench.tracing
-        import perfbench.workloads  # noqa: F401  (the benchmark's entry imports)
+        import perfbench.workloads  # noqa: F401
 
         yield perfbench.tracing
 
@@ -52,3 +55,16 @@ def test_grad_replay_and_host_facts_resolve(tracing):
     assert tr.total("kernels.grad_weights") > 0
     assert misosec.active_backend() == "numpy"
     assert isinstance(misosec.OptimizerConfig.grad_samples, int)
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    # perfbench/run.py reads some names only inside functions, past any import
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    names = {
+        name
+        for path in perfbench.glob("*.py")
+        for name in re.findall(r"\bmisosec\.(\w+)", path.read_text())
+    }
+    assert "active_backend" in names  # the scan sees run.py's reads
+    missing = sorted(name for name in names if not hasattr(misosec, name))
+    assert not missing, f"perfbench reads misosec.{missing}, which the package lacks"

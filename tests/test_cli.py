@@ -1,8 +1,9 @@
 """CLI behavior through main(argv): outputs, exit codes, config file handling."""
 import pytest
 
-from misosec import CSV_HEADER, OrderCheckReport, Witness
+from misosec import OrderCheckReport, Witness
 from misosec.cli import main
+from misosec.sweeps import CSV_HEADER
 from misosec.verify import VerifySuiteResult
 
 CAPACITY_ARGS = [

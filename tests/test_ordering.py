@@ -8,13 +8,13 @@ from misosec import (
     OrderCheckReport,
     Witness,
     cm_derivative,
-    iter_abs2,
     lt_order_gap,
     majorizes,
     mgf_quadratic_form,
     random_majorization_pair,
     verify_lemma_LT_implies_expectation,
 )
+from misosec.channel import iter_abs2
 
 # log2(4) - log2(3): the MGF gap of (1,1) vs (2,0) at s = sigma = 1
 HAND_LT_GAP = 0.4150374992788439
@@ -77,7 +77,10 @@ def test_mgf_matches_monte_carlo():
 
 @pytest.mark.parametrize(
     "d, sigma, s",
-    [([-0.1, 1.0], 1.0, 1.0), ([1.0], 0.0, 1.0), ([1.0], 1.0, 0.0)],
+    [
+        ([-0.1, 1.0], 1.0, 1.0), ([1.0], 0.0, 1.0), ([1.0], 1.0, 0.0),
+        ([1.0, 1.0], math.inf, 1.0), ([1.0], 1.0, math.inf),
+    ],
 )
 def test_mgf_rejects_bad_inputs(d, sigma, s):
     with pytest.raises(ValueError):
@@ -113,6 +116,9 @@ def test_lt_gap_rejects_bad_inputs():
         lt_order_gap([-1.0, 3.0], [1.0, 1.0], 1.0, 1.0)
     with pytest.raises(ValueError):
         lt_order_gap([1.0, 1.0], [2.0, 0.0], 1.0, 0.0)
+    for sigma, s in ((math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            lt_order_gap([1.0, 1.0], [2.0, 0.0], sigma, s)
 
 
 # --- complete monotonicity ---------------------------------------------------
@@ -231,6 +237,8 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, -0.1, 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 0.0, 0.25, 100, 0)
+    with pytest.raises(ValueError, match="finite"):
+        verify_lemma_LT_implies_expectation([2.0, 0.0], [1.0, 1.0], math.inf, 0.25, 1000, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 0.25, 0, 0)
     # one draw has no spread to give an error bar from

@@ -12,10 +12,8 @@ from scipy import integrate
 from scipy.special import expn
 
 from misosec import (
-    CHUNK,
     ChannelModel,
     EvalMethod,
-    MethodTag,
     PowerAllocation,
     asymptote_high_snr,
     asymptote_large_nt,
@@ -27,6 +25,7 @@ from misosec import (
 )
 from misosec import _kernels, grad_estimate
 from misosec.channel import (
+    CHUNK,
     STREAM_EAVESDROPPER,
     STREAM_GENERIC,
     STREAM_LEGITIMATE,
@@ -34,7 +33,7 @@ from misosec.channel import (
     _chunk_rows,
 )
 from misosec.optimize import _grad_objective
-from misosec.rates import _GAMMA_MIN_NT, _mgf_rate
+from misosec.rates import _GAMMA_MIN_NT, MethodTag, _mgf_rate
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -135,6 +134,19 @@ def test_quadrature_error_estimate_bounds_the_error():
                 assert est.std_error >= err - 1e-14
                 assert 0.0 < est.std_error <= 1e-6  # reported, unlike the old rule's 0
                 assert est.n_samples > 1  # the node count
+
+
+@pytest.mark.parametrize("n_t, db, ratio", [(1, 55.0, 0.9), (2, 50.0, 0.1), (4, 54.0, 0.99)])
+def test_quadrature_error_estimate_never_claims_an_exact_answer(n_t, db, ratio):
+    # here the rules of step h and 2h round to the same double; the estimate
+    # is floored at the rounding error of the weighted sum, one eps of the rate
+    P = 10.0 ** (db / 10.0)
+    est = secrecy_capacity(ChannelModel(n_t, 1.0, ratio), P, EvalMethod.quadrature())
+    eps = np.finfo(np.float64).eps
+    assert est.std_error >= eps * est.mean > 0.0
+    # each row of a batch gets its own floor
+    rates, errs, _, _ = _mgf_rate(np.array([[P / n_t] * n_t, [1e-3] * n_t]), 1.0, ratio**2)
+    assert np.all(errs >= eps * rates)
 
 
 def _node_by_node_rule(d, var_h, var_g):
@@ -286,6 +298,10 @@ def test_mc_rejects_bad_inputs():
     for sigma, budget in ((1e200, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             ergodic_log_rate_mc(sigma, PowerAllocation.uniform(4, budget), 1000, seed=0)
+    for model, budget in ((ChannelModel(2, 1.0, 0.5), 1e308), (ChannelModel(2, 1e154, 1e153), 10.0)):
+        for route in (secrecy_rate_direct_mc, secrecy_rate_coupled_mc, grad_estimate):
+            with pytest.raises(ValueError, match="finite"):
+                route(model, PowerAllocation.uniform(2, budget), 1000, seed=0)
 
 
 def test_direct_zero_mean_at_equal_scales():

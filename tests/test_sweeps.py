@@ -6,20 +6,17 @@ from dataclasses import fields, replace
 import pytest
 
 from misosec import (
-    CSV_HEADER,
     ChannelModel,
     EvalMethod,
     SweepKind,
     SweepSpec,
     asymptote_high_snr,
     asymptote_large_nt,
-    rows_to_csv,
     run_sweep_antennas,
     run_sweep_snr,
     secrecy_capacity,
-    write_csv,
 )
-from misosec.sweeps import SweepRow
+from misosec.sweeps import CSV_HEADER, SweepRow, rows_to_csv, write_csv
 
 MODEL = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
 
