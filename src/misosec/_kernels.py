@@ -39,6 +39,20 @@ def log_rate(q: FloatArray) -> FloatArray:
     return np.log2(1.0 + q)
 
 
+def lemma_difference(abs2: FloatArray, d1: FloatArray, d2: FloatArray, a: float) -> FloatArray:
+    """Per-sample f(q2) - f(q1) for f(q) = log2(a+q) - log2(1+q), q_i = quad_form(abs2, d_i).
+
+    Formed as log1p((1-a)(q2-q1) / ((1+q2)(a+q1))) / ln 2, the one log of the
+    ratio (a+q2)(1+q1) / ((1+q2)(a+q1)), with q2 - q1 = quad_form(abs2, d2 - d1).
+    The four logs of f(q2) - f(q1) agree to within about 1-a, so subtracting
+    them loses relative accuracy as a -> 1; this form keeps it, and is
+    exactly 0 when d1 == d2.
+    """
+    q1 = quad_form(abs2, d1)
+    dq = quad_form(abs2, d2 - d1)
+    return np.log1p((1.0 - a) * dq / ((1.0 + q1 + dq) * (a + q1))) / _LN2
+
+
 def grad_weights(q: FloatArray, a: float) -> FloatArray:
     """Per-sample gradient weight (1/(a+q) - 1/(1+q)) / ln 2; positive when a < 1."""
     return (1.0 / (a + q) - 1.0 / (1.0 + q)) / _LN2

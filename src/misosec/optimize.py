@@ -29,7 +29,7 @@ from .channel import (
     RateEstimate,
     stream_moments,
 )
-from .rates import _check_headroom, _check_mc_samples, _mgf_rate
+from .rates import _check_headroom, _check_mc_route, _mgf_rate
 
 # substream tag of the random start
 _START_TAG = 8
@@ -142,16 +142,15 @@ def grad_estimate(
     sum: unequal ones, or fewer than _GAMMA_MIN_NT antennas). There a central
     finite difference of the estimator at the same seed differs from this
     gradient only by curvature. Every coordinate is positive when a < 1.
-    n_samples must be at least 2, and the budget, n_t and sigmas must leave
-    headroom, as in secrecy_capacity.
+    n_samples must be at least 2, alloc must have the model's n_t, and the
+    budget, n_t and sigmas must leave headroom, as in secrecy_capacity.
     """
     if model.sigma_h <= model.sigma_g:
         raise ValueError(
             "gradient undefined in the degenerate regime sigma_h <= sigma_g "
             "(objective nonpositive, capacity 0)"
         )
-    _check_mc_samples(n_samples)
-    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
+    _check_mc_route(model, alloc, n_samples)
     return _grad_objective(model, alloc.as_array(), n_samples, seed)[0]
 
 
@@ -199,7 +198,7 @@ def optimize_allocation(
     var_h, var_g = model.sigma_h**2, model.sigma_g**2
 
     def evaluate(vec: NDArray) -> tuple[RateEstimate, NDArray]:
-        rate, err, grad, nodes = _mgf_rate(vec, var_h, var_g)
+        rate, err, grad, nodes = _mgf_rate(vec, var_h, var_g, grad=True)
         return RateEstimate(float(rate), float(err), n_samples=nodes, seed=config.seed), grad
 
     obj, grad = evaluate(d)

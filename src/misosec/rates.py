@@ -179,11 +179,11 @@ def secrecy_rate_direct_mc(
     """E_h[log2(1+h^H D h)] - E_g[log2(1+g^H D g)] from independent h and g streams.
 
     std_error combines both terms in quadrature. Both streams are reduced in
-    one call, so their chunks share the pool. Rejects a budget, n_t and
-    sigmas without headroom, as secrecy_capacity does.
+    one call, so their chunks share the pool. Rejects an allocation whose
+    n_t is not the model's, and a budget, n_t and sigmas without headroom, as
+    secrecy_capacity does.
     """
-    _check_mc_samples(n_samples)
-    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
+    _check_mc_route(model, alloc, n_samples)
     d, summed = _draw_layout(alloc.as_array())
     draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
     (mean_h, se_h), (mean_g, se_g) = stream_moments(
@@ -205,11 +205,11 @@ def secrecy_rate_coupled_mc(
     Evaluates log2(a+q) - log2(a) - log2(1+q) per sample with q = g^H D g and
     a = sigma_g^2/sigma_h^2, so the std_error reflects the coupling. Unbiased
     for the same quantity as secrecy_rate_direct_mc. Per-sample values vanish
-    identically when a = 1 or the allocation is all zeros. Rejects a budget,
-    n_t and sigmas without headroom, as secrecy_capacity does.
+    identically when a = 1 or the allocation is all zeros. Rejects an
+    allocation whose n_t is not the model's, and a budget, n_t and sigmas
+    without headroom, as secrecy_capacity does.
     """
-    _check_mc_samples(n_samples)
-    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
+    _check_mc_route(model, alloc, n_samples)
     d, summed = _draw_layout(alloc.as_array())
     a = model.a
     ((mean, se),) = stream_moments(
@@ -219,9 +219,25 @@ def secrecy_rate_coupled_mc(
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
+def _sum_last(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """np.sum(x, axis=-1), with the same bits.
+
+    numpy sums a last axis of fewer than 8 terms left to right, a column at a
+    time through strided loops, at several times the cost of the same fold
+    written as whole-column adds. From 8 terms on it sums pairwise, so those
+    stay with np.sum.
+    """
+    if x.shape[-1] >= 8:
+        return np.sum(x, axis=-1)
+    out = x[..., 0].copy()
+    for k in range(1, x.shape[-1]):
+        out += x[..., k]
+    return out
+
+
 def _mgf_rate(
-    d: NDArray[np.float64], var_h: float, var_g: float
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], int]:
+    d: NDArray[np.float64], var_h: float, var_g: float, *, grad: bool = False
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | None, int]:
     """E[log2(1 + h^H D h)] - E[log2(1 + g^H D g)] by Hamdi's MGF integral.
 
     Entries of h and g have variances var_h and var_g; var_g = 0 makes
@@ -232,7 +248,9 @@ def _mgf_rate(
     rounding error of the weighted sum), both of shape d.shape[:-1], the
     exact gradients dR/dd_k of d's shape, and the node count: the rule's
     explicit nodes, without the two tail nodes that sum everything below
-    them. The whole batch shares the rule of its largest row sum, so a row's
+    them. Only a caller that sets grad gets the gradients; the others get
+    None and skip their cost, with the same rates and error estimates to the
+    bit. The whole batch shares the rule of its largest row sum, so a row's
     rate can differ from its own single-row call by a few ulps. After s = e^u
     the rate is int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
@@ -250,20 +268,23 @@ def _mgf_rate(
     coarse[-1] = _MGF_TAIL_WEIGHT[1]
     x_h = s[:, None] * (var_h * d[..., None, :])
     x_g = s[:, None] * (var_g * d[..., None, :])
-    log_h = np.sum(np.log1p(x_h), axis=-1)
-    log_g = np.sum(np.log1p(x_g), axis=-1)
+    # without the gradient, x is not read again, so log1p may overwrite it
+    log_h = _sum_last(np.log1p(x_h, out=None if grad else x_h))
+    log_g = _sum_last(np.log1p(x_g, out=None if grad else x_g))
     decay = np.exp(-s)
-    m_h = np.exp(-log_h)
     m_g = np.exp(-log_g)
     f = decay * m_g * -np.expm1(log_g - log_h)
     rate = f @ weight / _LN2
     rate_coarse = f @ coarse / _LN2
+    err = np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2)
+    if not grad:
+        return rate, err, None, last + 1
     # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
     w = decay * s * weight
-    grad = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
-            - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
-    err = np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2)
-    return rate, err, grad / _LN2, last + 1
+    m_h = np.exp(-log_h)
+    dr = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
+          - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
+    return rate, err, dr / _LN2, last + 1
 
 
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:
@@ -283,6 +304,15 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
         return 0.0
     _check_headroom(total_power, n_t, sigma)
     return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
+
+
+def _check_mc_route(model: ChannelModel, alloc: PowerAllocation, n_samples: int) -> None:
+    """The checks of a Monte Carlo route given a model and an allocation:
+    at least two samples, one allocation entry per antenna, and headroom."""
+    _check_mc_samples(n_samples)
+    if alloc.n_t != model.n_t:
+        raise ValueError(f"allocation has {alloc.n_t} entries but the model has n_t={model.n_t}")
+    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
 
 
 def _check_headroom(P: float, n_t: int, sigma: float) -> None:

@@ -8,6 +8,13 @@ one optimizer run that must land on the uniform allocation. Margins use the
 convention "claim holds iff margin >= -1e-12"; Monte Carlo probes fold their
 noise in as mean + 3 * std_error.
 
+Every probe is array work. The pairs of one dimension are drawn by one
+Dirichlet and one uniform call, and each pair probe evaluates them in one
+call per dimension (and per sigma or ratio); the rate probe asks the MGF
+evaluator for rates only, without the gradient. The complete-monotonicity
+grid is one array evaluation of the closed form, and each lemma case costs
+one log per draw.
+
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
 """
@@ -22,10 +29,10 @@ from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
     Witness,
+    _cm_derivatives,
     _lt_gaps_grid,
     _majorization_margin,
-    cm_derivative,
-    random_majorization_pair,
+    _random_majorization_pairs,
     verify_lemma_LT_implies_expectation,
 )
 from .rates import _mgf_rate
@@ -76,18 +83,22 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
 
     The probe sizes are fixed: _PAIRS random (d_star, d) pairs feed the pair
     probes, the LT probe runs on _S_POINTS log-spaced s and each lemma case
-    on _LEMMA_SAMPLES draws. The optimizer runs OptimizerConfig(seed=seed)
+    on _LEMMA_SAMPLES draws. The seed's generator draws the pair dimensions,
+    then each dimension's pairs in one batch (in _PAIR_DIMS order), then the
+    Schur probe's s values. The optimizer runs OptimizerConfig(seed=seed)
     on the reference problem.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
-    pair_list: list[tuple[np.ndarray, np.ndarray]] = []
-    by_dim: dict[int, list[int]] = {}
-    for i in range(_PAIRS):
-        n = int(rng.choice(_PAIR_DIMS))
-        pair_list.append(random_majorization_pair(n, _PAIR_TOTAL, rng))
-        by_dim.setdefault(n, []).append(i)
-    s_draws = np.array([10.0 ** rng.uniform(-3.0, 3.0) for _ in range(_PAIRS)])
+    # pair i has dimension dims[i]; the pairs of one dimension are drawn
+    # together, in index order, one Dirichlet and one uniform call per dimension
+    dims = rng.choice(_PAIR_DIMS, size=_PAIRS)
+    pairs: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    for n in _PAIR_DIMS:
+        rows = np.flatnonzero(dims == n)
+        pairs[n] = (rows.tolist(), *_random_majorization_pairs(n, _PAIR_TOTAL, rng, rows.size))
+    s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
+    s_grid_text = [f"{s:.6g}" for s in s_grid.tolist()]
 
     # each pair probe makes one array call per pair dimension (and per sigma
     # or ratio); its witnesses are keyed by (pair, sigma or ratio) and
@@ -96,9 +107,7 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     lt_w: dict[tuple[int, int], Witness] = {}
     schur_w: dict[int, Witness] = {}
     rate_w: dict[tuple[int, int], Witness] = {}
-    for rows in by_dim.values():
-        d_star = np.array([pair_list[i][0] for i in rows])
-        d = np.array([pair_list[i][1] for i in rows])
+    for rows, d_star, d in pairs.values():
         # majorization: every generated pair must satisfy d_star majorized by d,
         # with the margin being the worst prefix-sum gap
         for i, margin in zip(rows, _majorization_margin(d, d_star).tolist()):
@@ -106,14 +115,14 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
         # LT order across the whole s grid, both variance conventions
         for m, sigma in enumerate(_LT_SIGMAS):
             gaps = _lt_gaps_grid(d_star, d, float(sigma), s_grid)
-            worst = np.argmin(gaps, axis=-1)
+            worst = np.argmin(gaps, axis=-1).tolist()
+            where = f"sigma^2={float(sigma) ** 2:g} s="
             for i, j, margin in zip(rows, worst, np.min(gaps, axis=-1).tolist()):
-                point = f"pair#{i} sigma^2={float(sigma) ** 2:g} s={s_grid[j]:.6g}"
-                lt_w[i, m] = Witness(point=point, margin=margin)
+                lt_w[i, m] = Witness(point=f"pair#{i} {where}{s_grid_text[j]}", margin=margin)
         # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
         gaps = _lt_gaps_grid(d_star, d, 1.0, s_draws[rows, None])[:, 0]
-        for i, margin in zip(rows, gaps.tolist()):
-            schur_w[i] = Witness(point=f"pair#{i} s={s_draws[i]:.6g}", margin=margin)
+        for i, s, margin in zip(rows, s_draws[rows].tolist(), gaps.tolist()):
+            schur_w[i] = Witness(point=f"pair#{i} s={s:.6g}", margin=margin)
         # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
         for m, r in enumerate((0.5, 0.9)):
             gaps = _mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0]
@@ -128,24 +137,30 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     grid = f"{_PAIRS} pairs, one random s each, sigma^2=1"
     checks.append(("schur_concave", OrderCheckReport(grid, _in_order(schur_w))))
 
-    # complete monotonicity sign pattern on the (a, x, n) grid
-    cm_witnesses = []
+    # complete monotonicity sign pattern on the (a, x, n) grid, in one array call
+    a_grid = (0.0, 0.1, 0.5, 0.9)
     x_grid = np.logspace(-3.0, 3.0, _CM_X_POINTS)
-    for a in (0.0, 0.1, 0.5, 0.9):
-        for x in x_grid:
-            for n in range(_CM_ORDERS + 1):
-                signed = (-1.0) ** n * cm_derivative(a, float(x), n)
-                cm_witnesses.append(
-                    Witness(point=f"a={a} x={x:.6g} n={n}", margin=signed)
-                )
+    x_grid_text = [f"{x:.6g}" for x in x_grid.tolist()]
+    orders = np.arange(_CM_ORDERS + 1)
+    signed = np.where(orders % 2, -1.0, 1.0) * _cm_derivatives(
+        np.array(a_grid)[:, None, None], x_grid[:, None], orders
+    )
+    cm_witnesses = [
+        Witness(point=f"a={a} x={x} n={n}", margin=margin)
+        for a, by_x in zip(a_grid, signed.tolist())
+        for x, by_n in zip(x_grid_text, by_x)
+        for n, margin in enumerate(by_n)
+    ]
     grid = f"a in {{0,0.1,0.5,0.9}}, {_CM_X_POINTS}-point log x grid, n <= {_CM_ORDERS}"
     checks.append(("complete_monotone", OrderCheckReport(grid, cm_witnesses)))
 
     grid = f"{_PAIRS} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
     checks.append(("secrecy_rate_schur", OrderCheckReport(grid, _in_order(rate_w))))
 
-    # expectation-ordering lemma on canonical and random pairs (shared draws)
-    d_star_r, d_r = pair_list[0]
+    # expectation-ordering lemma on canonical and random pairs (shared draws);
+    # pair #0 leads the rows of its dimension
+    _, d_stars, ds = pairs[int(dims[0])]
+    d_star_r, d_r = d_stars[0], ds[0]
     lemma_cases = [
         ((_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2), 0.25),
         ((_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2), 0.0),

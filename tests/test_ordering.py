@@ -14,7 +14,9 @@ from misosec import (
     random_majorization_pair,
     verify_lemma_LT_implies_expectation,
 )
+from misosec import _kernels
 from misosec.channel import iter_abs2
+from misosec.ordering import _random_majorization_pairs
 
 # log2(4) - log2(3): the MGF gap of (1,1) vs (2,0) at s = sigma = 1
 HAND_LT_GAP = 0.4150374992788439
@@ -80,6 +82,8 @@ def test_mgf_matches_monte_carlo():
     [
         ([-0.1, 1.0], 1.0, 1.0), ([1.0], 0.0, 1.0), ([1.0], 1.0, 0.0),
         ([1.0, 1.0], math.inf, 1.0), ([1.0], 1.0, math.inf),
+        # finite, but s sigma^2 d overflows: the product read 0.0
+        ([1.0, 1.0], 1e200, 1.0), ([1.0, 1.0], 1.0, 1e308),
     ],
 )
 def test_mgf_rejects_bad_inputs(d, sigma, s):
@@ -116,7 +120,8 @@ def test_lt_gap_rejects_bad_inputs():
         lt_order_gap([-1.0, 3.0], [1.0, 1.0], 1.0, 1.0)
     with pytest.raises(ValueError):
         lt_order_gap([1.0, 1.0], [2.0, 0.0], 1.0, 0.0)
-    for sigma, s in ((math.inf, 1.0), (1.0, math.inf)):
+    # an inf, or a finite sigma or s whose product with d overflows (nan and -inf gaps)
+    for sigma, s in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             lt_order_gap([1.0, 1.0], [2.0, 0.0], sigma, s)
 
@@ -182,6 +187,28 @@ def test_random_pair_rejects_bad_inputs():
         random_majorization_pair(0, 1.0, rng)
     with pytest.raises(ValueError):
         random_majorization_pair(2, 0.0, rng)
+    # an inf total gave a pair of [inf, inf] vectors
+    for total in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            random_majorization_pair(2, total, rng)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_batched_pairs_start_with_the_single_pair(n):
+    # a batch of one takes the same draws as the single call, so the streams stay in step
+    rng, batch_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for _ in range(3):
+        d_star, d = random_majorization_pair(n, 4.0, rng)
+        d_stars, ds = _random_majorization_pairs(n, 4.0, batch_rng, 1)
+        assert np.array_equal(d_stars[0], d_star) and np.array_equal(ds[0], d)
+    # a batch draws its simplex points first, so its first point is the single call's
+    d_star, d = random_majorization_pair(n, 4.0, np.random.default_rng(n))
+    d_stars, ds = _random_majorization_pairs(n, 4.0, np.random.default_rng(n), 100)
+    assert d_stars.shape == ds.shape == (100, n)
+    assert np.array_equal(ds[0], d)
+    for d_star, d in zip(d_stars, ds):
+        assert majorizes(d, d_star)
+        assert d.sum() == pytest.approx(4.0, rel=1e-12)
 
 
 # --- expectation lemma --------------------------------------------------------
@@ -219,6 +246,29 @@ def test_lemma_spike_vs_uniform_strictly_positive():
     assert report.min_margin == pytest.approx(mean + 3 * se, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.25, 0.9, 0.999])
+def test_lemma_difference_is_accurate_per_sample(a):
+    # each value against f(q2) - f(q1) in 50-digit arithmetic on the same draws;
+    # the draws and d are exact inputs, so the kernel may err by a few roundings
+    # of q1, q2 - q1 and the ratio: a few eps of the value plus the rounding of
+    # q2 - q1, whose terms may cancel. Subtracting four logs errs by about
+    # eps * |log2(a + q)| instead, far more than the value near a = 1.
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 50
+    d1, d2 = np.array([3.0, 1.0, 0.0]), np.array([1.5, 1.0, 0.5])
+    abs2 = next(iter_abs2(1.0, 3, 300, seed=4, stream=2))
+    values = _kernels.lemma_difference(abs2, d1, d2, a)
+    eps = np.finfo(np.float64).eps
+    for row, value in zip(abs2, values):
+        q1 = mpmath.fsum(mpmath.mpf(float(x)) * float(w) for x, w in zip(row, d1))
+        q2 = mpmath.fsum(mpmath.mpf(float(x)) * float(w) for x, w in zip(row, d2))
+        f = lambda q: mpmath.log((a + q) / (1 + q), 2)  # noqa: E731
+        exact = f(q2) - f(q1)
+        # the value's scale, and that of the rounding of the cancelling sum q2 - q1
+        spread = (1 - a) * float(np.abs(d2 - d1) @ row) / float((1 + q2) * (a + q1)) / math.log(2)
+        assert abs(value - exact) <= 8 * eps * (abs(exact) + spread), (a, row, value, exact)
+
+
 def test_lemma_handles_a_zero_edge():
     report = verify_lemma_LT_implies_expectation(
         [3.0, 1.0], [2.0, 2.0], sigma=1.0, a=0.0, n_samples=100_000, seed=3
@@ -239,6 +289,9 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 0.0, 0.25, 100, 0)
     with pytest.raises(ValueError, match="finite"):
         verify_lemma_LT_implies_expectation([2.0, 0.0], [1.0, 1.0], math.inf, 0.25, 1000, 0)
+    # finite, but the draws scaled by sigma^2 overflow: the margin read nan
+    with pytest.raises(ValueError, match="finite"):
+        verify_lemma_LT_implies_expectation([2.0, 0.0], [1.0, 1.0], 1e200, 0.25, 1000, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 0.25, 0, 0)
     # one draw has no spread to give an error bar from

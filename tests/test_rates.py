@@ -33,7 +33,7 @@ from misosec.channel import (
     _chunk_rows,
 )
 from misosec.optimize import _grad_objective
-from misosec.rates import _GAMMA_MIN_NT, MethodTag, _mgf_rate
+from misosec.rates import _GAMMA_MIN_NT, MethodTag, _mgf_rate, _sum_last
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -180,7 +180,7 @@ def test_tail_node_matches_the_node_by_node_rule(n_t):
     for P in 10.0 ** (_TAIL_GRID_DB / 10.0):
         for d in (np.full(n_t, P / n_t), P * rng.dirichlet(np.ones(n_t))):
             for ratio in (0.1, 0.5, 0.9, 0.999):
-                rate, _, grad, _ = _mgf_rate(d, 1.0, ratio**2)
+                rate, _, grad, _ = _mgf_rate(d, 1.0, ratio**2, grad=True)
                 ref, term_h, term_g = _node_by_node_rule(d, 1.0, ratio**2)
                 assert abs(rate - ref) <= 8 * eps * abs(ref), (P, ratio, d)
                 terms = np.abs(term_h) + np.abs(term_g)
@@ -203,9 +203,9 @@ def test_batched_rows_match_single_row_calls(n_t, ratio):
     rng = np.random.default_rng(n_t)
     powers = 10.0 ** (np.arange(-20.0, 61.0, 20.0) / 10.0)
     D = powers[:, None] * rng.dirichlet(np.ones(n_t), size=powers.size)
-    rates, errs, grads, nodes = _mgf_rate(D, 1.0, ratio**2)
+    rates, errs, grads, nodes = _mgf_rate(D, 1.0, ratio**2, grad=True)
     assert rates.shape == errs.shape == powers.shape and grads.shape == D.shape
-    singles = [_mgf_rate(row, 1.0, ratio**2) for row in D]
+    singles = [_mgf_rate(row, 1.0, ratio**2, grad=True) for row in D]
     assert nodes == max(single[3] for single in singles)
     # the batch's longer node rule reorders numpy's pairwise sums, so rows may
     # move by a few ulps: of the rate, and of the two single-rate gradient
@@ -213,7 +213,9 @@ def test_batched_rows_match_single_row_calls(n_t, ratio):
     eps = np.finfo(np.float64).eps
     for row, rate, err, grad, (rate1, _, grad1, _) in zip(D, rates, errs, grads, singles):
         assert abs(rate - rate1) <= 4 * eps * abs(rate1)
-        terms = np.abs(_mgf_rate(row, 1.0, 0.0)[2]) + np.abs(_mgf_rate(row, ratio**2, 0.0)[2])
+        terms = np.abs(_mgf_rate(row, 1.0, 0.0, grad=True)[2]) + np.abs(
+            _mgf_rate(row, ratio**2, 0.0, grad=True)[2]
+        )
         assert np.all(np.abs(grad - grad1) <= 4 * eps * terms)
         assert err >= abs(rate - _integral_rate(row, 1.0, ratio)) - 1e-14
 
@@ -231,7 +233,7 @@ def test_quadrature_keeps_relative_accuracy_at_tiny_power(n_t):
 @pytest.mark.parametrize("d", [(6.0, 3.0, 1.0), (4.0, 0.0, 0.5, 0.5), (0.5, 2.0, 1.0, 3.0, 0.25)])
 def test_exact_gradient_matches_central_differences(d):
     d = np.array(d)
-    _, _, grad, _ = _mgf_rate(d, 1.0, 0.3)
+    _, _, grad, _ = _mgf_rate(d, 1.0, 0.3, grad=True)
     h = 1e-5
     for k in range(d.size):
         up, dn = d.copy(), d.copy()
@@ -248,7 +250,7 @@ def test_exact_gradient_matches_central_differences(d):
 def test_exact_gradient_matches_mc_gradient():
     model = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5)
     d = np.array([3.0, 0.5, 0.0, 1.5])
-    _, _, exact, _ = _mgf_rate(d, 1.0, 0.25)
+    _, _, exact, _ = _mgf_rate(d, 1.0, 0.25, grad=True)
     mc, mc_se = _grad_objective(model, d, 200_000, seed=12)
     assert np.all(np.abs(mc - exact) <= 4.0 * mc_se)
     assert np.array_equal(mc, grad_estimate(model, PowerAllocation(tuple(d), 5.0), 200_000, 12))
@@ -302,6 +304,47 @@ def test_mc_rejects_bad_inputs():
         for route in (secrecy_rate_direct_mc, secrecy_rate_coupled_mc, grad_estimate):
             with pytest.raises(ValueError, match="finite"):
                 route(model, PowerAllocation.uniform(2, budget), 1000, seed=0)
+
+
+def test_mc_routes_reject_an_allocation_for_another_n_t():
+    # a two-entry allocation on a four-antenna model returned the two-antenna rate
+    model = ChannelModel(4, 1.0, 0.5)
+    for route in (secrecy_rate_direct_mc, secrecy_rate_coupled_mc, grad_estimate):
+        with pytest.raises(ValueError, match="n_t"):
+            route(model, PowerAllocation.uniform(2, 10.0), 1000, 0)
+
+
+_BIT_GRID_DB = np.arange(-20.0, 61.0, 10.0)
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 4, 8, 64, 256])
+def test_rate_only_calls_keep_the_bits_of_the_gradient_call(n_t):
+    # skipping the gradient must not move a rate or an error estimate by one bit
+    rng = np.random.default_rng(n_t)
+    for P in 10.0 ** (_BIT_GRID_DB / 10.0):
+        uniform = np.full(n_t, P / n_t)
+        batch = P * rng.dirichlet(np.ones(n_t), size=3)
+        for ratio in (0.1, 0.5, 0.9, 0.999):
+            est = secrecy_capacity(ChannelModel(n_t, 1.0, ratio), P, EvalMethod.quadrature())
+            rate, err, grad, nodes = _mgf_rate(uniform, 1.0, ratio**2, grad=True)
+            assert grad.shape == (n_t,)
+            assert (est.mean, est.std_error, est.n_samples) == (rate, err, nodes)
+            for d in (uniform, batch):
+                rate, err, _, nodes = _mgf_rate(d, 1.0, ratio**2, grad=True)
+                rate1, err1, grad1, nodes1 = _mgf_rate(d, 1.0, ratio**2)
+                assert grad1 is None and nodes1 == nodes
+                assert np.array_equal(rate1, rate) and np.array_equal(err1, err)
+        single = ergodic_log_rate_quadrature(1.0, P, n_t)
+        assert single == _mgf_rate(uniform, 1.0, 0.0, grad=True)[0]
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 7, 8, 64])
+def test_short_axis_fold_sums_with_the_bits_of_np_sum(n_t):
+    # the MGF rule's log sums: (nodes, n_t) for one allocation, (k, nodes, n_t) for a batch
+    rng = np.random.default_rng(n_t)
+    for shape in ((73, n_t), (129, n_t), (1, 83, n_t), (37, 81, n_t), (400, 75, n_t)):
+        x = np.log1p(rng.exponential(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape))
+        assert np.array_equal(_sum_last(x), np.sum(x, axis=-1))
 
 
 def test_direct_zero_mean_at_equal_scales():
