@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -95,6 +96,8 @@ class ChannelModel:
             raise ValueError(f"n_t must be an integer, got {self.n_t!r}")
         if self.n_t < 1:
             raise ValueError(f"n_t must be >= 1, got {self.n_t}")
+        if self.n_t > sys.maxsize:  # no array can have that many entries
+            raise ValueError(f"n_t must be at most sys.maxsize = {sys.maxsize}, got {self.n_t}")
         # every rate route works with the variances and their ratio a, so a
         # sigma whose square overflows or underflows is as unusable as inf
         for name, sigma in (("sigma_h", self.sigma_h), ("sigma_g", self.sigma_g)):

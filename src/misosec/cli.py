@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: capacity, optimize, verify, sweep-snr, sweep-nt. Every flag can
-also be supplied through a plain key=value config file (--config); explicit
-flags override file values. SNR is total power in dB: P = 10^(dB/10).
+Subcommands: capacity, optimize, verify, sweep-snr, sweep-nt. Every flag but
+--config and --skip-optimizer can also be supplied through a plain key=value
+config file (--config). The command line wins over the file, and the file over
+the flag's default. SNR is total power in dB: P = 10^(dB/10).
 
 Exit codes: 0 success, 1 runtime or numeric failure (including violated
 verification margins), 2 invalid arguments or violated preconditions.
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,20 +34,26 @@ _METHODS = {
     "quad": lambda n_samples, seed: EvalMethod.quadrature(),
 }
 
-# every flag reachable through the config file, with its parser
-_CASTS: dict[str, Callable[[str], object]] = {
-    "ntx": int,
-    "sigma_h": float,
-    "sigma_g": float,
-    "snr_db": float,
-    "snr_grid": str,
-    "nt_grid": str,
-    "samples": int,
-    "method": str,
-    "seed": int,
-    "out": str,
-    "iters": int,
+# Each flag's argparse keywords. Its default applies when neither the command
+# line nor the config file sets it; the parser itself leaves every flag None.
+_FLAGS: dict[str, dict[str, object]] = {
+    "ntx": dict(type=int),
+    "snr_db": dict(type=float, help="fixed total power in dB"),
+    "snr_grid": dict(type=str, help="comma-separated dB values, strictly increasing"),
+    "nt_grid": dict(type=str, help="comma-separated antenna counts, strictly increasing"),
+    "iters": dict(type=int, default=OptimizerConfig.max_iters, help="iteration cap"),
+    "out": dict(type=str, help="CSV path (stdout when omitted)"),
+    "skip_optimizer": dict(action="store_true", default=False),
+    "config": dict(type=str, help="key=value file supplying defaults for any flag"),
+    "seed": dict(type=int, default=0),
+    "sigma_h": dict(type=float),
+    "sigma_g": dict(type=float),
+    "method": dict(type=str, default="coupled", choices=sorted(_METHODS)),
+    "samples": dict(type=int, default=DEFAULT_MC_SAMPLES,
+                    help=f"MC samples per expectation (default {DEFAULT_MC_SAMPLES})"),
 }
+# a file cannot name another file, and a switch has no value to set
+_FILE_KEYS = frozenset(_FLAGS) - {"config", "skip_optimizer"}
 
 
 def _load_config(path: str) -> dict[str, object]:
@@ -64,22 +71,22 @@ def _load_config(path: str) -> dict[str, object]:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CASTS:
+        if key not in _FILE_KEYS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = _CASTS[key](value.strip())
+            values[key] = _FLAGS[key]["type"](value.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
 
 
-def _merge_config(ns: argparse.Namespace) -> None:
-    # config supplies defaults; flags given on the command line win
-    if getattr(ns, "config", None) is None:
-        return
-    for key, value in _load_config(ns.config).items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, value)
+def _resolve(ns: argparse.Namespace) -> None:
+    """Fill each flag of the command left unset from the config file, or else
+    from its default: the command line wins over the file, the file over the default."""
+    config = {} if ns.config is None else _load_config(ns.config)
+    for key in _FLAGS.keys() & vars(ns).keys():
+        if getattr(ns, key) is None:
+            setattr(ns, key, config.get(key, _FLAGS[key].get("default")))
 
 
 def _require(ns: argparse.Namespace, *keys: str) -> None:
@@ -89,23 +96,15 @@ def _require(ns: argparse.Namespace, *keys: str) -> None:
         raise ValueError(f"missing required arguments: {flags}")
 
 
-def _fill(ns: argparse.Namespace, **defaults: object) -> None:
-    for key, value in defaults.items():
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, value)
-
-
 def _model(ns: argparse.Namespace) -> ChannelModel:
     _require(ns, "ntx", "sigma_h", "sigma_g")
     return ChannelModel(n_t=ns.ntx, sigma_h=ns.sigma_h, sigma_g=ns.sigma_g)
 
 
 def _method(ns: argparse.Namespace) -> EvalMethod:
-    _fill(ns, method="coupled", samples=DEFAULT_MC_SAMPLES, seed=0)
-    name = ns.method
-    if name not in _METHODS:
-        raise ValueError(f"unknown method {name!r}; choose from direct, coupled, quad")
-    return _METHODS[name](n_samples=ns.samples, seed=ns.seed)
+    if ns.method not in _METHODS:
+        raise ValueError(f"unknown method {ns.method!r}; choose from direct, coupled, quad")
+    return _METHODS[ns.method](n_samples=ns.samples, seed=ns.seed)
 
 
 def _parse_grid(text: str, kind: str) -> tuple[float, ...]:
@@ -141,7 +140,6 @@ def _cmd_capacity(ns: argparse.Namespace) -> int:
 def _cmd_optimize(ns: argparse.Namespace) -> int:
     model = _model(ns)
     _require(ns, "snr_db")
-    _fill(ns, seed=0, iters=OptimizerConfig.max_iters)
     P = _db_to_power(ns.snr_db)
     if model.sigma_h <= model.sigma_g:
         # degenerate regime: nothing to optimize, the capacity is 0
@@ -159,7 +157,7 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
-    result = run_verify_suite(ns.seed or 0, run_optimizer=not ns.skip_optimizer)
+    result = run_verify_suite(ns.seed, run_optimizer=not ns.skip_optimizer)
     for name, report in result.checks:
         status = "PASS" if report.holds else "FAIL"
         print(f"{status} {name} min_margin={report.min_margin!r}")
@@ -200,18 +198,20 @@ def _cmd_sweep(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, *, sigmas: bool = True) -> None:
-    parser.add_argument("--config", help="key=value file supplying defaults for any flag")
-    parser.add_argument("--seed", type=int, default=None)
-    if sigmas:
-        parser.add_argument("--sigma-h", dest="sigma_h", type=float, default=None)
-        parser.add_argument("--sigma-g", dest="sigma_g", type=float, default=None)
-
-
-def _add_method(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=sorted(_METHODS), default=None)
-    parser.add_argument("--samples", type=int, default=None,
-                        help=f"MC samples per expectation (default {DEFAULT_MC_SAMPLES})")
+# name: handler, help, flags in the order its usage line lists them, sweep kind
+_COMMANDS = {
+    "capacity": (_cmd_capacity, "secrecy capacity at one operating point",
+                 "ntx snr_db config seed sigma_h sigma_g method samples", None),
+    "optimize": (_cmd_optimize, "ascend the power allocation on the simplex",
+                 "ntx snr_db iters config seed sigma_h sigma_g", None),
+    "verify": (_cmd_verify, "run the stochastic-ordering verification suite",
+               "skip_optimizer config seed", None),
+    "sweep-snr": (_cmd_sweep, "capacity across an SNR grid (dB), CSV out",
+                  "ntx snr_grid out config seed sigma_h sigma_g method samples", SweepKind.SNR),
+    "sweep-nt": (_cmd_sweep, "capacity across antenna counts, CSV out",
+                 "nt_grid snr_db out config seed sigma_h sigma_g method samples",
+                 SweepKind.ANTENNAS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,45 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
         "with statistical-only transmitter CSI",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("capacity", help="secrecy capacity at one operating point")
-    p.add_argument("--ntx", type=int, default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    _add_common(p)
-    _add_method(p)
-    p.set_defaults(func=_cmd_capacity)
-
-    p = sub.add_parser("optimize", help="ascend the power allocation on the simplex")
-    p.add_argument("--ntx", type=int, default=None)
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None, help="iteration cap")
-    _add_common(p)
-    p.set_defaults(func=_cmd_optimize)
-
-    p = sub.add_parser("verify", help="run the stochastic-ordering verification suite")
-    p.add_argument("--skip-optimizer", action="store_true")
-    _add_common(p, sigmas=False)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("sweep-snr", help="capacity across an SNR grid (dB), CSV out")
-    p.add_argument("--ntx", type=int, default=None)
-    p.add_argument("--snr-grid", dest="snr_grid", default=None,
-                   help="comma-separated dB values, strictly increasing")
-    p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    _add_common(p)
-    _add_method(p)
-    p.set_defaults(func=_cmd_sweep, kind=SweepKind.SNR)
-
-    p = sub.add_parser("sweep-nt", help="capacity across antenna counts, CSV out")
-    p.add_argument("--nt-grid", dest="nt_grid", default=None,
-                   help="comma-separated antenna counts, strictly increasing")
-    p.add_argument("--snr-db", dest="snr_db", type=float, default=None,
-                   help="fixed total power in dB")
-    p.add_argument("--out", default=None, help="CSV path (stdout when omitted)")
-    _add_common(p)
-    _add_method(p)
-    p.set_defaults(func=_cmd_sweep, kind=SweepKind.ANTENNAS)
-
+    for name, (handler, summary, flags, kind) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for key in flags.split():
+            p.add_argument("--" + key.replace("_", "-"), **{**_FLAGS[key], "default": None})
+        p.set_defaults(func=handler, kind=kind)
     return parser
 
 
@@ -267,13 +233,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a bad argument
+        return exc.code
     try:
-        _merge_config(ns)
+        _resolve(ns)
         return ns.func(ns)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -181,7 +181,7 @@ def optimize_allocation(
         )
     if not (math.isfinite(P) and P > 0):
         raise ValueError(f"P must be finite and positive, got {P}")
-    _check_headroom(P, model.n_t, max(model.sigma_h, model.sigma_g))
+    _check_headroom(max(P, model.n_t), max(model.sigma_h, model.sigma_g))
     n_t = model.n_t
     tol = _TOL_SHARE * P
 

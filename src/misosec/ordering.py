@@ -12,8 +12,9 @@ Each public probe checks one point. The verify suite runs the same closed
 forms on whole arrays through the private batched forms: _lt_gaps_grid
 (lt_order_gap over a grid of s and a batch of pairs), _cm_derivatives
 (cm_derivative over a grid of a, x and n) and _random_majorization_pairs
-(a batch of random_majorization_pair draws). Like rates, the probes reject a
-sigma or s whose product with the allocation leaves no headroom.
+(a batch of random_majorization_pair draws). The probes take 1-D allocations of
+finite, nonnegative entries (majorizes takes any finite vectors), pairs of one
+length and sum, and a sigma and s with the headroom of rates._check_headroom.
 
 All operations are pure, stateless and safe for concurrent use.
 """
@@ -28,7 +29,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels
 from .channel import STREAM_GENERIC, stream_moments
-from .rates import _HEADROOM, _check_mc_samples, _sum_last
+from .rates import _check_headroom, _check_mc_samples, _sum_last
 
 # factorials stay exactly representable in float64 up to 20!
 MAX_DERIVATIVE_ORDER = 20
@@ -75,7 +76,18 @@ class OrderCheckReport:
         return self.min_margin >= -_MARGIN_SLACK
 
 
-def _check_equal_sums(x: NDArray, y: NDArray) -> float:
+def _allocation(d: Sequence[float]) -> NDArray[np.float64]:
+    """d as a 1-D float array, rejected unless its entries are finite and nonnegative."""
+    dv = np.asarray(d, dtype=np.float64)
+    if dv.ndim != 1 or not np.all(np.isfinite(dv)) or np.any(dv < 0):
+        raise ValueError(f"allocation must be 1-D, finite and nonnegative, got {dv.tolist()}")
+    return dv
+
+
+def _check_pair(x: NDArray, y: NDArray) -> float:
+    """Reject x, y unless 1-D, finite, of one length and of equal sums; return the sums' scale."""
+    if x.ndim != 1 or x.shape != y.shape or not np.isfinite((x, y)).all():
+        raise ValueError(f"need finite 1-D vectors of one length, got {x.tolist()}, {y.tolist()}")
     sx = float(x.sum())
     sy = float(y.sum())
     scale = max(abs(sx), abs(sy), 1.0)
@@ -87,14 +99,12 @@ def _check_equal_sums(x: NDArray, y: NDArray) -> float:
 def majorizes(x: Sequence[float], y: Sequence[float]) -> bool:
     """True iff x majorizes y: sorted-descending prefix sums of x dominate y's.
 
-    Requires equal lengths and equal sums (1e-9 relative). The uniform vector
-    is majorized by every vector of the same total.
+    Requires finite entries, equal lengths and equal sums (1e-9 relative). The
+    uniform vector is majorized by every vector of the same total.
     """
     xv = np.asarray(x, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
-    if xv.ndim != 1 or xv.shape != yv.shape:
-        raise ValueError(f"length mismatch: {xv.shape} vs {yv.shape}")
-    scale = _check_equal_sums(xv, yv)
+    scale = _check_pair(xv, yv)
     return bool(_majorization_margin(xv, yv) >= -_MARGIN_SLACK * scale)
 
 
@@ -107,22 +117,12 @@ def _majorization_margin(x: NDArray, y: NDArray) -> NDArray[np.float64]:
 
 
 def _check_scale(sigma: float, s: float, d: NDArray) -> None:
-    """Reject a sigma and s whose product s sigma^2 sum(d) could overflow.
-
-    The headroom rule of rates: _HEADROOM * s * sigma^2 * max(sum(d), 1) must
-    be finite. A probe forms s sigma^2 d_k; the lemma (s = 1) scales
-    Exponential(1) draws, which stay below 45, by sigma^2 and weights them by d.
-    """
+    """Reject an s that is not finite and positive, and a sigma and s without the
+    headroom of rates at scale s * max(sum(d), 1): a probe forms s sigma^2 d_k; the
+    lemma (s = 1) weights by d Exponential(1) draws below 45, scaled by sigma^2."""
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and positive, got {s}")
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    total = float(np.sum(d))
-    if not math.isfinite(_HEADROOM * s * (sigma * sigma) * max(total, 1.0)):
-        raise ValueError(
-            f"s * sigma^2 * max(sum(d), 1) must stay finite with headroom {_HEADROOM:g}, "
-            f"got s={s}, sigma={sigma}, sum(d)={total}"
-        )
+    _check_headroom(s * max(float(np.sum(d)), 1.0), sigma)
 
 
 def mgf_quadratic_form(d: Sequence[float], sigma: float, s: float) -> float:
@@ -131,9 +131,7 @@ def mgf_quadratic_form(d: Sequence[float], sigma: float, s: float) -> float:
     Strictly decreasing in s, equal to 1 in the s -> 0+ limit. Rejects a
     sigma and s whose product with the allocation could overflow.
     """
-    dv = np.asarray(d, dtype=np.float64)
-    if np.any(dv < 0):
-        raise ValueError(f"allocation entries must be nonnegative, got {list(dv)}")
+    dv = _allocation(d)
     _check_scale(sigma, s, dv)
     return float(np.prod(1.0 / (1.0 + s * sigma * sigma * dv)))
 
@@ -148,12 +146,10 @@ def lt_order_gap(
     dominance g^H D g >=_LT g^H D* g in log form. Rejects a sigma and s whose
     product with the allocation could overflow.
     """
-    ds = np.asarray(d_star, dtype=np.float64)
-    dv = np.asarray(d, dtype=np.float64)
-    if np.any(ds < 0) or np.any(dv < 0):
-        raise ValueError("allocation entries must be nonnegative")
+    ds = _allocation(d_star)
+    dv = _allocation(d)
     _check_scale(sigma, s, dv)
-    _check_equal_sums(ds, dv)
+    _check_pair(ds, dv)
     return float(_lt_gaps_grid(ds, dv, sigma, np.array([s]))[0])
 
 
@@ -248,8 +244,8 @@ def verify_lemma_LT_implies_expectation(
     log1p (_kernels.lemma_difference). Rejects a sigma whose draws could
     overflow, by the headroom rule of rates.
     """
-    dv1 = np.asarray(d1, dtype=np.float64)
-    dv2 = np.asarray(d2, dtype=np.float64)
+    dv1 = _allocation(d1)
+    dv2 = _allocation(d2)
     if not 0 <= a < 1:
         raise ValueError(f"a must lie in [0, 1), got {a}")
     _check_scale(sigma, 1.0, dv1)

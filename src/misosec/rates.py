@@ -162,10 +162,8 @@ def ergodic_log_rate_mc(
 
     Rejects a budget, n_t and sigma without headroom, as secrecy_capacity does.
     """
-    if not (math.isfinite(sigma) and sigma > 0):
-        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    _check_headroom(max(alloc.budget, alloc.n_t), sigma)
     _check_mc_samples(n_samples)
-    _check_headroom(alloc.budget, alloc.n_t, sigma)
     d, summed = _draw_layout(alloc.as_array())
     ((mean, se),) = stream_moments(
         _log_rate_of(d), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
@@ -302,7 +300,7 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
         raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:
         return 0.0
-    _check_headroom(total_power, n_t, sigma)
+    _check_headroom(max(total_power, n_t), sigma)
     return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
 
 
@@ -312,15 +310,19 @@ def _check_mc_route(model: ChannelModel, alloc: PowerAllocation, n_samples: int)
     _check_mc_samples(n_samples)
     if alloc.n_t != model.n_t:
         raise ValueError(f"allocation has {alloc.n_t} entries but the model has n_t={model.n_t}")
-    _check_headroom(alloc.budget, alloc.n_t, max(model.sigma_h, model.sigma_g))
+    _check_headroom(max(alloc.budget, alloc.n_t), max(model.sigma_h, model.sigma_g))
 
 
-def _check_headroom(P: float, n_t: int, sigma: float) -> None:
-    """Reject a P, n_t and largest scale sigma whose draws or rule nodes could overflow."""
-    if not math.isfinite(_HEADROOM * max(P, n_t) * (sigma * sigma)):
+def _check_headroom(scale: float, sigma: float) -> None:
+    """Reject a largest entry scale sigma that is not finite and positive, or whose
+    draws or rule nodes could overflow: _HEADROOM * scale * sigma^2 must be finite.
+    The routes and the optimizer pass max(P, n_t); the ordering probes s * max(sum(d), 1)."""
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma}")
+    if not math.isfinite(_HEADROOM * scale * (sigma * sigma)):
         raise ValueError(
-            f"max(P, n_t) * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
-            f"got P={P}, n_t={n_t}, sigma={sigma}"
+            f"scale * sigma^2 must stay finite with headroom {_HEADROOM:g}, "
+            f"got scale={scale}, sigma={sigma}"
         )
 
 
@@ -338,7 +340,7 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
         # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
         count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
         return RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
-    _check_headroom(P, model.n_t, max(model.sigma_h, model.sigma_g))
+    _check_headroom(max(P, model.n_t), max(model.sigma_h, model.sigma_g))
     alloc = PowerAllocation.uniform(model.n_t, P)
     if method.tag is MethodTag.QUADRATURE:
         mean, err, _, nodes = _mgf_rate(alloc.as_array(), model.sigma_h**2, model.sigma_g**2)

@@ -1,5 +1,6 @@
 """Sampling determinism, ensemble moments, and domain-type validation."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,6 +148,13 @@ def test_random_unitary_is_unitary():
 def test_channel_model_validation(kwargs):
     with pytest.raises(ValueError):
         ChannelModel(**kwargs)
+
+
+def test_channel_model_rejects_an_n_t_too_large_to_index():
+    # such an n_t raised OverflowError from the first array of that many entries
+    assert ChannelModel(n_t=sys.maxsize, sigma_h=1.0, sigma_g=0.5).n_t == sys.maxsize
+    with pytest.raises(ValueError, match="maxsize"):
+        ChannelModel(n_t=sys.maxsize + 1, sigma_h=1.0, sigma_g=0.5)
 
 
 def test_channel_model_ratio():

@@ -2,7 +2,7 @@
 import pytest
 
 from misosec import OrderCheckReport, Witness
-from misosec.cli import main
+from misosec.cli import _COMMANDS, main
 from misosec.sweeps import CSV_HEADER
 from misosec.verify import VerifySuiteResult
 
@@ -112,6 +112,21 @@ def test_one_sample_exit_2(capsys, args):
     captured = capsys.readouterr()
     assert "n_samples" in captured.err
     assert "std_error_bits" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        *[["capacity", "--ntx", "100000000000000000000000", "--snr-db", "10", "--method", method]
+          for method in ("quad", "coupled", "direct")],
+        ["sweep-nt", "--nt-grid", "1e300", "--snr-db", "10", "--method", "quad"],
+    ],
+    ids=["capacity-quad", "capacity-coupled", "capacity-direct", "sweep-nt"],
+)
+def test_n_t_too_large_to_index_exit_2(capsys, args):
+    # such an n_t exited 1 with an OverflowError from the first array of that many entries
+    assert main(args + ["--sigma-h", "1", "--sigma-g", "0.5"]) == 2
+    assert "maxsize" in capsys.readouterr().err
 
 
 def test_optimize_non_finite_snr_exit_2(capsys):
@@ -307,3 +322,44 @@ def test_config_malformed_line_exit_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, "just a line without equals\n")
     assert main(["capacity", "--config", cfg]) == 2
     assert "expected key=value" in capsys.readouterr().err
+
+
+# every flag a config file may set, with a value, per command
+FILE_FLAGS = {
+    "capacity": {"ntx": "2", "snr_db": "10", "seed": "3", "sigma_h": "1.0", "sigma_g": "0.5",
+                 "method": "direct", "samples": "2000"},
+    "optimize": {"ntx": "2", "snr_db": "10", "iters": "5", "seed": "1", "sigma_h": "1.0",
+                 "sigma_g": "0.5"},
+    "verify": {"seed": "1"},
+    "sweep-snr": {"ntx": "2", "snr_grid": "0,10", "out": "snr.csv", "seed": "2", "sigma_h": "1.0",
+                  "sigma_g": "0.5", "method": "coupled", "samples": "2000"},
+    "sweep-nt": {"nt_grid": "1,2", "snr_db": "10", "out": "nt.csv", "seed": "4", "sigma_h": "1.0",
+                 "sigma_g": "0.5", "method": "quad", "samples": "2000"},
+}
+
+
+def test_file_flags_cover_every_flag_a_file_may_set():
+    for command, (_, _, flags, _) in _COMMANDS.items():
+        assert set(FILE_FLAGS[command]) == set(flags.split()) - {"config", "skip_optimizer"}
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, flags in FILE_FLAGS.items() for key in flags]
+)
+def test_config_key_matches_its_flag(tmp_path, monkeypatch, capsys, command, key):
+    # key=value in a file gives the same output as --key value on the command line
+    monkeypatch.chdir(tmp_path)
+    flags = FILE_FLAGS[command]
+
+    def run(args):
+        assert main(args) == 0
+        written = (tmp_path / flags["out"]).read_bytes() if "out" in flags else b""
+        return capsys.readouterr().out, written
+
+    def argv(without=None):
+        given = [(k, v) for k, v in flags.items() if k != without]
+        return [command] + [tok for k, v in given for tok in ("--" + k.replace("_", "-"), v)]
+
+    from_flags = run(argv())
+    cfg = _write_config(tmp_path, f"{key}={flags[key]}\n")
+    assert run(argv(without=key) + ["--config", cfg]) == from_flags

@@ -48,6 +48,18 @@ def test_majorizes_rejects_bad_inputs():
         majorizes([1.0, 2.0], [3.0])  # length mismatch
 
 
+def test_majorizes_rejects_a_nan_entry():
+    # the nan compared false everywhere, so the answer read False
+    with pytest.raises(ValueError, match="finite"):
+        majorizes([math.nan, 1.0], [1.0, 1.0])
+
+
+def test_majorizes_takes_negative_entries():
+    # majorization is defined on all real vectors, unlike the probes' allocations
+    assert majorizes([3.0, -1.0], [1.0, 1.0])
+    assert not majorizes([1.0, 1.0], [3.0, -1.0])
+
+
 # --- MGF -------------------------------------------------------------------
 
 
@@ -124,6 +136,12 @@ def test_lt_gap_rejects_bad_inputs():
     for sigma, s in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             lt_order_gap([1.0, 1.0], [2.0, 0.0], sigma, s)
+
+
+def test_lt_gap_rejects_allocations_of_different_lengths():
+    # the sums agree, so the gap of a 2- and a 3-entry allocation read 0.848
+    with pytest.raises(ValueError, match="one length"):
+        lt_order_gap([2.0, 2.0], [4.0, 0.0, 0.0], 1.0, 1.0)
 
 
 # --- complete monotonicity ---------------------------------------------------
@@ -300,6 +318,13 @@ def test_lemma_rejects_bad_inputs():
 
 
 # --- report type ---------------------------------------------------------------
+
+
+def test_lemma_rejects_a_negative_allocation_entry():
+    # [5, -1] majorizes [2, 2], but the negative power took log1p below -1:
+    # a RuntimeWarning and a nan margin
+    with pytest.raises(ValueError, match="nonnegative"):
+        verify_lemma_LT_implies_expectation([5.0, -1.0], [2.0, 2.0], 1.0, 0.5, 1000, 0)
 
 
 def test_report_requires_witnesses():
