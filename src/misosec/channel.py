@@ -35,7 +35,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -217,38 +217,42 @@ def iter_abs2(
 
 
 def _chunk_stats(
-    fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    fn: Callable[[NDArray[np.float64]], Iterable[NDArray[np.float64]]],
     sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int, summed: bool,
-) -> tuple[int, float | _kernels.FloatArray, float | _kernels.FloatArray]:
+) -> list[tuple[int, float | _kernels.FloatArray, float | _kernels.FloatArray]]:
     abs2 = _draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
-    return _kernels.RunningMoments.chunk(fn(abs2))
+    # a generator fn forms each output only after the previous one is reduced
+    return [_kernels.RunningMoments.chunk(values) for values in fn(abs2)]
 
 
 def stream_moments(
-    fn: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+    fn: Callable[[NDArray[np.float64]], Iterable[NDArray[np.float64]]],
     draws: Sequence[tuple[float, int]],
     n_t: int,
     count: int,
     seed: int,
     *,
     _summed: bool = False,
-) -> list[tuple[float | _kernels.FloatArray, float | _kernels.FloatArray]]:
-    """Mean and std error of fn over count rows of each (sigma, stream) in draws.
+) -> list[list[tuple[float | _kernels.FloatArray, float | _kernels.FloatArray]]]:
+    """Mean and std error of each output of fn over count rows of each (sigma, stream) in draws.
 
-    fn maps a (rows, n_t) chunk of |g_ik|^2 to per-row values: shape (rows,)
-    for the scalar form, (rows, ...) for the per-coordinate form. With
+    fn maps a (rows, n_t) chunk of |g_ik|^2 to its outputs, one per-row array
+    each: shape (rows,) for the scalar form, (rows, ...) for the
+    per-coordinate form. It should yield them one at a time: each is reduced
+    to its chunk stats before the next is formed, so a chunk drawn once can
+    feed many outputs without their rows ever being held together. With
     _summed, fn gets (rows, 1) chunks of the row sums sum_k |g_ik|^2 instead,
     each row one Gamma(n_t) draw scaled by sigma^2 (see _draw_abs2). Every chunk
     of every draw is queued on the shared pool at once, and the calling
     thread works too: it runs the chunks no worker has started, from the
-    last one back, while the workers take them from the first one on. The
-    partial stats are then merged in chunk order, so the result is
+    last one back, while the workers take them from the first one on. Each
+    output's partial stats are then merged in chunk order, so each result is
     bit-identical to
-    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(fn(abs2))`
-    (or to the same loop over the summed chunks).
+    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(list(fn(abs2))[j])`
+    (or to the same loop over the summed chunks), whatever the other outputs are.
     The caller only ever waits on chunks a worker is running, so a call
     cannot deadlock, however many threads call at once.
-    Returns one RunningMoments.mean_se() per draw, in order.
+    Returns, per draw in order, one RunningMoments.mean_se() per output of fn.
     """
     chunks = _chunk_rows(count)
     tasks = [
@@ -257,17 +261,22 @@ def stream_moments(
         for index, rows in chunks
     ]
     futures = [_POOL.submit(_chunk_stats, *task) for task in tasks]
-    stats: list[tuple | None] = [None] * len(tasks)
+    stats: list[list | None] = [None] * len(tasks)
     try:
         for i in reversed(range(len(tasks))):
             if futures[i].cancel():
                 stats[i] = _chunk_stats(*tasks[i])
         out = []
         for start in range(0, len(tasks), len(chunks)):
-            moments = _kernels.RunningMoments()
-            for i in range(start, start + len(chunks)):
-                moments.merge(*(futures[i].result() if stats[i] is None else stats[i]))
-            out.append(moments.mean_se())
+            per_chunk = [
+                futures[i].result() if stats[i] is None else stats[i]
+                for i in range(start, start + len(chunks))
+            ]
+            moments = [_kernels.RunningMoments() for _ in per_chunk[0]]
+            for chunk in per_chunk:
+                for m, chunk_stats in zip(moments, chunk, strict=True):
+                    m.merge(*chunk_stats)
+            out.append([m.mean_se() for m in moments])
         return out
     finally:
         # after a failure, drop the chunks nobody has started

@@ -125,10 +125,11 @@ def _grad_objective(
     """One pass over the eavesdropper draws: the gradient and its
     per-coordinate std errors at d."""
     a = model.a
-    return stream_moments(
-        lambda abs2: abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None],
+    ((grad,),) = stream_moments(
+        lambda abs2: (abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None],),
         ((model.sigma_g, STREAM_EAVESDROPPER),), d.shape[0], n_samples, seed,
-    )[0]
+    )
+    return grad
 
 
 def grad_estimate(

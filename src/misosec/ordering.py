@@ -187,10 +187,25 @@ def cm_derivative(a: float, x: float, n: int) -> float:
 
 def _cm_derivatives(a: ArrayLike, x: ArrayLike, n: ArrayLike) -> NDArray[np.float64]:
     """cm_derivative over broadcast arrays of a, x and integer orders n
-    (validation done by caller)."""
-    n = np.asarray(n)
-    e = -(n + 1.0)
-    return np.where(n % 2, -1.0, 1.0) * _FACTORIALS[n] * ((a + x) ** e - (1.0 + x) ** e)
+    (validation done by caller).
+
+    psi^(n)(x) = (-1)^n n! D_{n+1} with D_m = u^m - v^m, u = 1/(a+x) and
+    v = 1/(1+x). The two powers nearly cancel as a -> 1 or x grows, so their
+    difference would lose relative accuracy. Since u - v = (1-a) u v, the
+    recurrence D_1 = (1-a) u v, D_{m+1} = u D_m + (1-a) u v^{m+1} forms every
+    D_m from positive terms only, which keeps it to a few ulps.
+    """
+    a, x, n = np.asarray(a, dtype=np.float64), np.asarray(x, dtype=np.float64), np.asarray(n)
+    u = 1.0 / (a + x)
+    v = 1.0 / (1.0 + x)
+    term = (1.0 - a) * u * v  # (1-a) u v^{m+1}, here m = 0
+    d = term  # D_{m+1}
+    out = np.zeros(np.broadcast_shapes(d.shape, n.shape))
+    for m in range(int(np.max(n)) + 1):
+        out = np.where(n == m, d, out)
+        term = term * v
+        d = u * d + term
+    return np.where(n % 2, -1.0, 1.0) * _FACTORIALS[n] * out
 
 
 def random_majorization_pair(
@@ -253,8 +268,8 @@ def verify_lemma_LT_implies_expectation(
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 
-    ((mean, se),) = stream_moments(
-        lambda abs2: _kernels.lemma_difference(abs2, dv1, dv2, a),
+    (((mean, se),),) = stream_moments(
+        lambda abs2: (_kernels.lemma_difference(abs2, dv1, dv2, a),),
         ((sigma, STREAM_GENERIC),), dv1.shape[0], n_samples, seed,
     )
     margin = mean + 3.0 * se

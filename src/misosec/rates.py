@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -150,9 +150,11 @@ def _draw_layout(d: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
     return d, False
 
 
-def _log_rate_of(d: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-row log2(1 + g^H D g) of a chunk of |g_k|^2."""
-    return lambda abs2: _kernels.log_rate(_kernels.quad_form(abs2, d))
+def _log_rates_of(
+    ds: Sequence[NDArray[np.float64]],
+) -> Callable[[NDArray[np.float64]], Iterator[NDArray[np.float64]]]:
+    """Per-row log2(1 + g^H D g) of a chunk of |g_k|^2, for each D in ds in turn."""
+    return lambda abs2: (_kernels.log_rate(_kernels.quad_form(abs2, d)) for d in ds)
 
 
 def ergodic_log_rate_mc(
@@ -165,10 +167,42 @@ def ergodic_log_rate_mc(
     _check_headroom(max(alloc.budget, alloc.n_t), sigma)
     _check_mc_samples(n_samples)
     d, summed = _draw_layout(alloc.as_array())
-    ((mean, se),) = stream_moments(
-        _log_rate_of(d), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
+    (((mean, se),),) = stream_moments(
+        _log_rates_of((d,)), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
     )
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
+
+
+def _direct_rates(
+    model: ChannelModel, ds: Sequence[NDArray[np.float64]], summed: bool, n_samples: int, seed: int
+) -> list[RateEstimate]:
+    """secrecy_rate_direct_mc of each allocation in ds, as _draw_layout gives it
+    (checks done by caller). Each chunk is drawn once and serves every allocation."""
+    draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
+    rates_h, rates_g = stream_moments(
+        _log_rates_of(ds), draws, model.n_t, n_samples, seed, _summed=summed
+    )
+    return [
+        RateEstimate(mean=mean_h - mean_g, std_error=math.hypot(se_h, se_g),
+                     n_samples=n_samples, seed=seed)
+        for (mean_h, se_h), (mean_g, se_g) in zip(rates_h, rates_g)
+    ]
+
+
+def _coupled_rates(
+    model: ChannelModel, ds: Sequence[NDArray[np.float64]], summed: bool, n_samples: int, seed: int
+) -> list[RateEstimate]:
+    """secrecy_rate_coupled_mc of each allocation in ds, as _draw_layout gives it
+    (checks done by caller). Each chunk is drawn once and serves every allocation."""
+    a = model.a
+    (moments,) = stream_moments(
+        lambda abs2: (_kernels.coupled_integrand(_kernels.quad_form(abs2, d), a) for d in ds),
+        ((model.sigma_g, STREAM_EAVESDROPPER),), model.n_t, n_samples, seed, _summed=summed,
+    )
+    return [
+        RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
+        for mean, se in moments
+    ]
 
 
 def secrecy_rate_direct_mc(
@@ -183,16 +217,7 @@ def secrecy_rate_direct_mc(
     """
     _check_mc_route(model, alloc, n_samples)
     d, summed = _draw_layout(alloc.as_array())
-    draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
-    (mean_h, se_h), (mean_g, se_g) = stream_moments(
-        _log_rate_of(d), draws, alloc.n_t, n_samples, seed, _summed=summed
-    )
-    return RateEstimate(
-        mean=mean_h - mean_g,
-        std_error=math.hypot(se_h, se_g),
-        n_samples=n_samples,
-        seed=seed,
-    )
+    return _direct_rates(model, (d,), summed, n_samples, seed)[0]
 
 
 def secrecy_rate_coupled_mc(
@@ -209,12 +234,7 @@ def secrecy_rate_coupled_mc(
     """
     _check_mc_route(model, alloc, n_samples)
     d, summed = _draw_layout(alloc.as_array())
-    a = model.a
-    ((mean, se),) = stream_moments(
-        lambda abs2: _kernels.coupled_integrand(_kernels.quad_form(abs2, d), a),
-        ((model.sigma_g, STREAM_EAVESDROPPER),), alloc.n_t, n_samples, seed, _summed=summed,
-    )
-    return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
+    return _coupled_rates(model, (d,), summed, n_samples, seed)[0]
 
 
 def _sum_last(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -334,20 +354,45 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
     rejects a P, n_t and sigmas whose draws or rule nodes could overflow: those
     where _HEADROOM * max(P, n_t) * max(sigma_h^2, sigma_g^2) is not finite.
     """
-    if not (math.isfinite(P) and P >= 0):
-        raise ValueError(f"P must be finite and >= 0, got {P}")
-    if model.sigma_h <= model.sigma_g or P == 0:
-        # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
-        count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
-        return RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
-    _check_headroom(max(P, model.n_t), max(model.sigma_h, model.sigma_g))
-    alloc = PowerAllocation.uniform(model.n_t, P)
-    if method.tag is MethodTag.QUADRATURE:
-        mean, err, _, nodes = _mgf_rate(alloc.as_array(), model.sigma_h**2, model.sigma_g**2)
-        return RateEstimate(float(mean), float(err), n_samples=nodes, seed=method.seed)
-    if method.tag is MethodTag.DIRECT_MC:
-        return secrecy_rate_direct_mc(model, alloc, method.n_samples, method.seed)
-    return secrecy_rate_coupled_mc(model, alloc, method.n_samples, method.seed)
+    return _capacities(model, (P,), method)[0]
+
+
+def _capacities(
+    model: ChannelModel, powers: Sequence[float], method: EvalMethod
+) -> list[RateEstimate]:
+    """secrecy_capacity(model, P, method) for each P in powers, with the same bits.
+
+    The Monte Carlo routes draw each chunk once and evaluate every power on it
+    (common random numbers): each power's values are formed and reduced on
+    their own, so its result does not depend on the other powers. quad makes
+    one single-row _mgf_rate call per power, as a shared rule would move ulps.
+    """
+    for P in powers:
+        if not (math.isfinite(P) and P >= 0):
+            raise ValueError(f"P must be finite and >= 0, got {P}")
+    clamped = model.sigma_h <= model.sigma_g
+    live = [P for P in powers if P > 0 and not clamped]
+    estimates: list[RateEstimate] = []
+    if live:
+        _check_headroom(max(max(live), model.n_t), max(model.sigma_h, model.sigma_g))
+        allocs = [PowerAllocation.uniform(model.n_t, P).as_array() for P in live]
+        if method.tag is MethodTag.QUADRATURE:
+            for d in allocs:
+                mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
+                estimates.append(
+                    RateEstimate(float(mean), float(err), n_samples=nodes, seed=method.seed)
+                )
+        else:
+            layouts = [_draw_layout(d) for d in allocs]
+            # every equal allocation of n_t entries takes the same layout
+            summed = layouts[0][1]
+            rates = _direct_rates if method.tag is MethodTag.DIRECT_MC else _coupled_rates
+            estimates = rates(model, [d for d, _ in layouts], summed, method.n_samples, method.seed)
+    # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
+    count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
+    clamp = RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
+    evaluated = iter(estimates)
+    return [clamp if clamped or P == 0 else next(evaluated) for P in powers]
 
 
 def asymptote_high_snr(model: ChannelModel) -> float:

@@ -1,15 +1,21 @@
 """Parameter sweeps over SNR or antenna count, with deterministic CSV emission.
 
-Both sweeps share one code path. Each grid point gives a model, a total power
-and the matching asymptote, is evaluated with its own derived seed (recorded
-in the output), and becomes one SweepRow, so a row can be reproduced by
-calling secrecy_capacity with the row's parameters and seed. Points run on
-a few point threads, one per usable core at most. For the Monte Carlo
-routes each point's chunks go through channel.stream_moments, which runs
-them on the point's thread and on the one shared chunk pool and merges
-them in chunk order; running points side by side keeps that pool fed
-across point boundaries.
-Rows come back ordered by sweep value no matter which point finishes first.
+Both sweeps share one code path. The grid splits into evaluation groups, each
+one model, the total powers of its points and one seed derived from the
+sweep's seed (recorded in every row it gives). An SNR sweep is one group:
+its model does not change along the grid, so every point is evaluated on the
+same draws at point_seed(seed, 0), the common-random-numbers design, which
+draws each chunk once for the whole grid and makes the differences between
+rows less noisy. An antenna sweep has one group per point i, at
+point_seed(seed, i). A group is one rates._capacities call, the evaluator
+behind secrecy_capacity, and each power in it gets the bits of its own call,
+so a row can be reproduced by calling secrecy_capacity with the row's
+parameters and seed. Groups run on a few point threads, one per usable core
+at most. For the Monte Carlo routes each group's chunks go through
+channel.stream_moments, which runs them on the group's thread and on the one
+shared chunk pool and merges them in chunk order; running groups side by
+side keeps that pool fed across group boundaries.
+Rows come back ordered by sweep value no matter which group finishes first.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
 """
@@ -24,12 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import USABLE_CORES, ChannelModel
-from .rates import (
-    EvalMethod,
-    asymptote_high_snr,
-    asymptote_large_nt,
-    secrecy_capacity,
-)
+from .rates import EvalMethod, _capacities, asymptote_high_snr, asymptote_large_nt
 
 _POINT_TAG = 13
 
@@ -77,6 +78,8 @@ class SweepSpec:
         if self.sweep_kind is SweepKind.ANTENNAS:
             if any(int(v) != v or v < 1 for v in self.grid):
                 raise ValueError(f"antenna grid must hold integers >= 1, got {self.grid}")
+            for n_t in self.grid:  # each point's model must exist, e.g. n_t <= sys.maxsize
+                replace(self.model, n_t=int(n_t))
             if self.power is None:
                 raise ValueError("antenna sweeps need a fixed power")
             if not (math.isfinite(self.power) and self.power >= 0):
@@ -127,39 +130,60 @@ def point_seed(base_seed: int, index: int) -> int:
     )
 
 
+# one evaluation group: its model, its grid values, their powers, and the
+# method carrying the group's seed
+_Group = tuple[ChannelModel, tuple[float, ...], tuple[float, ...], EvalMethod]
+
+
+def _groups(spec: SweepSpec) -> list[_Group]:
+    """The sweep's evaluation groups, in grid order.
+
+    An SNR sweep is one group over every grid point at point_seed(base, 0):
+    its model, and so its draws, stay the same along the grid. An antenna
+    sweep has one group per point i, at point_seed(base, i).
+    """
+    base = spec.method.seed
+    if spec.sweep_kind is SweepKind.SNR:
+        powers = tuple(_db_to_power(snr_db) for snr_db in spec.grid)
+        return [(spec.model, spec.grid, powers, replace(spec.method, seed=point_seed(base, 0)))]
+    return [
+        (replace(spec.model, n_t=int(n_t)), (n_t,), (float(spec.power),),
+         replace(spec.method, seed=point_seed(base, i)))
+        for i, n_t in enumerate(spec.grid)
+    ]
+
+
 def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
-    """One row per grid point, evaluated on point threads; writes the CSV if asked."""
+    """One row per grid point, evaluated a group at a time on point threads;
+    writes the CSV if asked."""
     if spec.sweep_kind is not kind:
         raise ValueError(f"expected a {kind.value!r} sweep, got {spec.sweep_kind.value!r}")
 
-    def eval_point(i: int) -> SweepRow:
-        value = float(spec.grid[i])
-        if kind is SweepKind.SNR:
-            model = spec.model
-            P = _db_to_power(value)
-            limit = asymptote_high_snr(model)
-        else:
-            model = replace(spec.model, n_t=int(value))
-            P = float(spec.power)
-            limit = asymptote_large_nt(model, P)
-        method = replace(spec.method, seed=point_seed(spec.method.seed, i))
-        est = secrecy_capacity(model, P, method)
-        return SweepRow(
-            sweep_kind=kind.value,
-            sweep_value=value,
-            n_t=model.n_t,
-            sigma_h=model.sigma_h,
-            sigma_g=model.sigma_g,
-            P=P,
-            method=method.tag.value,
-            capacity_bits=est.mean,
-            std_error_bits=est.std_error,
-            asymptote_bits=limit,
-            seed=method.seed,
-        )
+    def eval_group(group: _Group) -> list[SweepRow]:
+        model, values, powers, method = group
+        return [
+            SweepRow(
+                sweep_kind=kind.value,
+                sweep_value=float(value),
+                n_t=model.n_t,
+                sigma_h=model.sigma_h,
+                sigma_g=model.sigma_g,
+                P=P,
+                method=method.tag.value,
+                capacity_bits=est.mean,
+                std_error_bits=est.std_error,
+                asymptote_bits=(
+                    asymptote_high_snr(model) if kind is SweepKind.SNR
+                    else asymptote_large_nt(model, P)
+                ),
+                seed=method.seed,
+            )
+            for value, P, est in zip(values, powers, _capacities(model, powers, method))
+        ]
 
-    with ThreadPoolExecutor(max_workers=min(len(spec.grid), USABLE_CORES)) as pool:
-        rows = list(pool.map(eval_point, range(len(spec.grid))))
+    groups = _groups(spec)
+    with ThreadPoolExecutor(max_workers=min(len(groups), USABLE_CORES)) as pool:
+        rows = [row for group_rows in pool.map(eval_group, groups) for row in group_rows]
     if spec.output_path is not None:
         write_csv(spec.output_path, rows)
     return rows

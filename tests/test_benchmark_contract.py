@@ -6,10 +6,13 @@ mean to equal the call's bit for bit. The replay draws per entry, so it
 matches only where the routes do: below rates._GAMMA_MIN_NT antennas (the
 n_t=1 and 4 points of mc_capacity; its n_t=64 calls draw Gamma row sums). It also records active_backend() and
 times gradient passes of OptimizerConfig.grad_samples draws. These tests
-fail when a rename, a removed public name or a change of reduction order
+fail when a rename, a removed name (public, or read off a module, such as
+sweeps.point_seed or a _kernels function) or a change of reduction order
 would break it.
 """
-import re
+import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -57,14 +60,47 @@ def test_grad_replay_and_host_facts_resolve(tracing):
     assert isinstance(misosec.OptimizerConfig.grad_samples, int)
 
 
-def test_every_package_name_the_benchmark_reads_resolves():
+def _package_reads() -> set[tuple[str, str]]:
+    """(module, name) for each name perfbench/ imports from a misosec module,
+    and for each attribute it reads off misosec or a misosec submodule."""
+    reads = set()
+    for path in (Path(__file__).resolve().parent.parent / "perfbench").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the misosec module it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update(
+                    (alias.asname or alias.name, alias.name)
+                    for alias in node.names
+                    if alias.name == "misosec"
+                )
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("misosec"):
+                for alias in node.names:
+                    submodule = f"misosec.{alias.name}"
+                    if node.module == "misosec" and importlib.util.find_spec(submodule):
+                        modules[alias.asname or alias.name] = submodule
+                    else:
+                        reads.add((node.module, alias.name))
+        reads.update(
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        )
+    return reads
+
+
+def test_every_package_name_the_benchmark_reads_resolves(tracing):
     # perfbench/run.py reads some names only inside functions, past any import
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    names = {
-        name
-        for path in perfbench.glob("*.py")
-        for name in re.findall(r"\bmisosec\.(\w+)", path.read_text())
-    }
-    assert "active_backend" in names  # the scan sees run.py's reads
-    missing = sorted(name for name in names if not hasattr(misosec, name))
-    assert not missing, f"perfbench reads misosec.{missing}, which the package lacks"
+    reads = _package_reads()
+    # the scan sees run.py's reads and the module-qualified reads of the workloads
+    assert {("misosec", "active_backend"), ("misosec.sweeps", "point_seed"),
+            ("misosec.channel", "iter_abs2")} <= reads
+    # the replay looks its kernels up by name, from its cost table
+    reads |= {("misosec._kernels", name) for name in tracing._KERNEL_COST}
+    missing = sorted(
+        f"{module}.{name}" for module, name in reads
+        if not hasattr(importlib.import_module(module), name)
+    )
+    assert not missing, f"perfbench reads {missing}, which the package lacks"

@@ -2,7 +2,7 @@
 import pytest
 
 from misosec import OrderCheckReport, Witness
-from misosec.cli import _COMMANDS, main
+from misosec.cli import _COMMANDS, _FILE_KEYS, _FLAGS, main
 from misosec.sweeps import CSV_HEADER
 from misosec.verify import VerifySuiteResult
 
@@ -152,6 +152,22 @@ def test_optimize_power_without_headroom_exit_2(capsys):
 def test_sweep_non_finite_grid_exit_2(capsys, args):
     assert main(args + ["--sigma-h", "1.0", "--sigma-g", "0.5", "--method", "quad"]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep-snr", "--ntx", "2", "--snr-grid", ","], "sweep grid must be nonempty"),
+        (["sweep-nt", "--nt-grid", ",", "--snr-db", "10"], "sweep grid must be nonempty"),
+        (["sweep-snr", "--ntx", "2", "--snr-grid", "0,nan"], "sweep grid values must be finite"),
+        (["sweep-nt", "--nt-grid", "0,2", "--snr-db", "10"], "antenna grid must hold integers"),
+    ],
+    ids=["snr-empty", "nt-empty", "snr-nan", "nt-zero"],
+)
+def test_sweep_grid_errors_are_the_spec_rules(capsys, args, message):
+    # the CLI only splits the grid into numbers; SweepSpec alone judges it
+    assert main(args + ["--sigma-h", "1.0", "--sigma-g", "0.5", "--method", "quad"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_unknown_method_exit_2(capsys):
@@ -341,6 +357,12 @@ FILE_FLAGS = {
 def test_file_flags_cover_every_flag_a_file_may_set():
     for command, (_, _, flags, _) in _COMMANDS.items():
         assert set(FILE_FLAGS[command]) == set(flags.split()) - {"config", "skip_optimizer"}
+
+
+def test_config_help_names_the_flags_a_file_cannot_set():
+    # the help said "any flag", but a file setting one of these exits 2
+    for key in set(_FLAGS) - _FILE_KEYS:
+        assert "--" + key.replace("_", "-") in _FLAGS["config"]["help"]
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,11 @@ FORMS = {
 }
 
 
+def _one(fn):
+    """fn as stream_moments takes it: a chunk's outputs, here just the one."""
+    return lambda abs2: (fn(abs2),)
+
+
 def _serial(fn, sigma, count, seed, stream):
     moments = K.RunningMoments()
     for abs2 in channel.iter_abs2(sigma, 3, count, seed, stream):
@@ -115,7 +120,8 @@ def _assert_bit_identical(got, want):
 @pytest.mark.parametrize("count", COUNTS)
 def test_stream_moments_bit_identical_to_serial_loop(form, count):
     fn = FORMS[form]
-    (got,) = channel.stream_moments(fn, ((0.7, channel.STREAM_EAVESDROPPER),), 3, count, 11)
+    draws = ((0.7, channel.STREAM_EAVESDROPPER),)
+    ((got,),) = channel.stream_moments(_one(fn), draws, 3, count, 11)
     _assert_bit_identical(got, _serial(fn, 0.7, count, 11, channel.STREAM_EAVESDROPPER))
 
 
@@ -124,22 +130,40 @@ def test_stream_moments_reduces_each_draw_in_order(form):
     fn = FORMS[form]
     draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
     count = 2 * CHUNK + 9
-    got = channel.stream_moments(fn, draws, 3, count, 4)
+    got = channel.stream_moments(_one(fn), draws, 3, count, 4)
     assert len(got) == 2
-    for g, (sigma, stream) in zip(got, draws):
+    for (g,), (sigma, stream) in zip(got, draws):
         _assert_bit_identical(g, _serial(fn, sigma, count, 4, stream))
+
+
+def test_stream_moments_reduces_each_output_as_if_alone():
+    # one draw feeding several outputs, of both forms, gives each output the
+    # bits of a call that asks for it alone
+    fns = [
+        FORMS["scalar"],
+        FORMS["per_coordinate"],
+        lambda abs2: K.log_rate(K.quad_form(abs2, 2 * D)),
+    ]
+    draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
+    count = 2 * CHUNK + 9
+    got = channel.stream_moments(lambda abs2: (fn(abs2) for fn in fns), draws, 3, count, 4)
+    assert [len(per_draw) for per_draw in got] == [len(fns)] * len(draws)
+    for per_draw, (sigma, stream) in zip(got, draws):
+        for g, fn in zip(per_draw, fns):
+            _assert_bit_identical(g, _serial(fn, sigma, count, 4, stream))
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
 def test_stream_moments_same_bits_on_one_worker(monkeypatch, form):
     fn = FORMS[form]
     count = 6 * CHUNK + 123
-    pooled = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, count, 2)
+    draws = ((0.7, channel.STREAM_GENERIC),)
+    ((pooled,),) = channel.stream_moments(_one(fn), draws, 3, count, 2)
     with ThreadPoolExecutor(max_workers=1) as one:
         monkeypatch.setattr(channel, "_POOL", one)
-        single = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, count, 2)
-    _assert_bit_identical(single[0], pooled[0])
-    _assert_bit_identical(single[0], _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
+        ((single,),) = channel.stream_moments(_one(fn), draws, 3, count, 2)
+    _assert_bit_identical(single, pooled)
+    _assert_bit_identical(single, _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
 
 
 def test_stream_moments_finishes_while_every_worker_is_busy(monkeypatch):
@@ -151,7 +175,8 @@ def test_stream_moments_finishes_while_every_worker_is_busy(monkeypatch):
         blocker = busy.submit(release.wait, 60)
         monkeypatch.setattr(channel, "_POOL", busy)
         try:
-            (got,) = channel.stream_moments(fn, ((0.7, channel.STREAM_GENERIC),), 3, 3 * CHUNK, 8)
+            draws = ((0.7, channel.STREAM_GENERIC),)
+            ((got,),) = channel.stream_moments(_one(fn), draws, 3, 3 * CHUNK, 8)
             finished_while_blocked = not blocker.done()
         finally:
             release.set()
@@ -164,15 +189,15 @@ def test_stream_moments_raises_the_chunk_error_and_stays_usable():
         raise FloatingPointError("chunk failed")
 
     with pytest.raises(FloatingPointError, match="chunk failed"):
-        channel.stream_moments(boom, ((1.0, channel.STREAM_GENERIC),), 2, 5 * CHUNK, 0)
+        channel.stream_moments(_one(boom), ((1.0, channel.STREAM_GENERIC),), 2, 5 * CHUNK, 0)
     fn = FORMS["scalar"]
-    (got,) = channel.stream_moments(fn, ((1.0, channel.STREAM_GENERIC),), 3, 100, 0)
+    ((got,),) = channel.stream_moments(_one(fn), ((1.0, channel.STREAM_GENERIC),), 3, 100, 0)
     _assert_bit_identical(got, _serial(fn, 1.0, 100, 0, channel.STREAM_GENERIC))
 
 
 def test_stream_moments_rejects_empty_count():
     with pytest.raises(ValueError, match="count"):
-        channel.stream_moments(FORMS["scalar"], ((1.0, channel.STREAM_GENERIC),), 3, 0, 0)
+        channel.stream_moments(_one(FORMS["scalar"]), ((1.0, channel.STREAM_GENERIC),), 3, 0, 0)
 
 
 def _run_python(code):

@@ -16,7 +16,8 @@ from misosec import (
     run_sweep_snr,
     secrecy_capacity,
 )
-from misosec.sweeps import CSV_HEADER, SweepRow, rows_to_csv, write_csv
+from misosec import channel
+from misosec.sweeps import CSV_HEADER, SweepRow, point_seed, rows_to_csv, write_csv
 
 MODEL = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
 
@@ -127,9 +128,73 @@ def test_snr_rows_reproducible_from_recorded_seed(snr_rows):
         assert est.std_error == row.std_error_bits
 
 
-def test_snr_rows_use_distinct_point_seeds(snr_rows):
-    seeds = [row.seed for row in snr_rows]
-    assert len(set(seeds)) == len(seeds)
+def test_snr_rows_share_one_stream(snr_rows):
+    # every point of an SNR sweep is evaluated on the draws of point 0
+    assert [row.seed for row in snr_rows] == [point_seed(1, 0)] * len(snr_rows)
+
+
+def test_antenna_rows_use_distinct_point_seeds():
+    spec = SweepSpec(
+        sweep_kind=SweepKind.ANTENNAS,
+        model=MODEL,
+        grid=(1.0, 2.0, 3.0),
+        method=EvalMethod.coupled_mc(5000, seed=4),
+        power=10.0,
+    )
+    assert [row.seed for row in run_sweep_antennas(spec)] == [point_seed(4, i) for i in range(3)]
+
+
+SNR_GRID = (-10.0, 0.0, 7.5, 20.0, 40.0)
+METHODS = {
+    "coupled": EvalMethod.coupled_mc(40_000, seed=2),
+    "direct": EvalMethod.direct_mc(40_000, seed=2),
+    "quad": EvalMethod.quadrature(),
+}
+
+
+def _same_bits(row, est):
+    return (row.capacity_bits.hex(), row.std_error_bits.hex()) == (
+        est.mean.hex(),
+        est.std_error.hex(),
+    )
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 8])  # 8 draws Gamma row sums
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_snr_rows_match_their_own_call_bit_for_bit(method, n_t):
+    model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.6)
+    spec = snr_spec(model=model, grid=SNR_GRID, method=METHODS[method])
+    rows = run_sweep_snr(spec)
+    for row in rows:
+        est = secrecy_capacity(model, row.P, replace(spec.method, seed=row.seed))
+        assert _same_bits(row, est), row
+
+
+@pytest.mark.parametrize("method", sorted(METHODS))
+def test_clamped_snr_rows_match_their_own_call(method):
+    model = ChannelModel(n_t=2, sigma_h=0.6, sigma_g=1.0)  # sigma_h <= sigma_g clamps to 0
+    spec = snr_spec(model=model, grid=SNR_GRID, method=METHODS[method])
+    for row in run_sweep_snr(spec):
+        est = secrecy_capacity(model, row.P, replace(spec.method, seed=row.seed))
+        assert _same_bits(row, est) and est.mean == 0.0
+
+
+@pytest.mark.parametrize("method", ["coupled", "direct"])
+def test_snr_sweep_draws_each_chunk_once(monkeypatch, method):
+    calls = []
+    draw = channel._draw_abs2
+
+    def counted(*args, **kwargs):
+        calls.append(args)  # list.append is atomic, so pool threads may share it
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_draw_abs2", counted)
+    spec = snr_spec(grid=SNR_GRID, method=METHODS[method])
+    run_sweep_snr(spec)
+    sweep_draws = len(calls)
+    calls.clear()
+    secrecy_capacity(MODEL, 10.0, spec.method)
+    assert sweep_draws == len(calls) > 0
 
 
 def test_equal_scales_sweep_is_all_zero():
