@@ -1,8 +1,10 @@
 """Per-sample kernels behind the Monte Carlo estimators, and the streaming
 reducer arithmetic that averages them (channel.stream_moments schedules it).
 
-The kernels are vectorized numpy, pure and side-effect free. Results are
-exactly reproducible for a given numpy build.
+The kernels are vectorized numpy, pure and side-effect free. The two that
+every Monte Carlo chunk runs, coupled_integrand and log_rate, allocate one
+output array each and work in it in place. Results are exactly reproducible
+for a given numpy build.
 """
 from __future__ import annotations
 
@@ -26,17 +28,39 @@ def quad_form(abs2: FloatArray, d: FloatArray) -> FloatArray:
 
 
 def coupled_integrand(q: FloatArray, a: float) -> FloatArray:
-    """Per-sample secrecy integrand log2(a+q) - log2(a) - log2(1+q).
+    """Per-sample secrecy integrand log2(a+q) - log2(a) - log2(1+q), as one log1p.
 
-    Exactly zero elementwise when a == 1 (both log terms coincide) and when
-    q == 0 (the two a-terms cancel).
+    The three logs agree to within about |1-a| and cancel as a -> 1, so the
+    integrand is formed as the log of the ratio (a+q) / (a(1+q)) instead, with
+    a log1p argument that is never negative:
+
+        a <= 1:  log1p(((1-a)/a) * q/(1+q)) / ln 2,
+        a > 1:  -log1p(((a-1)/a) * q/(1+q/a)) / ln 2.
+
+    No factor overflows or cancels: (1-a)/a < 1/a, (a-1)/a <= 1, q/(1+q) < 1
+    and q/(1+q/a) < a. The first form alone would serve every a, but for a > 1
+    its argument is negative, and once a >= 2^53 (1-a)/a rounds to -1, so
+    log1p would meet -1. The result is within a few ulps of the exact
+    integrand and exactly zero elementwise when a == 1 or q == 0.
     """
-    return np.log2(a + q) - np.log2(a) - np.log2(1.0 + q)
+    if a <= 1.0:
+        scale, sign = (1.0 - a) / a, 1.0
+        out = np.add(q, 1.0)
+    else:
+        scale, sign = (a - 1.0) / a, -1.0
+        out = np.divide(q, a)
+        out += 1.0
+    np.divide(q, out, out=out)
+    out *= scale
+    np.log1p(out, out=out)
+    out *= sign / _LN2
+    return out
 
 
 def log_rate(q: FloatArray) -> FloatArray:
-    """Per-sample rate term log2(1 + q)."""
-    return np.log2(1.0 + q)
+    """Per-sample rate term log2(1 + q), formed in one output array."""
+    out = np.add(q, 1.0)
+    return np.log2(out, out=out)
 
 
 def lemma_difference(abs2: FloatArray, d1: FloatArray, d2: FloatArray, a: float) -> FloatArray:

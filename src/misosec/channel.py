@@ -12,9 +12,10 @@ run in parallel. Types are immutable after construction and safe to share
 across threads.
 
 The Monte Carlo estimators only need |g_k|^2, so they draw it directly: one
-standard_exponential((rows, n_t)) block per (seed, stream, chunk), scaled by
-sigma^2. A route that only needs the per-row sum sum_k |g_k|^2 (an equal
-allocation, see rates) may ask for the summed layout instead: one
+random((rows, n_t)) block of uniforms U per (seed, stream, chunk), mapped in
+place to the Exponential(sigma^2) draws -sigma^2 log(1 - U) by inversion. A
+route that only needs the per-row sum sum_k |g_k|^2 (an equal allocation,
+see rates) may ask for the summed layout instead: one
 standard_gamma(n_t, (rows, 1)) block per (seed, stream, chunk), scaled by
 sigma^2, since the sum of n_t Exponential(1) draws is Gamma(n_t, 1). It
 draws from the same generators and chunk layout, but it is a different
@@ -191,12 +192,22 @@ def _draw_abs2(
 ) -> NDArray[np.float64]:
     """Chunk index of a stream: |g_ik|^2 as Exponential(1) draws scaled by sigma^2.
 
+    Each draw is -log(1 - U) for one uniform U of rng.random (inversion; Devroye,
+    Non-Uniform Random Variate Generation, 1986, II.2), formed in place in the
+    uniforms' array. U is a multiple of 2^-53 in [0, 1), so 1 - U is exact and
+    every draw lies in [0, 53 ln 2], within [0, 36.8], before the scaling.
     summed draws each row's sum over the n_t entries instead, as one Gamma(n_t, 1)
     draw scaled by sigma^2: a (rows, 1) chunk whatever n_t is.
     """
     rng = _chunk_rng(seed, stream, index)
-    abs2 = rng.standard_gamma(n_t, (rows, 1)) if summed else rng.standard_exponential((rows, n_t))
-    abs2 *= sigma * sigma
+    if summed:
+        abs2 = rng.standard_gamma(n_t, (rows, 1))
+        abs2 *= sigma * sigma
+        return abs2
+    abs2 = rng.random((rows, n_t))
+    np.subtract(1.0, abs2, out=abs2)
+    np.log(abs2, out=abs2)
+    abs2 *= -(sigma * sigma)
     return abs2
 
 
@@ -206,9 +217,10 @@ def iter_abs2(
     """Yield chunks of squared entry magnitudes |g_ik|^2, CHUNK rows at a time.
 
     |g_ik|^2 of a CN(0, sigma^2) entry is Exponential with mean sigma^2, so
-    each chunk is one standard_exponential((rows, n_t)) block from the
-    (seed, stream, chunk) generator, scaled by sigma^2. The values agree with
-    squared complex Gaussian entries in distribution, not draw for draw.
+    each chunk is one random((rows, n_t)) block of uniforms from the
+    (seed, stream, chunk) generator, mapped to -sigma^2 log(1 - U) (see
+    _draw_abs2). The values agree with squared complex Gaussian entries in
+    distribution, not draw for draw.
     Streaming avoids materializing count x n_t matrices for large Monte Carlo
     runs.
     """

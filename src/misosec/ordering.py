@@ -119,7 +119,7 @@ def _majorization_margin(x: NDArray, y: NDArray) -> NDArray[np.float64]:
 def _check_scale(sigma: float, s: float, d: NDArray) -> None:
     """Reject an s that is not finite and positive, and a sigma and s without the
     headroom of rates at scale s * max(sum(d), 1): a probe forms s sigma^2 d_k; the
-    lemma (s = 1) weights by d Exponential(1) draws below 45, scaled by sigma^2."""
+    lemma (s = 1) weights by d Exponential(1) draws below 36.8, scaled by sigma^2."""
     if not (math.isfinite(s) and s > 0):
         raise ValueError(f"s must be finite and positive, got {s}")
     _check_headroom(s * max(float(np.sum(d)), 1.0), sigma)
@@ -172,7 +172,8 @@ def cm_derivative(a: float, x: float, n: int) -> float:
 
     psi^(n)(x) = (-1)^n n! [ (a+x)^-(n+1) - (1+x)^-(n+1) ], so
     (-1)^n psi^(n)(x) >= 0 for 0 <= a < 1: psi is completely monotone.
-    One point of _cm_derivatives.
+    One point of _cm_derivatives. Rejects an x so small that the value, at
+    most n! (a+x)^-(n+1) in size, overflows float64.
     """
     if not 0 <= a < 1:
         raise ValueError(f"a must lie in [0, 1), got {a}")
@@ -182,7 +183,14 @@ def cm_derivative(a: float, x: float, n: int) -> float:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if n > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"n must be <= {MAX_DERIVATIVE_ORDER} (n! must stay exact), got {n}")
-    return float(_cm_derivatives(a, x, int(n)))
+    # the recurrence's terms grow only while a + x < 1, and then no faster
+    # than the result, so a step overflows only if the result does (or the
+    # one step past it, which nothing reads)
+    with np.errstate(over="ignore"):
+        value = float(_cm_derivatives(a, x, int(n)))
+    if not math.isfinite(value):
+        raise ValueError(f"x={x} is too small: n! (a+x)^-(n+1) overflows float64 at a={a}, n={n}")
+    return value
 
 
 def _cm_derivatives(a: ArrayLike, x: ArrayLike, n: ArrayLike) -> NDArray[np.float64]:

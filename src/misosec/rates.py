@@ -5,8 +5,10 @@ All rates are in bits per channel use. The three evaluation routes:
 * direct Monte Carlo: independent h and g streams, difference of the two
   ergodic log rates;
 * coupled Monte Carlo: one shared g stream evaluating
-  log2(a+q) - log2(a) - log2(1+q) per sample, q = g^H D g. Unbiased for the
-  same quantity with strictly smaller per-sample variance (common draws);
+  log2(a+q) - log2(a) - log2(1+q) per sample, q = g^H D g, as one log1p that
+  keeps its relative accuracy for a near 1 (_kernels.coupled_integrand).
+  Unbiased for the same quantity with strictly smaller per-sample variance
+  (common draws);
 * quadrature: Hamdi's MGF integral (K. A. Hamdi, IEEE Trans. Commun. 58(2),
   2010) for any allocation d,
 
@@ -24,9 +26,10 @@ The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
 q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
 sigma^2. So from _GAMMA_MIN_NT antennas on, an equal allocation draws each row
 as that one variate (channel's summed layout) and weights it by d[:1]; every
-other allocation draws the n_t per-entry exponentials and forms q by
-quad_form. _draw_layout makes that choice. Each route reports a std_error,
-so it needs at least two samples.
+other allocation draws the n_t per-entry exponentials (by inversion of
+uniforms, see channel._draw_abs2) and forms q by quad_form. _draw_layout
+makes that choice. Each route reports a std_error, so it needs at least two
+samples.
 
 The capacity is clamped to exactly 0 whenever sigma_h <= sigma_g.
 """
@@ -78,9 +81,9 @@ _MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 14.0
 _MGF_TAIL_AT = 1.0 / (np.exp([_MGF_STEP, 2 * _MGF_STEP]) + 1.0)
 _MGF_TAIL_WEIGHT = (_MGF_STEP / math.tanh(_MGF_STEP / 2), 2 * _MGF_STEP / math.tanh(_MGF_STEP))
 # Bound on the factor the routes put on max(P, n_t) * sigma^2 before a log.
-# An Exponential(1) draw stays below 45 (numpy's ziggurat tail, 7.7 - ln 2^-53)
-# and a quadratic form's weights sum to P. A summed draw has Gamma(n)/n below
-# 31 for n >= _GAMMA_MIN_NT: numpy's Marsaglia-Tsang step returns
+# An Exponential(1) draw -log(1 - U) of a 53-bit uniform U stays at or below
+# 53 ln 2 < 36.8, and a quadratic form's weights sum to P. A summed draw has
+# Gamma(n)/n below 31 for n >= _GAMMA_MIN_NT: numpy's Marsaglia-Tsang step returns
 # b (1 + X / (3 sqrt b))^3, b = n - 1/3, for a standard normal X that its
 # ziggurat keeps below 13.8 (3.65 - 0.274 ln 2^-53). So the row sum
 # sigma^2 Gamma(n_t) stays below 31 n_t sigma^2 until the weight P/n_t takes it
@@ -90,9 +93,10 @@ _HEADROOM = 1e3
 # Smallest n_t at which an equal allocation draws each row as one Gamma(n_t)
 # variate. standard_gamma (Marsaglia & Tsang, ACM TOMS 26(3), 2000) costs about
 # the same per row whatever n_t is; n_t exponentials plus the quad_form gemv
-# grow with n_t. Per CHUNK rows on a 2-core host: 0.8-1.3 ms for the variate,
-# against 0.5-0.8 ms at n_t=2, a tie at 3-4 and 1.2-2.0 ms at n_t=5 per entry.
-# A measured crossover, not a setting.
+# grow with n_t. Per CHUNK rows on a 2-core host (lower quartile/median of 80
+# interleaved chunks, draw plus quad_form, in three runs): 0.71-0.75 ms for the
+# variate, against 0.58-0.61 ms at n_t=4 per entry, 0.74-0.79 ms at 5 (a tie)
+# and 0.88-0.92 ms at 6. A measured crossover, not a setting.
 _GAMMA_MIN_NT = 5
 
 

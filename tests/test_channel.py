@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from complex_reference import quadratic_form, random_unitary, sample_channel
 from misosec import ChannelModel, PowerAllocation, RateEstimate
@@ -55,6 +55,35 @@ def test_sample_channel_spans_chunks():
     d = alloc.as_array()
     _, p_form = ks_2samp(fast @ d, quadratic_form(gains, d))
     assert p_form > 1e-3
+
+
+@pytest.mark.parametrize("n_t", [1, 4])
+def test_entry_draws_are_exponential_across_a_chunk_boundary(n_t):
+    # chunk 0's last rows and chunk 1's first, against Exponential(sigma^2)
+    sigma = 0.7
+    rows = [_draw_abs2(sigma, n_t, CHUNK, 9, STREAM_EAVESDROPPER, 0)[-10_000:],
+            _draw_abs2(sigma, n_t, 10_000, 9, STREAM_EAVESDROPPER, 1)]
+    drawn = np.concatenate(rows).ravel()
+    assert kstest(drawn, "expon", args=(0.0, sigma * sigma)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.3, 1e100])
+def test_entry_draws_stay_within_the_inversion_bound(sigma):
+    # -log(1 - U) of a 53-bit uniform U lies in [0, 53 ln 2], below the headroom rule's 36.8
+    drawn = np.concatenate(list(iter_abs2(sigma, 4, 3 * CHUNK, 2, STREAM_LEGITIMATE)))
+    assert np.all(drawn >= 0.0)
+    assert np.all(drawn <= 53 * math.log(2.0) * (1 + 1e-15) * sigma * sigma)
+    assert 53 * math.log(2.0) < 36.8
+
+
+@pytest.mark.parametrize("n_t", [1, 4])
+def test_iter_abs2_yields_the_draw_chunks(n_t):
+    count = 2 * CHUNK + 5
+    streamed = list(iter_abs2(0.5, n_t, count, 3, STREAM_EAVESDROPPER))
+    assert [chunk.shape for chunk in streamed] == [(CHUNK, n_t), (CHUNK, n_t), (5, n_t)]
+    for index, chunk in enumerate(streamed):
+        drawn = _draw_abs2(0.5, n_t, chunk.shape[0], 3, STREAM_EAVESDROPPER, index)
+        assert np.array_equal(chunk, drawn)
 
 
 @pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])

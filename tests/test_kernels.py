@@ -39,6 +39,30 @@ def test_coupled_integrand_vanishes_at_equal_scales(sample_inputs):
     assert np.all(K.coupled_integrand(q, 1.0) == 0.0)
 
 
+@pytest.mark.parametrize("a", [1e-9, 0.25, 0.999, 1 - 1e-9, 1.0, 1 + 1e-9, 4.0, 1e20, 1e300])
+def test_coupled_integrand_matches_mpmath(a):
+    # the three-log form lost 0.11 relative at a = 0.999 and 1.1e5 at 1 - 1e-9;
+    # a form with (1-a)/a, which rounds to -1 for a >= 2^53, fails at a = 1e300
+    mpmath = pytest.importorskip("mpmath")
+    q = np.concatenate(([0.0], np.logspace(-12, 300, 313)))
+    value = K.coupled_integrand(q, a)
+    assert value[0] == 0.0
+    with mpmath.workdps(50):
+        am = mpmath.mpf(a)
+        for qk, vk in zip(q[1:].tolist(), value[1:].tolist()):
+            qm = mpmath.mpf(qk)
+            exact = (mpmath.log(am + qm) - mpmath.log(am) - mpmath.log(1 + qm)) / mpmath.log(2)
+            if a == 1.0:
+                assert vk == 0.0
+            else:
+                assert abs(vk - exact) <= 1e-14 * abs(exact), (qk, vk, exact)
+
+
+def test_log_rate_keeps_the_bits_of_the_plain_form(sample_inputs):
+    _, _, q = sample_inputs
+    assert np.array_equal(K.log_rate(q), np.log2(1.0 + q))
+
+
 @pytest.mark.parametrize("a", [0.01, 0.25, 0.81])
 def test_grad_weights_positive_below_unit_ratio(sample_inputs, a):
     _, _, q = sample_inputs

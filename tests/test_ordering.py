@@ -203,6 +203,19 @@ def test_cm_derivative_rejects_bad_inputs(a, x, n):
         cm_derivative(a, x, n)
 
 
+@pytest.mark.parametrize("x, n", [(1e-20, 20), (1e-300, 1)])
+def test_cm_derivative_rejects_an_x_whose_value_overflows(x, n):
+    # n! x^-(n+1) is past float64's range; these returned inf after an overflow warning
+    with pytest.raises(ValueError, match=f"x={x}"):
+        cm_derivative(0.0, x, n)
+
+
+def test_cm_derivative_keeps_a_value_near_the_top_of_the_range():
+    # 1! (1e-150)^-2 = 1e300 is representable, though the step past it is not
+    assert cm_derivative(0.0, 1e-150, 1) == pytest.approx(-1e300, rel=1e-15)
+    assert cm_derivative(0.0, 1e-300, 0) == pytest.approx(1e300, rel=1e-15)
+
+
 # --- random pair generator ---------------------------------------------------
 
 

@@ -391,6 +391,23 @@ def test_quadrature_agrees_with_mc():
     assert abs(exact.mean - mc.mean) < 3 * mc.std_error
 
 
+@pytest.mark.parametrize("n_t", [1, 4, 64])
+@pytest.mark.parametrize("method", [EvalMethod.coupled_mc, EvalMethod.direct_mc])
+def test_error_bars_are_calibrated_against_quadrature(method, n_t):
+    # over 200 seeds, z = (mean - quad) / std_error should look standard normal:
+    # an error bar too small or too large shows as a spread away from 1
+    for ratio in (0.5, 0.9):
+        model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=ratio)
+        exact = secrecy_capacity(model, 10.0, EvalMethod.quadrature()).mean
+        z = np.array([
+            (est.mean - exact) / est.std_error
+            for est in (secrecy_capacity(model, 10.0, method(2000, seed)) for seed in range(200))
+        ])
+        assert 0.85 <= np.std(z, ddof=1) <= 1.15, (ratio, np.std(z, ddof=1))
+        assert abs(np.mean(z)) < 0.25, (ratio, np.mean(z))
+        assert np.max(np.abs(z)) < 5.0, (ratio, np.max(np.abs(z)))
+
+
 def test_std_error_scales_as_inverse_sqrt_n():
     model = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
     alloc = PowerAllocation.uniform(2, 10.0)
