@@ -3,7 +3,8 @@ reducer arithmetic that averages them (channel.stream_moments schedules it).
 
 The kernels are vectorized numpy, pure and side-effect free. The two that
 every Monte Carlo chunk runs, coupled_integrand and log_rate, allocate one
-output array each and work in it in place. Results are exactly reproducible
+output array each and work in it in place; lemma_difference works in its
+two quadratic forms' buffers and one more. Results are exactly reproducible
 for a given numpy build.
 """
 from __future__ import annotations
@@ -74,7 +75,17 @@ def lemma_difference(abs2: FloatArray, d1: FloatArray, d2: FloatArray, a: float)
     """
     q1 = quad_form(abs2, d1)
     dq = quad_form(abs2, d2 - d1)
-    return np.log1p((1.0 - a) * dq / ((1.0 + q1 + dq) * (a + q1))) / _LN2
+    # the expression's own order, in place: den = (1 + q1 + dq) * (a + q1),
+    # then (1-a) dq / den, log1p and / ln 2 in dq's buffer
+    den = np.add(q1, 1.0)
+    den += dq
+    q1 += a
+    den *= q1
+    dq *= 1.0 - a
+    np.divide(dq, den, out=dq)
+    np.log1p(dq, out=dq)
+    dq /= _LN2
+    return dq
 
 
 def grad_weights(q: FloatArray, a: float) -> FloatArray:

@@ -11,10 +11,16 @@ inequality for the secrecy integrand.
 Each public probe checks one point. The verify suite runs the same closed
 forms on whole arrays through the private batched forms: _lt_gaps_grid
 (lt_order_gap over a grid of s and a batch of pairs), _cm_derivatives
-(cm_derivative over a grid of a, x and n) and _random_majorization_pairs
-(a batch of random_majorization_pair draws). The probes take 1-D allocations of
-finite, nonnegative entries (majorizes takes any finite vectors), pairs of one
-length and sum, and a sigma and s with the headroom of rates._check_headroom.
+(cm_derivative over a grid of a, x and n), _random_majorization_pairs
+(a batch of random_majorization_pair draws) and _lemma_margins (the
+expectation lemma at several a on one stream of draws). The probes take 1-D
+allocations of finite, nonnegative entries (majorizes takes any finite
+vectors), pairs of one length and sum, and a sigma and s with the headroom of
+rates._check_headroom.
+
+An OrderCheckReport holds its margins as one array and labels a point only
+when it is read, so the suite's reports of up to 1100 points cost no more
+than their arrays until a caller asks for their witnesses.
 
 All operations are pure, stateless and safe for concurrent use.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -47,33 +53,77 @@ class Witness:
     margin: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class OrderCheckReport:
-    """Outcome of an ordering probe: the grid it ran on and one witness per point.
+    """Outcome of an ordering probe: the grid it ran on and one margin per point.
 
-    min_margin is the most-violating witness margin; the claim holds when
-    min_margin >= -1e-12 (floating-point slack only).
+    The margins are held as one read-only 1-D float64 array, and point i is
+    labelled on demand, so a report of thousands of points builds no Witness
+    until witnesses or worst is read. OrderCheckReport(grid, witnesses) builds
+    one from Witness objects; the verify suite builds its reports straight
+    from its margin arrays.
+
+    worst is the first witness of least margin, and a NaN margin anywhere is
+    the worst; min_margin is its margin. The claim holds when
+    min_margin >= -1e-12 (floating-point slack only), so never on a NaN.
     """
 
     grid: str
-    witnesses: tuple[Witness, ...]
+    _margins: NDArray[np.float64]
+    _label: Callable[[int], str]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "witnesses", tuple(self.witnesses))
-        if not self.witnesses:
+    def __init__(self, grid: str, witnesses: Iterable[Witness]) -> None:
+        ws = tuple(witnesses)
+        self._set(grid, [w.margin for w in ws], tuple(w.point for w in ws).__getitem__)
+
+    @classmethod
+    def _of_margins(
+        cls, grid: str, margins: ArrayLike, label: Callable[[int], str]
+    ) -> OrderCheckReport:
+        """A report of the margins, flattened in C order, with label(i) naming point i."""
+        report = cls.__new__(cls)
+        report._set(grid, margins, label)
+        return report
+
+    def _set(self, grid: str, margins: ArrayLike, label: Callable[[int], str]) -> None:
+        m = np.array(margins, dtype=np.float64).reshape(-1)
+        if not m.size:
             raise ValueError("report requires at least one witness")
+        m.flags.writeable = False
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "_margins", m)
+        object.__setattr__(self, "_label", label)
+
+    def _witness(self, i: int) -> Witness:
+        return Witness(point=self._label(i), margin=float(self._margins[i]))
+
+    @property
+    def witnesses(self) -> tuple[Witness, ...]:
+        return tuple(self._witness(i) for i in range(self._margins.size))
 
     @property
     def worst(self) -> Witness:
-        return min(self.witnesses, key=lambda w: w.margin)
+        # argmin returns the first minimum, or the first NaN if there is one
+        return self._witness(int(np.argmin(self._margins)))
 
     @property
     def min_margin(self) -> float:
-        return self.worst.margin
+        return float(self._margins[np.argmin(self._margins)])
 
     @property
     def holds(self) -> bool:
         return self.min_margin >= -_MARGIN_SLACK
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderCheckReport):
+            return NotImplemented
+        return (self.grid, self.witnesses) == (other.grid, other.witnesses)
+
+    def __hash__(self) -> int:
+        return hash((self.grid, self.witnesses))
+
+    def __repr__(self) -> str:
+        return f"OrderCheckReport(grid={self.grid!r}, witnesses={self.witnesses!r})"
 
 
 def _allocation(d: Sequence[float]) -> NDArray[np.float64]:
@@ -184,8 +234,8 @@ def cm_derivative(a: float, x: float, n: int) -> float:
     if n > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"n must be <= {MAX_DERIVATIVE_ORDER} (n! must stay exact), got {n}")
     # the recurrence's terms grow only while a + x < 1, and then no faster
-    # than the result, so a step overflows only if the result does (or the
-    # one step past it, which nothing reads)
+    # than the result, so a step overflows only if the result does; that
+    # overflow becomes the ValueError below rather than a RuntimeWarning
     with np.errstate(over="ignore"):
         value = float(_cm_derivatives(a, x, int(n)))
     if not math.isfinite(value):
@@ -210,9 +260,10 @@ def _cm_derivatives(a: ArrayLike, x: ArrayLike, n: ArrayLike) -> NDArray[np.floa
     d = term  # D_{m+1}
     out = np.zeros(np.broadcast_shapes(d.shape, n.shape))
     for m in range(int(np.max(n)) + 1):
+        if m:
+            term = term * v
+            d = u * d + term
         out = np.where(n == m, d, out)
-        term = term * v
-        d = u * d + term
     return np.where(n % 2, -1.0, 1.0) * _FACTORIALS[n] * out
 
 
@@ -265,27 +316,45 @@ def verify_lemma_LT_implies_expectation(
     mean + 3 se of the per-sample difference f(q2) - f(q1) is tight; it is
     exactly 0 (with zero std error) when d1 == d2. Each difference is one
     log1p (_kernels.lemma_difference). Rejects a sigma whose draws could
-    overflow, by the headroom rule of rates.
+    overflow, by the headroom rule of rates. A batch of one of _lemma_margins.
     """
-    dv1 = _allocation(d1)
-    dv2 = _allocation(d2)
-    if not 0 <= a < 1:
-        raise ValueError(f"a must lie in [0, 1), got {a}")
-    _check_scale(sigma, 1.0, dv1)
-    _check_mc_samples(n_samples)
-    if not majorizes(dv1, dv2):
-        raise ValueError("precondition failed: d2 must be majorized by d1")
-
-    (((mean, se),),) = stream_moments(
-        lambda abs2: (_kernels.lemma_difference(abs2, dv1, dv2, a),),
-        ((sigma, STREAM_GENERIC),), dv1.shape[0], n_samples, seed,
-    )
-    margin = mean + 3.0 * se
+    ((margin, mean, se),) = _lemma_margins(d1, d2, sigma, (a,), n_samples, seed)
     witness = Witness(
-        point=f"d1={list(dv1)}, d2={list(dv2)}, mean={mean}, se={se}",
+        point=f"d1={list(_allocation(d1))}, d2={list(_allocation(d2))}, mean={mean}, se={se}",
         margin=margin,
     )
     return OrderCheckReport(
         grid=f"n_samples={n_samples}, sigma={sigma}, a={a}, seed={seed}",
         witnesses=(witness,),
     )
+
+
+def _lemma_margins(
+    d1: Sequence[float],
+    d2: Sequence[float],
+    sigma: float,
+    a_values: Sequence[float],
+    n_samples: int,
+    seed: int,
+) -> list[tuple[float, float, float]]:
+    """(margin, mean, se) of verify_lemma_LT_implies_expectation for each a in
+    a_values, all on one stream of draws.
+
+    Each chunk is drawn once and yields one lemma_difference output per a,
+    reduced on its own, so each a's result has the bits of a batch of one.
+    """
+    dv1 = _allocation(d1)
+    dv2 = _allocation(d2)
+    for a in a_values:
+        if not 0 <= a < 1:
+            raise ValueError(f"a must lie in [0, 1), got {a}")
+    _check_scale(sigma, 1.0, dv1)
+    _check_mc_samples(n_samples)
+    if not majorizes(dv1, dv2):
+        raise ValueError("precondition failed: d2 must be majorized by d1")
+
+    (moments,) = stream_moments(
+        lambda abs2: (_kernels.lemma_difference(abs2, dv1, dv2, a) for a in a_values),
+        ((sigma, STREAM_GENERIC),), dv1.shape[0], n_samples, seed,
+    )
+    return [(mean + 3.0 * se, mean, se) for mean, se in moments]

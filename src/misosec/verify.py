@@ -8,12 +8,14 @@ one optimizer run that must land on the uniform allocation. Margins use the
 convention "claim holds iff margin >= -1e-12"; Monte Carlo probes fold their
 noise in as mean + 3 * std_error.
 
-Every probe is array work. The pairs of one dimension are drawn by one
-Dirichlet and one uniform call, and each pair probe evaluates them in one
-call per dimension (and per sigma or ratio); the rate probe asks the MGF
-evaluator for rates only, without the gradient. The complete-monotonicity
-grid is one array evaluation of the closed form, and each lemma case costs
-one log per draw.
+Every probe is array work, through to its report. The pairs of one
+dimension are drawn by one Dirichlet and one uniform call, and each pair
+probe evaluates them in one call per dimension (and per sigma or ratio); the
+rate probe asks the MGF evaluator for rates only, without the gradient. The
+complete-monotonicity grid is one array evaluation of the closed form. Each
+lemma case costs one log per draw, and the two canonical cases, one pair at
+two a, share one stream of draws. Each report holds its probe's margins as
+one array and labels a point only when it is read (the CLI reads the worst).
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
@@ -28,12 +30,11 @@ from .channel import ChannelModel
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
-    Witness,
     _cm_derivatives,
+    _lemma_margins,
     _lt_gaps_grid,
     _majorization_margin,
     _random_majorization_pairs,
-    verify_lemma_LT_implies_expectation,
 )
 from .rates import _mgf_rate
 
@@ -44,12 +45,18 @@ _PAIR_TOTAL = 4.0
 # LT probe's s grid size, and draws per expectation-lemma case
 _S_POINTS = 50
 _LEMMA_SAMPLES = 200_000
-# complete-monotonicity grid: log-spaced x in [1e-3, 1e3], orders 0.._CM_ORDERS
+# the lemma's a: two on the canonical spike-vs-flat pair, one on a random pair
+_LEMMA_CANONICAL_A = (0.25, 0.0)
+_LEMMA_RANDOM_A = 0.5
+# complete-monotonicity grid: a values, log-spaced x in [1e-3, 1e3], orders 0.._CM_ORDERS
+_CM_A_GRID = (0.0, 0.1, 0.5, 0.9)
 _CM_X_POINTS = 25
 _CM_ORDERS = 10
 
 # both entry-variance conventions are probed; ordering is invariant to the constant
 _LT_SIGMAS = (1.0, np.sqrt(2.0))
+# sigma_g/sigma_h ratios of the secrecy-rate Schur probe (sigma_h = 1)
+_RATE_RATIOS = (0.5, 0.9)
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,6 @@ class VerifySuiteResult:
         return self.exit_code == 0
 
 
-def _in_order(witnesses: dict) -> list[Witness]:
-    return [witnesses[key] for key in sorted(witnesses)]
-
-
 def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuiteResult:
     """Run every ordering probe and (optionally) the optimizer check.
 
@@ -85,95 +88,91 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     probes, the LT probe runs on _S_POINTS log-spaced s and each lemma case
     on _LEMMA_SAMPLES draws. The seed's generator draws the pair dimensions,
     then each dimension's pairs in one batch (in _PAIR_DIMS order), then the
-    Schur probe's s values. The optimizer runs OptimizerConfig(seed=seed)
-    on the reference problem.
+    Schur probe's s values. The lemma's canonical cases #0 and #1 (one pair,
+    two a) share the draws of seed + 0, and case #2 draws at seed + 2. The
+    optimizer runs OptimizerConfig(seed=seed) on the reference problem.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
     # pair i has dimension dims[i]; the pairs of one dimension are drawn
     # together, in index order, one Dirichlet and one uniform call per dimension
     dims = rng.choice(_PAIR_DIMS, size=_PAIRS)
-    pairs: dict[int, tuple[list[int], np.ndarray, np.ndarray]] = {}
+    pairs: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for n in _PAIR_DIMS:
         rows = np.flatnonzero(dims == n)
-        pairs[n] = (rows.tolist(), *_random_majorization_pairs(n, _PAIR_TOTAL, rng, rows.size))
+        pairs[n] = (rows, *_random_majorization_pairs(n, _PAIR_TOTAL, rng, rows.size))
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
-    s_grid_text = [f"{s:.6g}" for s in s_grid.tolist()]
 
     # each pair probe makes one array call per pair dimension (and per sigma
-    # or ratio); its witnesses are keyed by (pair, sigma or ratio) and
-    # reported in that order
-    maj_w: dict[int, Witness] = {}
-    lt_w: dict[tuple[int, int], Witness] = {}
-    schur_w: dict[int, Witness] = {}
-    rate_w: dict[tuple[int, int], Witness] = {}
+    # or ratio) and writes its margins at the pairs' rows, so every report
+    # lists its points by pair, then by sigma or ratio
+    maj = np.empty(_PAIRS)
+    lt = np.empty((_PAIRS, len(_LT_SIGMAS)))
+    lt_at = np.empty((_PAIRS, len(_LT_SIGMAS)), dtype=np.intp)  # index of the worst s
+    schur = np.empty(_PAIRS)
+    rate = np.empty((_PAIRS, len(_RATE_RATIOS)))
     for rows, d_star, d in pairs.values():
         # majorization: every generated pair must satisfy d_star majorized by d,
         # with the margin being the worst prefix-sum gap
-        for i, margin in zip(rows, _majorization_margin(d, d_star).tolist()):
-            maj_w[i] = Witness(point=f"pair#{i} n={d.shape[1]}", margin=margin)
+        maj[rows] = _majorization_margin(d, d_star)
         # LT order across the whole s grid, both variance conventions
         for m, sigma in enumerate(_LT_SIGMAS):
             gaps = _lt_gaps_grid(d_star, d, float(sigma), s_grid)
-            worst = np.argmin(gaps, axis=-1).tolist()
-            where = f"sigma^2={float(sigma) ** 2:g} s="
-            for i, j, margin in zip(rows, worst, np.min(gaps, axis=-1).tolist()):
-                lt_w[i, m] = Witness(point=f"pair#{i} {where}{s_grid_text[j]}", margin=margin)
+            lt_at[rows, m] = np.argmin(gaps, axis=-1)
+            lt[rows, m] = np.min(gaps, axis=-1)
         # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
-        gaps = _lt_gaps_grid(d_star, d, 1.0, s_draws[rows, None])[:, 0]
-        for i, s, margin in zip(rows, s_draws[rows].tolist(), gaps.tolist()):
-            schur_w[i] = Witness(point=f"pair#{i} s={s:.6g}", margin=margin)
+        schur[rows] = _lt_gaps_grid(d_star, d, 1.0, s_draws[rows, None])[:, 0]
         # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
-        for m, r in enumerate((0.5, 0.9)):
-            gaps = _mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0]
-            for i, margin in zip(rows, gaps.tolist()):
-                rate_w[i, m] = Witness(point=f"pair#{i} sigma_g/sigma_h={r}", margin=margin)
+        for m, r in enumerate(_RATE_RATIOS):
+            rate[rows, m] = _mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0]
+
+    def lt_point(k: int) -> str:
+        i, m = divmod(k, len(_LT_SIGMAS))
+        s = float(s_grid[lt_at[i, m]])
+        return f"pair#{i} sigma^2={float(_LT_SIGMAS[m]) ** 2:g} s={s:.6g}"
 
     checks: list[tuple[str, OrderCheckReport]] = []
     grid = f"{_PAIRS} random pairs, dims {_PAIR_DIMS}, total {_PAIR_TOTAL}"
-    checks.append(("majorization", OrderCheckReport(grid, _in_order(maj_w))))
+    checks.append(("majorization", OrderCheckReport._of_margins(
+        grid, maj, lambda i: f"pair#{i} n={dims[i]}")))
     grid = f"{_PAIRS} pairs x {_S_POINTS} log-spaced s in (1e-3, 1e3], sigma^2 in {{1, 2}}"
-    checks.append(("lt_order", OrderCheckReport(grid, _in_order(lt_w))))
+    checks.append(("lt_order", OrderCheckReport._of_margins(grid, lt, lt_point)))
     grid = f"{_PAIRS} pairs, one random s each, sigma^2=1"
-    checks.append(("schur_concave", OrderCheckReport(grid, _in_order(schur_w))))
+    checks.append(("schur_concave", OrderCheckReport._of_margins(
+        grid, schur, lambda i: f"pair#{i} s={float(s_draws[i]):.6g}")))
 
     # complete monotonicity sign pattern on the (a, x, n) grid, in one array call
-    a_grid = (0.0, 0.1, 0.5, 0.9)
     x_grid = np.logspace(-3.0, 3.0, _CM_X_POINTS)
-    x_grid_text = [f"{x:.6g}" for x in x_grid.tolist()]
     orders = np.arange(_CM_ORDERS + 1)
     signed = np.where(orders % 2, -1.0, 1.0) * _cm_derivatives(
-        np.array(a_grid)[:, None, None], x_grid[:, None], orders
+        np.array(_CM_A_GRID)[:, None, None], x_grid[:, None], orders
     )
-    cm_witnesses = [
-        Witness(point=f"a={a} x={x} n={n}", margin=margin)
-        for a, by_x in zip(a_grid, signed.tolist())
-        for x, by_n in zip(x_grid_text, by_x)
-        for n, margin in enumerate(by_n)
-    ]
+
+    def cm_point(k: int) -> str:
+        i, j, n = np.unravel_index(k, signed.shape)
+        return f"a={_CM_A_GRID[i]} x={float(x_grid[j]):.6g} n={n}"
+
     grid = f"a in {{0,0.1,0.5,0.9}}, {_CM_X_POINTS}-point log x grid, n <= {_CM_ORDERS}"
-    checks.append(("complete_monotone", OrderCheckReport(grid, cm_witnesses)))
+    checks.append(("complete_monotone", OrderCheckReport._of_margins(grid, signed, cm_point)))
+
+    def rate_point(k: int) -> str:
+        i, m = divmod(k, len(_RATE_RATIOS))
+        return f"pair#{i} sigma_g/sigma_h={_RATE_RATIOS[m]}"
 
     grid = f"{_PAIRS} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
-    checks.append(("secrecy_rate_schur", OrderCheckReport(grid, _in_order(rate_w))))
+    checks.append(("secrecy_rate_schur", OrderCheckReport._of_margins(grid, rate, rate_point)))
 
-    # expectation-ordering lemma on canonical and random pairs (shared draws);
-    # pair #0 leads the rows of its dimension
+    # expectation-ordering lemma: the canonical spike-vs-flat pair at two a on
+    # one stream (cases #0 and #1), and random pair #0, which leads the rows of
+    # its dimension (case #2); each case's allocations share their draws
+    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
     _, d_stars, ds = pairs[int(dims[0])]
-    d_star_r, d_r = d_stars[0], ds[0]
-    lemma_cases = [
-        ((_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2), 0.25),
-        ((_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2), 0.0),
-        (tuple(d_r), tuple(d_star_r), 0.5),
-    ]
-    lemma_witnesses = []
-    for j, (d1, d2, a) in enumerate(lemma_cases):
-        rep = verify_lemma_LT_implies_expectation(
-            d1, d2, sigma=1.0, a=a, n_samples=_LEMMA_SAMPLES, seed=seed + j
-        )
-        lemma_witnesses.append(Witness(point=f"case#{j} a={a}", margin=rep.min_margin))
-    grid = f"{len(lemma_cases)} pairs, {_LEMMA_SAMPLES} shared draws each"
-    checks.append(("lemma_expectation", OrderCheckReport(grid, lemma_witnesses)))
+    lemma = _lemma_margins(spike, flat, 1.0, _LEMMA_CANONICAL_A, _LEMMA_SAMPLES, seed)
+    lemma += _lemma_margins(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,), _LEMMA_SAMPLES, seed + 2)
+    lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
+    grid = f"{len(lemma)} pairs, {_LEMMA_SAMPLES} shared draws each"
+    checks.append(("lemma_expectation", OrderCheckReport._of_margins(
+        grid, [margin for margin, _, _ in lemma], lambda j: f"case#{j} a={lemma_a[j]}")))
 
     # optimizer-to-uniform check on the reference problem
     opt_tol = 0.0

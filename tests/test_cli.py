@@ -212,6 +212,36 @@ def test_verify_small_run(capsys):
     assert "optimizer_uniform" not in out  # skipped
 
 
+# the worst point of each check, in report order, pinned from the suite that
+# built one Witness per point: the margin arrays must name the same points
+WORST_POINTS = {
+    0: [
+        "pair#199 n=8",
+        "pair#138 sigma^2=1 s=0.00131826",
+        "pair#23 s=0.00143604",
+        "a=0.9 x=1000 n=10",
+        "pair#138 sigma_g/sigma_h=0.9",
+        "case#2 a=0.5",
+    ],
+    1: [
+        "pair#54 n=8",
+        "pair#284 sigma^2=1 s=0.00131826",
+        "pair#390 s=0.00123368",
+        "a=0.9 x=1000 n=10",
+        "pair#284 sigma_g/sigma_h=0.9",
+        "case#2 a=0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", sorted(WORST_POINTS))
+def test_verify_worst_points_are_pinned(capsys, seed):
+    assert main(["verify", "--skip-optimizer", "--seed", str(seed)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "worst: " in line]
+    points = [line.split("worst: ", 1)[1].rsplit(" margin=", 1)[0] for line in lines]
+    assert points == WORST_POINTS[seed]
+
+
 def test_verify_optimizer_line_follows_optimizer_ok(capsys, monkeypatch):
     # an ascent that stopped at its cap within tolerance of uniform still fails
     report = OrderCheckReport("one point", [Witness(point="p", margin=0.0)])

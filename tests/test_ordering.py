@@ -16,7 +16,12 @@ from misosec import (
 )
 from misosec import _kernels
 from misosec.channel import iter_abs2
-from misosec.ordering import MAX_DERIVATIVE_ORDER, _cm_derivatives, _random_majorization_pairs
+from misosec.ordering import (
+    MAX_DERIVATIVE_ORDER,
+    _cm_derivatives,
+    _lemma_margins,
+    _random_majorization_pairs,
+)
 
 # log2(4) - log2(3): the MGF gap of (1,1) vs (2,0) at s = sigma = 1
 HAND_LT_GAP = 0.4150374992788439
@@ -211,8 +216,10 @@ def test_cm_derivative_rejects_an_x_whose_value_overflows(x, n):
 
 
 def test_cm_derivative_keeps_a_value_near_the_top_of_the_range():
-    # 1! (1e-150)^-2 = 1e300 is representable, though the step past it is not
+    # 1! (1e-150)^-2 = 1e300 is representable, though the step past it is not;
+    # the batched form takes no such step, so it raises no overflow warning
     assert cm_derivative(0.0, 1e-150, 1) == pytest.approx(-1e300, rel=1e-15)
+    assert _cm_derivatives(0.0, 1e-150, 1) == pytest.approx(-1e300, rel=1e-15)
     assert cm_derivative(0.0, 1e-300, 0) == pytest.approx(1e300, rel=1e-15)
 
 
@@ -317,6 +324,26 @@ def test_lemma_difference_is_accurate_per_sample(a):
         assert abs(value - exact) <= 8 * eps * (abs(exact) + spread), (a, row, value, exact)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a", [0.0, 0.25, 0.999])
+def test_lemma_difference_keeps_the_bits_of_its_expression(n, a):
+    d1 = np.linspace(3.0, 0.0, n)
+    d2 = np.full(n, d1.mean())
+    abs2 = next(iter_abs2(1.0, n, 5000, seed=6, stream=2))
+    q1 = _kernels.quad_form(abs2, d1)
+    dq = _kernels.quad_form(abs2, d2 - d1)
+    expected = np.log1p((1.0 - a) * dq / ((1.0 + q1 + dq) * (a + q1))) / math.log(2.0)
+    assert np.array_equal(_kernels.lemma_difference(abs2, d1, d2, a), expected)
+
+
+def test_batched_lemma_gives_each_a_the_bits_of_the_probe():
+    d1, d2 = [4.0, 0.0], [2.0, 2.0]
+    batch = _lemma_margins(d1, d2, 1.0, (0.25, 0.0), 100_000, 5)
+    for (margin, _, _), a in zip(batch, (0.25, 0.0)):
+        report = verify_lemma_LT_implies_expectation(d1, d2, 1.0, a, 100_000, 5)
+        assert report.min_margin == margin
+
+
 def test_lemma_handles_a_zero_edge():
     report = verify_lemma_LT_implies_expectation(
         [3.0, 1.0], [2.0, 2.0], sigma=1.0, a=0.0, n_samples=100_000, seed=3
@@ -333,6 +360,8 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 1.0, 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, -0.1, 100, 0)
+    with pytest.raises(ValueError, match="a must"):  # a bad a anywhere in a batch
+        _lemma_margins([3.0, 1.0], [2.0, 2.0], 1.0, (0.25, 1.0), 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 0.0, 0.25, 100, 0)
     with pytest.raises(ValueError, match="finite"):
@@ -368,6 +397,26 @@ def test_report_derives_margin_worst_and_holds():
     assert report.witnesses == tuple(ws)
     assert report.min_margin == -1e-3
     assert report.worst.point == "second"
+    assert report == OrderCheckReport("grid", report.witnesses)
+    tie = OrderCheckReport("grid", [*ws, Witness("fourth", -1e-3)])
+    assert tie.worst.point == "second"  # the first least margin
     assert not report.holds
     assert OrderCheckReport("grid", ws[:1]).holds
     assert OrderCheckReport("grid", [Witness("slack", -1e-12)]).holds
+
+
+@pytest.mark.parametrize("margins", [[0.5, math.nan], [math.nan, 0.5], [0.5, math.nan, -1.0]])
+def test_report_with_a_nan_margin_fails_in_any_order(margins):
+    ws = [Witness(f"p{i}", m) for i, m in enumerate(margins)]
+    report = OrderCheckReport("grid", ws)
+    # min() skipped a NaN that was not first, and such a report held
+    assert report.worst.point == f"p{[math.isnan(m) for m in margins].index(True)}"
+    assert math.isnan(report.min_margin)
+    assert not report.holds
+
+
+def test_report_margins_are_read_only():
+    report = OrderCheckReport("grid", [Witness("a", 1.0)])
+    with pytest.raises(ValueError):
+        report._margins[0] = -1.0
+    assert report.holds
