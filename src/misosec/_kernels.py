@@ -3,9 +3,9 @@ reducer arithmetic that averages them (channel.stream_moments schedules it).
 
 The kernels are vectorized numpy, pure and side-effect free. The two that
 every Monte Carlo chunk runs, coupled_integrand and log_rate, allocate one
-output array each and work in it in place; lemma_difference works in its
-two quadratic forms' buffers and one more. Results are exactly reproducible
-for a given numpy build.
+output array each and work in it in place; lemma_difference leaves the two
+quadratic forms it is given as they are, and works in one output array and
+one scratch array. Results are exactly reproducible for a given numpy build.
 """
 from __future__ import annotations
 
@@ -64,28 +64,28 @@ def log_rate(q: FloatArray) -> FloatArray:
     return np.log2(out, out=out)
 
 
-def lemma_difference(abs2: FloatArray, d1: FloatArray, d2: FloatArray, a: float) -> FloatArray:
-    """Per-sample f(q2) - f(q1) for f(q) = log2(a+q) - log2(1+q), q_i = quad_form(abs2, d_i).
+def lemma_difference(q1: FloatArray, dq: FloatArray, a: float) -> FloatArray:
+    """Per-sample f(q1 + dq) - f(q1) for f(q) = log2(a+q) - log2(1+q).
 
-    Formed as log1p((1-a)(q2-q1) / ((1+q2)(a+q1))) / ln 2, the one log of the
-    ratio (a+q2)(1+q1) / ((1+q2)(a+q1)), with q2 - q1 = quad_form(abs2, d2 - d1).
-    The four logs of f(q2) - f(q1) agree to within about 1-a, so subtracting
-    them loses relative accuracy as a -> 1; this form keeps it, and is
-    exactly 0 when d1 == d2.
+    q1 = quad_form(abs2, d1) and dq = quad_form(abs2, d2 - d1) are the two
+    forms of an expectation-lemma pair, q2 = q1 + dq; both are left unchanged,
+    so one pair of forms serves every a. Formed as
+    log1p((1-a) dq / ((1+q2)(a+q1))) / ln 2, the one log of the ratio
+    (a+q2)(1+q1) / ((1+q2)(a+q1)). The four logs of f(q2) - f(q1) agree to
+    within about 1-a, so subtracting them loses relative accuracy as a -> 1;
+    this form keeps it, and is exactly 0 when d1 == d2.
     """
-    q1 = quad_form(abs2, d1)
-    dq = quad_form(abs2, d2 - d1)
-    # the expression's own order, in place: den = (1 + q1 + dq) * (a + q1),
-    # then (1-a) dq / den, log1p and / ln 2 in dq's buffer
-    den = np.add(q1, 1.0)
-    den += dq
-    q1 += a
-    den *= q1
-    dq *= 1.0 - a
-    np.divide(dq, den, out=dq)
-    np.log1p(dq, out=dq)
-    dq /= _LN2
-    return dq
+    # the expression's own order: out = (1 + q1 + dq) * (a + q1), then
+    # (1-a) dq / out, log1p and / ln 2 in out's buffer
+    out = np.add(q1, 1.0)
+    out += dq
+    scratch = np.add(q1, a)
+    out *= scratch
+    np.multiply(dq, 1.0 - a, out=scratch)
+    np.divide(scratch, out, out=out)
+    np.log1p(out, out=out)
+    out /= _LN2
+    return out
 
 
 def grad_weights(q: FloatArray, a: float) -> FloatArray:

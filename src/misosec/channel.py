@@ -20,14 +20,16 @@ standard_gamma(n_t, (rows, 1)) block per (seed, stream, chunk), scaled by
 sigma^2, since the sum of n_t Exponential(1) draws is Gamma(n_t, 1). It
 draws from the same generators and chunk layout, but it is a different
 stream: its values agree with summing the per-entry chunks in distribution,
-not draw for draw. stream_moments is the one reducer they all use. It runs each
-chunk's draw, kernel and chunk statistics on the usable cores, in the
-calling thread and on one process-wide thread pool, and merges the
-statistics in chunk order in the calling thread. So every seeded result is
-bit-identical to merging the chunks of iter_abs2 one by one, whatever the
-core count and however many threads call at once. No route draws the complex
-entries themselves; the tests keep a complex reference sampler, which these
-draws match in distribution.
+not draw for draw. stream_moments is the one reducer they all use. Each
+caller hands it chunk functions: fn(index, rows) draws chunk index of its
+own stream or streams with _draw_abs2 and yields the chunk's per-row
+outputs. The reducer runs one task per (fn, chunk index) on the usable
+cores, in the calling thread and on one process-wide thread pool, and merges
+each output's chunk statistics in chunk order in the calling thread. So
+every seeded result is bit-identical to running fn(index, rows) over the
+chunks one by one, whatever the core count and however many threads call at
+once. No route draws the complex entries themselves; the tests keep a complex
+reference sampler, which these draws match in distribution.
 """
 from __future__ import annotations
 
@@ -229,68 +231,53 @@ def iter_abs2(
 
 
 def _chunk_stats(
-    fn: Callable[[NDArray[np.float64]], Iterable[NDArray[np.float64]]],
-    sigma: float, n_t: int, rows: int, seed: int, stream: int, index: int, summed: bool,
+    fn: Callable[[int, int], Iterable[NDArray[np.float64]]], index: int, rows: int
 ) -> list[tuple[int, float | _kernels.FloatArray, float | _kernels.FloatArray]]:
-    abs2 = _draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
-    # a generator fn forms each output only after the previous one is reduced
-    return [_kernels.RunningMoments.chunk(values) for values in fn(abs2)]
+    # map lets go of each output before asking fn for the next; a comprehension
+    # would hold it meanwhile, an order of frees that took 1.6x the page faults at n_t=1
+    return list(map(_kernels.RunningMoments.chunk, fn(index, rows)))
 
 
 def stream_moments(
-    fn: Callable[[NDArray[np.float64]], Iterable[NDArray[np.float64]]],
-    draws: Sequence[tuple[float, int]],
-    n_t: int,
-    count: int,
-    seed: int,
-    *,
-    _summed: bool = False,
+    fns: Sequence[Callable[[int, int], Iterable[NDArray[np.float64]]]], count: int
 ) -> list[list[tuple[float | _kernels.FloatArray, float | _kernels.FloatArray]]]:
-    """Mean and std error of each output of fn over count rows of each (sigma, stream) in draws.
+    """Mean and std error of each output of each fn in fns over count rows.
 
-    fn maps a (rows, n_t) chunk of |g_ik|^2 to its outputs, one per-row array
-    each: shape (rows,) for the scalar form, (rows, ...) for the
-    per-coordinate form. It should yield them one at a time: each is reduced
-    to its chunk stats before the next is formed, so a chunk drawn once can
-    feed many outputs without their rows ever being held together. With
-    _summed, fn gets (rows, 1) chunks of the row sums sum_k |g_ik|^2 instead,
-    each row one Gamma(n_t) draw scaled by sigma^2 (see _draw_abs2). Every chunk
-    of every draw is queued on the shared pool at once, and the calling
-    thread works too: it runs the chunks no worker has started, from the
-    last one back, while the workers take them from the first one on. Each
-    output's partial stats are then merged in chunk order, so each result is
-    bit-identical to
-    `for abs2 in iter_abs2(sigma, n_t, count, seed, stream): m.add(list(fn(abs2))[j])`
-    (or to the same loop over the summed chunks), whatever the other outputs are.
-    The caller only ever waits on chunks a worker is running, so a call
+    fn(index, rows) draws chunk index, of the given rows, of its own stream or
+    streams with _draw_abs2 and yields its outputs, one per-row array each:
+    shape (rows,) for the scalar form, (rows, ...) for the per-coordinate
+    form. It must depend on nothing but index and rows, and should yield its
+    outputs one at a time: each is reduced to its chunk stats before the next
+    is formed, so a chunk drawn once can feed many outputs without their rows
+    ever being held together. Each (fn, chunk index) is one task, and every
+    task is queued on the shared pool at once. The calling thread works too:
+    it runs the tasks no worker has started, from the last one back, while the
+    workers take them from the first one on. Each output's partial stats are
+    then merged in chunk order, so each result is bit-identical to
+    `for index, rows in _chunk_rows(count): m.add(list(fn(index, rows))[j])`,
+    whatever the other fns and outputs are and whichever threads ran the
+    tasks. The caller only ever waits on tasks a worker is running, so a call
     cannot deadlock, however many threads call at once.
-    Returns, per draw in order, one RunningMoments.mean_se() per output of fn.
+    Returns, per fn in order, one RunningMoments.mean_se() per output of fn.
     """
     chunks = _chunk_rows(count)
-    tasks = [
-        (fn, sigma, n_t, rows, seed, stream, index, _summed)
-        for sigma, stream in draws
-        for index, rows in chunks
-    ]
+    tasks = [(fn, index, rows) for fn in fns for index, rows in chunks]
     futures = [_POOL.submit(_chunk_stats, *task) for task in tasks]
     stats: list[list | None] = [None] * len(tasks)
     try:
         for i in reversed(range(len(tasks))):
             if futures[i].cancel():
                 stats[i] = _chunk_stats(*tasks[i])
+        stats = [future.result() if done is None else done for future, done in zip(futures, stats)]
         out = []
         for start in range(0, len(tasks), len(chunks)):
-            per_chunk = [
-                futures[i].result() if stats[i] is None else stats[i]
-                for i in range(start, start + len(chunks))
-            ]
-            moments = [_kernels.RunningMoments() for _ in per_chunk[0]]
-            for chunk in per_chunk:
+            moments = [_kernels.RunningMoments() for _ in stats[start]]
+            for chunk in stats[start : start + len(chunks)]:
                 for m, chunk_stats in zip(moments, chunk, strict=True):
                     m.merge(*chunk_stats)
             out.append([m.mean_se() for m in moments])
         return out
     finally:
-        # after a failure, drop the chunks nobody has started
+        # after a failure, drop the tasks nobody has started
         for future in futures:
             future.cancel()

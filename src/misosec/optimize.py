@@ -16,18 +16,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
+from . import _kernels, channel
 from .channel import (
     STREAM_EAVESDROPPER,
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-    stream_moments,
 )
 from .rates import _check_headroom, _check_mc_route, _mgf_rate
 
@@ -125,10 +124,12 @@ def _grad_objective(
     """One pass over the eavesdropper draws: the gradient and its
     per-coordinate std errors at d."""
     a = model.a
-    ((grad,),) = stream_moments(
-        lambda abs2: (abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None],),
-        ((model.sigma_g, STREAM_EAVESDROPPER),), d.shape[0], n_samples, seed,
-    )
+
+    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
+        abs2 = channel._draw_abs2(model.sigma_g, d.shape[0], rows, seed, STREAM_EAVESDROPPER, index)
+        yield abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None]
+
+    ((grad,),) = channel.stream_moments((chunk,), n_samples)
     return grad
 
 

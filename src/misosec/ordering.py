@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from . import _kernels
-from .channel import STREAM_GENERIC, stream_moments
+from . import _kernels, channel
+from .channel import STREAM_GENERIC
 from .rates import _check_headroom, _check_mc_samples, _sum_last
 
 # factorials stay exactly representable in float64 up to 20!
@@ -340,8 +340,8 @@ def _lemma_margins(
     """(margin, mean, se) of verify_lemma_LT_implies_expectation for each a in
     a_values, all on one stream of draws.
 
-    Each chunk is drawn once and yields one lemma_difference output per a,
-    reduced on its own, so each a's result has the bits of a batch of one.
+    Each chunk's draw and its two quadratic forms serve every a, and each a's
+    lemma_difference is reduced on its own, with the bits of a batch of one.
     """
     dv1 = _allocation(d1)
     dv2 = _allocation(d2)
@@ -353,8 +353,11 @@ def _lemma_margins(
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 
-    (moments,) = stream_moments(
-        lambda abs2: (_kernels.lemma_difference(abs2, dv1, dv2, a) for a in a_values),
-        ((sigma, STREAM_GENERIC),), dv1.shape[0], n_samples, seed,
-    )
+    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
+        abs2 = channel._draw_abs2(sigma, dv1.shape[0], rows, seed, STREAM_GENERIC, index)
+        q1 = _kernels.quad_form(abs2, dv1)
+        dq = _kernels.quad_form(abs2, dv2 - dv1)
+        return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
+
+    (moments,) = channel.stream_moments((chunk,), n_samples)
     return [(mean + 3.0 * se, mean, se) for mean, se in moments]

@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
+from . import _kernels, channel
 from .channel import (
     STREAM_EAVESDROPPER,
     STREAM_GENERIC,
@@ -51,7 +51,6 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-    stream_moments,
 )
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -154,11 +153,24 @@ def _draw_layout(d: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
     return d, False
 
 
-def _log_rates_of(
-    ds: Sequence[NDArray[np.float64]],
-) -> Callable[[NDArray[np.float64]], Iterator[NDArray[np.float64]]]:
-    """Per-row log2(1 + g^H D g) of a chunk of |g_k|^2, for each D in ds in turn."""
-    return lambda abs2: (_kernels.log_rate(_kernels.quad_form(abs2, d)) for d in ds)
+def _quad_form_chunks(
+    sigma: float, stream: int, ds: Sequence[NDArray[np.float64]], seed: int,
+    kernel: Callable[[NDArray[np.float64]], NDArray[np.float64]],
+) -> Callable[[int, int], Iterator[NDArray[np.float64]]]:
+    """The stream_moments chunk fn of one stream at scale sigma: per-row kernel(q),
+    q = g^H D g, for each D in ds in turn, all on one draw of the chunk.
+
+    ds is one allocation or several equal ones of one length, so _draw_layout
+    gives them all one layout.
+    """
+    layouts = [_draw_layout(d) for d in ds]
+    n_t, summed = ds[0].shape[0], layouts[0][1]
+
+    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
+        abs2 = channel._draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
+        return (kernel(_kernels.quad_form(abs2, d)) for d, _ in layouts)
+
+    return chunk
 
 
 def ergodic_log_rate_mc(
@@ -170,22 +182,21 @@ def ergodic_log_rate_mc(
     """
     _check_headroom(max(alloc.budget, alloc.n_t), sigma)
     _check_mc_samples(n_samples)
-    d, summed = _draw_layout(alloc.as_array())
-    (((mean, se),),) = stream_moments(
-        _log_rates_of((d,)), ((sigma, STREAM_GENERIC),), alloc.n_t, n_samples, seed, _summed=summed
-    )
+    chunk = _quad_form_chunks(sigma, STREAM_GENERIC, (alloc.as_array(),), seed, _kernels.log_rate)
+    (((mean, se),),) = channel.stream_moments((chunk,), n_samples)
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
 def _direct_rates(
-    model: ChannelModel, ds: Sequence[NDArray[np.float64]], summed: bool, n_samples: int, seed: int
+    model: ChannelModel, ds: Sequence[NDArray[np.float64]], n_samples: int, seed: int
 ) -> list[RateEstimate]:
-    """secrecy_rate_direct_mc of each allocation in ds, as _draw_layout gives it
-    (checks done by caller). Each chunk is drawn once and serves every allocation."""
-    draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
-    rates_h, rates_g = stream_moments(
-        _log_rates_of(ds), draws, model.n_t, n_samples, seed, _summed=summed
-    )
+    """secrecy_rate_direct_mc of each allocation in ds (checks done by caller).
+    Each chunk is drawn once and serves every allocation. h and g are one chunk
+    fn each, so the pool runs their chunks side by side; one fn drawing both
+    runs them in series (at n_t=64 a call is one chunk per stream), and was slower."""
+    h = _quad_form_chunks(model.sigma_h, STREAM_LEGITIMATE, ds, seed, _kernels.log_rate)
+    g = _quad_form_chunks(model.sigma_g, STREAM_EAVESDROPPER, ds, seed, _kernels.log_rate)
+    rates_h, rates_g = channel.stream_moments((h, g), n_samples)
     return [
         RateEstimate(mean=mean_h - mean_g, std_error=math.hypot(se_h, se_g),
                      n_samples=n_samples, seed=seed)
@@ -194,15 +205,15 @@ def _direct_rates(
 
 
 def _coupled_rates(
-    model: ChannelModel, ds: Sequence[NDArray[np.float64]], summed: bool, n_samples: int, seed: int
+    model: ChannelModel, ds: Sequence[NDArray[np.float64]], n_samples: int, seed: int
 ) -> list[RateEstimate]:
-    """secrecy_rate_coupled_mc of each allocation in ds, as _draw_layout gives it
-    (checks done by caller). Each chunk is drawn once and serves every allocation."""
+    """secrecy_rate_coupled_mc of each allocation in ds (checks done by caller).
+    Each chunk is drawn once and serves every allocation."""
     a = model.a
-    (moments,) = stream_moments(
-        lambda abs2: (_kernels.coupled_integrand(_kernels.quad_form(abs2, d), a) for d in ds),
-        ((model.sigma_g, STREAM_EAVESDROPPER),), model.n_t, n_samples, seed, _summed=summed,
+    chunk = _quad_form_chunks(
+        model.sigma_g, STREAM_EAVESDROPPER, ds, seed, lambda q: _kernels.coupled_integrand(q, a)
     )
+    (moments,) = channel.stream_moments((chunk,), n_samples)
     return [
         RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
         for mean, se in moments
@@ -220,8 +231,7 @@ def secrecy_rate_direct_mc(
     secrecy_capacity does.
     """
     _check_mc_route(model, alloc, n_samples)
-    d, summed = _draw_layout(alloc.as_array())
-    return _direct_rates(model, (d,), summed, n_samples, seed)[0]
+    return _direct_rates(model, (alloc.as_array(),), n_samples, seed)[0]
 
 
 def secrecy_rate_coupled_mc(
@@ -237,8 +247,7 @@ def secrecy_rate_coupled_mc(
     without headroom, as secrecy_capacity does.
     """
     _check_mc_route(model, alloc, n_samples)
-    d, summed = _draw_layout(alloc.as_array())
-    return _coupled_rates(model, (d,), summed, n_samples, seed)[0]
+    return _coupled_rates(model, (alloc.as_array(),), n_samples, seed)[0]
 
 
 def _sum_last(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -387,11 +396,8 @@ def _capacities(
                     RateEstimate(float(mean), float(err), n_samples=nodes, seed=method.seed)
                 )
         else:
-            layouts = [_draw_layout(d) for d in allocs]
-            # every equal allocation of n_t entries takes the same layout
-            summed = layouts[0][1]
             rates = _direct_rates if method.tag is MethodTag.DIRECT_MC else _coupled_rates
-            estimates = rates(model, [d for d, _ in layouts], summed, method.n_samples, method.seed)
+            estimates = rates(model, allocs, method.n_samples, method.seed)
     # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
     count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
     clamp = RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)

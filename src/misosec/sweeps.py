@@ -11,10 +11,10 @@ point_seed(seed, i). A group is one rates._capacities call, the evaluator
 behind secrecy_capacity, and each power in it gets the bits of its own call,
 so a row can be reproduced by calling secrecy_capacity with the row's
 parameters and seed. Groups run on a few point threads, one per usable core
-at most. For the Monte Carlo routes each group's chunks go through
-channel.stream_moments, which runs them on the group's thread and on the one
-shared chunk pool and merges them in chunk order; running groups side by
-side keeps that pool fed across group boundaries.
+at most. For the Monte Carlo routes each group hands its chunk fns to
+channel.stream_moments, which runs each chunk as a task on the group's thread
+and on the one shared chunk pool and merges them in chunk order; running
+groups side by side keeps that pool fed across group boundaries.
 Rows come back ordered by sweep value no matter which group finishes first.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.

@@ -170,7 +170,7 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     lemma = _lemma_margins(spike, flat, 1.0, _LEMMA_CANONICAL_A, _LEMMA_SAMPLES, seed)
     lemma += _lemma_margins(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,), _LEMMA_SAMPLES, seed + 2)
     lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
-    grid = f"{len(lemma)} pairs, {_LEMMA_SAMPLES} shared draws each"
+    grid = f"{len(lemma)} cases on 2 pairs, {_LEMMA_SAMPLES} draws per pair shared by its cases"
     checks.append(("lemma_expectation", OrderCheckReport._of_margins(
         grid, [margin for margin, _, _ in lemma], lambda j: f"case#{j} a={lemma_a[j]}")))
 

@@ -122,9 +122,15 @@ FORMS = {
 }
 
 
-def _one(fn):
-    """fn as stream_moments takes it: a chunk's outputs, here just the one."""
-    return lambda abs2: (fn(abs2),)
+def _chunks(sigma, seed, stream, *fns):
+    """A chunk fn as stream_moments takes it: chunk index of one stream, drawn
+    as the routes draw it, and each of fns on it in turn."""
+
+    def chunk(index, rows):
+        abs2 = channel._draw_abs2(sigma, 3, rows, seed, stream, index)
+        return (fn(abs2) for fn in fns)
+
+    return chunk
 
 
 def _serial(fn, sigma, count, seed, stream):
@@ -144,17 +150,19 @@ def _assert_bit_identical(got, want):
 @pytest.mark.parametrize("count", COUNTS)
 def test_stream_moments_bit_identical_to_serial_loop(form, count):
     fn = FORMS[form]
-    draws = ((0.7, channel.STREAM_EAVESDROPPER),)
-    ((got,),) = channel.stream_moments(_one(fn), draws, 3, count, 11)
+    chunk = _chunks(0.7, 11, channel.STREAM_EAVESDROPPER, fn)
+    ((got,),) = channel.stream_moments((chunk,), count)
     _assert_bit_identical(got, _serial(fn, 0.7, count, 11, channel.STREAM_EAVESDROPPER))
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
 def test_stream_moments_reduces_each_draw_in_order(form):
+    # one chunk fn per stream: each fn's result comes back in fns' order
     fn = FORMS[form]
     draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
     count = 2 * CHUNK + 9
-    got = channel.stream_moments(_one(fn), draws, 3, count, 4)
+    chunks = [_chunks(sigma, 4, stream, fn) for sigma, stream in draws]
+    got = channel.stream_moments(chunks, count)
     assert len(got) == 2
     for (g,), (sigma, stream) in zip(got, draws):
         _assert_bit_identical(g, _serial(fn, sigma, count, 4, stream))
@@ -170,7 +178,8 @@ def test_stream_moments_reduces_each_output_as_if_alone():
     ]
     draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
     count = 2 * CHUNK + 9
-    got = channel.stream_moments(lambda abs2: (fn(abs2) for fn in fns), draws, 3, count, 4)
+    chunks = [_chunks(sigma, 4, stream, *fns) for sigma, stream in draws]
+    got = channel.stream_moments(chunks, count)
     assert [len(per_draw) for per_draw in got] == [len(fns)] * len(draws)
     for per_draw, (sigma, stream) in zip(got, draws):
         for g, fn in zip(per_draw, fns):
@@ -181,11 +190,11 @@ def test_stream_moments_reduces_each_output_as_if_alone():
 def test_stream_moments_same_bits_on_one_worker(monkeypatch, form):
     fn = FORMS[form]
     count = 6 * CHUNK + 123
-    draws = ((0.7, channel.STREAM_GENERIC),)
-    ((pooled,),) = channel.stream_moments(_one(fn), draws, 3, count, 2)
+    chunk = _chunks(0.7, 2, channel.STREAM_GENERIC, fn)
+    ((pooled,),) = channel.stream_moments((chunk,), count)
     with ThreadPoolExecutor(max_workers=1) as one:
         monkeypatch.setattr(channel, "_POOL", one)
-        ((single,),) = channel.stream_moments(_one(fn), draws, 3, count, 2)
+        ((single,),) = channel.stream_moments((chunk,), count)
     _assert_bit_identical(single, pooled)
     _assert_bit_identical(single, _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
 
@@ -199,8 +208,8 @@ def test_stream_moments_finishes_while_every_worker_is_busy(monkeypatch):
         blocker = busy.submit(release.wait, 60)
         monkeypatch.setattr(channel, "_POOL", busy)
         try:
-            draws = ((0.7, channel.STREAM_GENERIC),)
-            ((got,),) = channel.stream_moments(_one(fn), draws, 3, 3 * CHUNK, 8)
+            chunk = _chunks(0.7, 8, channel.STREAM_GENERIC, fn)
+            ((got,),) = channel.stream_moments((chunk,), 3 * CHUNK)
             finished_while_blocked = not blocker.done()
         finally:
             release.set()
@@ -213,15 +222,15 @@ def test_stream_moments_raises_the_chunk_error_and_stays_usable():
         raise FloatingPointError("chunk failed")
 
     with pytest.raises(FloatingPointError, match="chunk failed"):
-        channel.stream_moments(_one(boom), ((1.0, channel.STREAM_GENERIC),), 2, 5 * CHUNK, 0)
+        channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, boom),), 5 * CHUNK)
     fn = FORMS["scalar"]
-    ((got,),) = channel.stream_moments(_one(fn), ((1.0, channel.STREAM_GENERIC),), 3, 100, 0)
+    ((got,),) = channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, fn),), 100)
     _assert_bit_identical(got, _serial(fn, 1.0, 100, 0, channel.STREAM_GENERIC))
 
 
 def test_stream_moments_rejects_empty_count():
     with pytest.raises(ValueError, match="count"):
-        channel.stream_moments(_one(FORMS["scalar"]), ((1.0, channel.STREAM_GENERIC),), 3, 0, 0)
+        channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, FORMS["scalar"]),), 0)
 
 
 def _run_python(code):

@@ -312,7 +312,8 @@ def test_lemma_difference_is_accurate_per_sample(a):
     mpmath.mp.dps = 50
     d1, d2 = np.array([3.0, 1.0, 0.0]), np.array([1.5, 1.0, 0.5])
     abs2 = next(iter_abs2(1.0, 3, 300, seed=4, stream=2))
-    values = _kernels.lemma_difference(abs2, d1, d2, a)
+    q1, dq = _kernels.quad_form(abs2, d1), _kernels.quad_form(abs2, d2 - d1)
+    values = _kernels.lemma_difference(q1, dq, a)
     eps = np.finfo(np.float64).eps
     for row, value in zip(abs2, values):
         q1 = mpmath.fsum(mpmath.mpf(float(x)) * float(w) for x, w in zip(row, d1))
@@ -333,7 +334,10 @@ def test_lemma_difference_keeps_the_bits_of_its_expression(n, a):
     q1 = _kernels.quad_form(abs2, d1)
     dq = _kernels.quad_form(abs2, d2 - d1)
     expected = np.log1p((1.0 - a) * dq / ((1.0 + q1 + dq) * (a + q1))) / math.log(2.0)
-    assert np.array_equal(_kernels.lemma_difference(abs2, d1, d2, a), expected)
+    forms = q1.copy(), dq.copy()
+    assert np.array_equal(_kernels.lemma_difference(q1, dq, a), expected)
+    # the forms are left as they were, so one pair serves every a
+    assert np.array_equal(q1, forms[0]) and np.array_equal(dq, forms[1])
 
 
 def test_batched_lemma_gives_each_a_the_bits_of_the_probe():

@@ -23,7 +23,7 @@ from misosec import (
     secrecy_rate_coupled_mc,
     secrecy_rate_direct_mc,
 )
-from misosec import _kernels, grad_estimate
+from misosec import _kernels, channel, grad_estimate
 from misosec.channel import (
     CHUNK,
     STREAM_EAVESDROPPER,
@@ -460,6 +460,26 @@ def test_equal_allocation_routes_merge_gamma_chunks_serially(n_t, count):
     single = ergodic_log_rate_mc(0.7, alloc, count, seed)
     ref = _serial_mean_se(lambda g: _kernels.log_rate(g * w), stream(0.7, STREAM_GENERIC))
     assert (single.mean, single.std_error) == ref
+
+
+def test_direct_route_draws_each_chunk_of_each_stream_once(monkeypatch):
+    # h and g are two streams of 3 chunks each, every chunk drawn once, through
+    # the module's own _draw_abs2 so that a patched sampler sees every draw
+    calls = []
+    draw = channel._draw_abs2
+
+    def counted(*args, **kwargs):
+        calls.append(args)  # list.append is atomic, so pool threads may share it
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(channel, "_draw_abs2", counted)
+    model = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
+    secrecy_rate_direct_mc(model, PowerAllocation.uniform(2, 10.0), 2 * CHUNK + 5, seed=3)
+    assert len(calls) == 6
+    for tag in (STREAM_LEGITIMATE, STREAM_EAVESDROPPER):
+        # args are (sigma, n_t, rows, seed, stream, index, summed)
+        keys = sorted((args[3], args[5]) for args in calls if args[4] == tag)
+        assert keys == [(3, 0), (3, 1), (3, 2)]
 
 
 @pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64, 512])
