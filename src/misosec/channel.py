@@ -82,6 +82,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
+def _check_n_t(n_t: int) -> None:
+    """Reject an antenna count that is not an integer (a bool is not one),
+    is below 1, or is more entries than any array can have."""
+    if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool):
+        raise ValueError(f"n_t must be an integer, got {n_t!r}")
+    if n_t < 1:
+        raise ValueError(f"n_t must be >= 1, got {n_t}")
+    if n_t > sys.maxsize:
+        raise ValueError(f"n_t must be at most sys.maxsize = {sys.maxsize}, got {n_t}")
+
+
 @dataclass(frozen=True)
 class ChannelModel:
     """MISO wiretap ensemble: n_t transmit antennas with per-entry scales sigma_h, sigma_g.
@@ -95,12 +106,7 @@ class ChannelModel:
     sigma_g: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_t, (int, np.integer)) or isinstance(self.n_t, bool):
-            raise ValueError(f"n_t must be an integer, got {self.n_t!r}")
-        if self.n_t < 1:
-            raise ValueError(f"n_t must be >= 1, got {self.n_t}")
-        if self.n_t > sys.maxsize:  # no array can have that many entries
-            raise ValueError(f"n_t must be at most sys.maxsize = {sys.maxsize}, got {self.n_t}")
+        _check_n_t(self.n_t)
         # every rate route works with the variances and their ratio a, so a
         # sigma whose square overflows or underflows is as unusable as inf
         for name, sigma in (("sigma_h", self.sigma_h), ("sigma_g", self.sigma_g)):
@@ -140,8 +146,7 @@ class PowerAllocation:
     @classmethod
     def uniform(cls, n_t: int, budget: float) -> PowerAllocation:
         """Equal split budget/n_t per antenna."""
-        if n_t < 1:
-            raise ValueError(f"n_t must be >= 1, got {n_t}")
+        _check_n_t(n_t)
         return cls(d=(budget / n_t,) * n_t, budget=budget)
 
     @property

@@ -35,7 +35,7 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels, channel
 from .channel import STREAM_GENERIC
-from .rates import _check_headroom, _check_mc_samples, _sum_last
+from .rates import _antenna_first, _check_headroom, _check_mc_samples, _sum_antennas
 
 # factorials stay exactly representable in float64 up to 20!
 MAX_DERIVATIVE_ORDER = 20
@@ -208,13 +208,22 @@ def _lt_gaps_grid(
 ) -> NDArray[np.float64]:
     """Vectorized lt_order_gap over a whole s grid (validation done by caller).
 
-    Leading axes of the (..., n) rows broadcast against s_grid's: (k, n) rows
-    give (k, S) gaps on an (S,) grid and one gap per row on a (k, 1) column.
+    d_star and d have one shape, and the leading axes of their (..., n) rows
+    broadcast against those of s_grid, which has at most as many axes: (k, n)
+    rows give (k, S) gaps on an (S,) grid and one gap per row on a (k, 1)
+    column.
+
+    The arrays are antenna-first: both sides' log2 terms are one C-contiguous
+    (n, 2, ..., S) block, so each elementwise step and each add of the antenna
+    sum runs over long contiguous slabs. rates._sum_antennas adds the slabs in
+    numpy's pairwise order, so the bits are those of np.sum over the last axis
+    of a (..., S, n) block.
     """
-    c = (sigma * sigma) * s_grid[..., None]
-    return _sum_last(np.log2(1.0 + c * d_star[..., None, :])) - _sum_last(
-        np.log2(1.0 + c * d[..., None, :])
-    )
+    # x[k, 0] = c d*_k and x[k, 1] = c d_k: both sides in one block
+    x = _antenna_first(np.array((d_star, d)), (sigma * sigma) * s_grid)
+    x += 1.0
+    log_star, log_d = _sum_antennas(np.log2(x, out=x))
+    return log_star - log_d
 
 
 def cm_derivative(a: float, x: float, n: int) -> float:

@@ -20,7 +20,9 @@ All rates are in bits per channel use. The three evaluation routes:
   Deterministic; its std_error is an error estimate (the difference from the
   rule of twice the step, but never below the rounding error of the sum).
   The same pass gives the exact gradient dR/dd_k, which the optimizer
-  ascends.
+  ascends. Its arrays are antenna-first, (n_t, ..., nodes), so a batch of
+  allocations runs along the node axis, with the bits of a nodes-last sum
+  (_sum_antennas); the rule's arrays are cached per node count (_mgf_rule).
 
 The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
 q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
@@ -35,6 +37,7 @@ The capacity is clamped to exactly 0 whenever sigma_h <= sigma_g.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -51,6 +54,7 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
+    _check_n_t,
 )
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -250,20 +254,63 @@ def secrecy_rate_coupled_mc(
     return _coupled_rates(model, (alloc.as_array(),), n_samples, seed)[0]
 
 
-def _sum_last(x: NDArray[np.float64]) -> NDArray[np.float64]:
-    """np.sum(x, axis=-1), with the same bits.
+def _sum_antennas(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """np.sum over x's first axis, with the bits np.sum gives that axis as the
+    last one of a C-contiguous block; x may be overwritten.
 
-    numpy sums a last axis of fewer than 8 terms left to right, a column at a
-    time through strided loops, at several times the cost of the same fold
-    written as whole-column adds. From 8 terms on it sums pairwise, so those
-    stay with np.sum.
+    Adds whole slabs x[k] in numpy's pairwise_sum order: left to right below
+    8 terms; up to 128 terms, 8 running sums, each added to left to right (as
+    np.add.reduce adds along a leading axis), folded as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest left to right; above
+    128, the two halves split at a multiple of 8. So each add runs over whole
+    contiguous slabs, where np.sum over a last axis of n_t terms runs one inner
+    loop of n_t elements per output.
     """
-    if x.shape[-1] >= 8:
-        return np.sum(x, axis=-1)
-    out = x[..., 0].copy()
-    for k in range(1, x.shape[-1]):
-        out += x[..., k]
+    n = x.shape[0]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _sum_antennas(x[:half])
+        out += _sum_antennas(x[half:])
+        return out
+    out, tail = x[0], 1
+    if n >= 8:
+        tail = n - n % 8
+        r = x[:8]
+        if tail > 8:
+            r = np.add.reduce(x[:tail].reshape(tail // 8, 8, *x.shape[1:]), axis=0)
+        r[0::2] += r[1::2]
+        r[0::4] += r[2::4]
+        out = r[0]
+        out += r[4]
+    for k in range(tail, n):
+        out += x[k]
     return out
+
+
+def _antenna_first(v: NDArray[np.float64], c: NDArray[np.float64]) -> NDArray[np.float64]:
+    """v[..., k, None] * c for each antenna k of the (..., n) rows v, as one
+    C-contiguous block with the antenna axis first."""
+    return np.multiply(v.transpose(-1, *range(v.ndim - 1))[..., None], c, order="C")
+
+
+@functools.lru_cache(maxsize=16)
+def _mgf_rule(last: int) -> tuple[NDArray[np.float64], ...]:
+    """The MGF rule of last + 1 explicit nodes, as read-only arrays: its nodes s,
+    the weights of the rules of step h and 2h, e^{-s}, and the gradient's
+    weights e^{-s} s weight."""
+    h = _MGF_STEP
+    s = np.exp(_MGF_TOP - h * np.arange(last + 1))
+    s = np.concatenate((s, s[-1] * _MGF_TAIL_AT))
+    weight = np.full(s.size, h)  # the rule of step h: its nodes and its tail node
+    weight[-2:] = (_MGF_TAIL_WEIGHT[0], 0.0)
+    coarse = np.zeros(s.size)  # the rule of step 2h: the even nodes and its own tail node
+    coarse[:-2:2] = 2 * h
+    coarse[-1] = _MGF_TAIL_WEIGHT[1]
+    decay = np.exp(-s)
+    rule = (s, weight, coarse, decay, decay * s * weight)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _mgf_rate(
@@ -286,23 +333,23 @@ def _mgf_rate(
     the rate is int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
+
+    The arrays are antenna-first: both transforms' log1p terms are one
+    C-contiguous (n_t, 2, ..., nodes) block, so every elementwise step and
+    each add of the antenna sum runs over long contiguous slabs. _sum_antennas
+    adds the slabs in numpy's pairwise order, so the bits are those of
+    np.sum over the last axis of a (..., nodes, n_t) block. The rule's arrays
+    are built once per node count and cached (_mgf_rule).
     """
-    h = _MGF_STEP
-    c = max(var_h, var_g) * float(np.max(np.sum(d, axis=-1)))
-    last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * h))
-    s = np.exp(_MGF_TOP - h * np.arange(last + 1))
-    s = np.concatenate((s, s[-1] * _MGF_TAIL_AT))
-    weight = np.full(s.size, h)  # the rule of step h: its nodes and its tail node
-    weight[-2:] = (_MGF_TAIL_WEIGHT[0], 0.0)
-    coarse = np.zeros(s.size)  # the rule of step 2h: the even nodes and its own tail node
-    coarse[:-2:2] = 2 * h
-    coarse[-1] = _MGF_TAIL_WEIGHT[1]
-    x_h = s[:, None] * (var_h * d[..., None, :])
-    x_g = s[:, None] * (var_g * d[..., None, :])
-    # without the gradient, x is not read again, so log1p may overwrite it
-    log_h = _sum_last(np.log1p(x_h, out=None if grad else x_h))
-    log_g = _sum_last(np.log1p(x_g, out=None if grad else x_g))
-    decay = np.exp(-s)
+    c = max(var_h, var_g) * float(d.sum(axis=-1).max())
+    last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * _MGF_STEP))
+    s, weight, coarse, decay, w = _mgf_rule(last)
+    # x[k, 0] = s var_h d_k and x[k, 1] = s var_g d_k: both transforms in one block
+    x = _antenna_first(np.multiply.outer((var_h, var_g), d), s)
+    # the gradient's matmuls take 1/(1+x) as C-contiguous (..., nodes, n_t)
+    # operands, so they run the BLAS calls, and give the bits, of that layout
+    inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
+    log_h, log_g = logs = _sum_antennas(np.log1p(x, out=x))
     m_g = np.exp(-log_g)
     f = decay * m_g * -np.expm1(log_g - log_h)
     rate = f @ weight / _LN2
@@ -311,10 +358,8 @@ def _mgf_rate(
     if not grad:
         return rate, err, None, last + 1
     # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
-    w = decay * s * weight
-    m_h = np.exp(-log_h)
-    dr = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
-          - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
+    p = (w * np.exp(-logs))[..., None, :] @ np.divide(1.0, inverse, out=inverse)
+    dr = (var_h * p[0] - var_g * p[1])[..., 0, :]
     return rate, err, dr / _LN2, last + 1
 
 
@@ -327,8 +372,7 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
+    _check_n_t(n_t)
     if not (math.isfinite(total_power) and total_power >= 0):
         raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:

@@ -215,6 +215,19 @@ def test_power_allocation_uniform():
     assert alloc.as_array().dtype == np.float64
 
 
+@pytest.mark.parametrize("n_t", [True, 2.5, 0, sys.maxsize + 1])
+def test_power_allocation_uniform_rejects_what_channel_model_rejects(n_t):
+    # uniform(True, P) returned a one-antenna allocation; uniform(2.5, P) raised TypeError
+    with pytest.raises(ValueError, match="n_t"):
+        PowerAllocation.uniform(n_t, 10.0)
+    with pytest.raises(ValueError, match="n_t"):
+        ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
+
+
+def test_power_allocation_uniform_takes_a_numpy_integer():
+    assert PowerAllocation.uniform(np.int64(4), 10.0) == PowerAllocation.uniform(4, 10.0)
+
+
 def test_rate_estimate_validation():
     with pytest.raises(ValueError):
         RateEstimate(mean=0.1, std_error=-1e-9, n_samples=10, seed=0)

@@ -20,6 +20,7 @@ from misosec.ordering import (
     MAX_DERIVATIVE_ORDER,
     _cm_derivatives,
     _lemma_margins,
+    _lt_gaps_grid,
     _random_majorization_pairs,
 )
 
@@ -147,6 +148,34 @@ def test_lt_gap_rejects_allocations_of_different_lengths():
     # the sums agree, so the gap of a 2- and a 3-entry allocation read 0.848
     with pytest.raises(ValueError, match="one length"):
         lt_order_gap([2.0, 2.0], [4.0, 0.0, 0.0], 1.0, 1.0)
+
+
+def _nodes_last_lt_gaps(d_star, d, sigma, s_grid):
+    """_lt_gaps_grid formulated on (..., S, n) blocks summed by np.sum: the
+    reference whose bits the antenna-first form keeps."""
+    c = (sigma * sigma) * s_grid[..., None]
+    return np.sum(np.log2(1.0 + c * d_star[..., None, :]), axis=-1) - np.sum(
+        np.log2(1.0 + c * d[..., None, :]), axis=-1
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 9, 16, 17, 64, 128, 129, 200, 256])
+def test_lt_gaps_keep_the_bits_of_the_nodes_last_layout(n):
+    # one pair on an (S,) grid and at one s, and a batch of pairs on an (S,)
+    # grid and on a (k, 1) column of one s per pair, as lt_order_gap and verify call it
+    rng = np.random.default_rng(n)
+    s_grid = np.logspace(-3.0, 3.0, 51)[1:]
+    for sigma in (1.0, math.sqrt(2.0)):
+        d_star, d = random_majorization_pair(n, 4.0, rng)
+        pairs = _random_majorization_pairs(n, 4.0, rng, 9)
+        column = 10.0 ** rng.uniform(-3.0, 3.0, size=(9, 1))
+        for rows, grid in (((d_star, d), s_grid), ((d_star, d), s_grid[:1]),
+                           (pairs, s_grid), (pairs, column)):
+            got = _lt_gaps_grid(*rows, sigma, grid)
+            ref = _nodes_last_lt_gaps(*rows, sigma, grid)
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (sigma, grid.shape)
+        assert lt_order_gap(d_star, d, sigma, 0.7) == _nodes_last_lt_gaps(
+            d_star, d, sigma, np.array([0.7]))[0]
 
 
 # --- complete monotonicity ---------------------------------------------------

@@ -33,7 +33,18 @@ from misosec.channel import (
     _chunk_rows,
 )
 from misosec.optimize import _grad_objective
-from misosec.rates import _GAMMA_MIN_NT, MethodTag, _mgf_rate, _sum_last
+from misosec.rates import (
+    _GAMMA_MIN_NT,
+    _MGF_DEPTH,
+    _MGF_STEP,
+    _MGF_TAIL_AT,
+    _MGF_TAIL_WEIGHT,
+    _MGF_TOP,
+    MethodTag,
+    _mgf_rate,
+    _mgf_rule,
+    _sum_antennas,
+)
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -60,11 +71,19 @@ def test_quadrature_zero_power_is_exactly_zero():
         # no headroom: sigma^2 or the power overflows the rule's nodes
         {"sigma": 1e200, "total_power": 1.0, "n_t": 1},
         {"sigma": 1.0, "total_power": 1e308, "n_t": 4},
+        # not an integer count: these raised numpy's TypeError from np.full
+        {"sigma": 1.0, "total_power": 1.0, "n_t": True},
+        {"sigma": 1.0, "total_power": 1.0, "n_t": 2.5},
     ],
 )
 def test_quadrature_rejects_bad_inputs(kwargs):
     with pytest.raises(ValueError):
         ergodic_log_rate_quadrature(**kwargs)
+
+
+def test_quadrature_takes_a_numpy_integer_n_t():
+    quad = ergodic_log_rate_quadrature
+    assert quad(1.0, 4.0, np.int64(4)) == quad(1.0, 4.0, 4)
 
 
 def _closed_form_log_rate(sigma, P, n_t):
@@ -338,13 +357,94 @@ def test_rate_only_calls_keep_the_bits_of_the_gradient_call(n_t):
         assert single == _mgf_rate(uniform, 1.0, 0.0, grad=True)[0]
 
 
-@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 7, 8, 64])
+_SUM_NT = [*range(1, 10), 15, 16, 17, 64, 127, 128, 129, 200, 256, 257, 300]
+
+
+@pytest.mark.parametrize("n_t", _SUM_NT)
 def test_short_axis_fold_sums_with_the_bits_of_np_sum(n_t):
-    # the MGF rule's log sums: (nodes, n_t) for one allocation, (k, nodes, n_t) for a batch
+    # the MGF rule's log sums, antenna-first: (n_t, nodes) for one allocation,
+    # (n_t, k, nodes) for a batch. The reference is np.sum over the last axis of
+    # the C-contiguous (..., nodes, n_t) block: np.sum over a moveaxis view of
+    # the slabs adds them left to right, not pairwise. Above 128 terms numpy
+    # splits the sum in halves; above 64 the largest batch shrinks to stay near 10 MB.
     rng = np.random.default_rng(n_t)
-    for shape in ((73, n_t), (129, n_t), (1, 83, n_t), (37, 81, n_t), (400, 75, n_t)):
+    big = (400, 75) if n_t <= 64 else (40, 75)
+    for shape in ((73, n_t), (129, n_t), (1, 83, n_t), (37, 81, n_t), (*big, n_t)):
         x = np.log1p(rng.exponential(size=shape) * 10.0 ** rng.uniform(-6.0, 6.0, size=shape))
-        assert np.array_equal(_sum_last(x), np.sum(x, axis=-1))
+        slabs = np.ascontiguousarray(np.moveaxis(x, -1, 0))
+        assert np.array_equal(_sum_antennas(slabs), np.sum(x, axis=-1))
+
+
+def _nodes_last_mgf_rate(d, var_h, var_g):
+    """_mgf_rate formulated on (..., nodes, n_t) blocks summed by np.sum, with
+    a fresh rule: the reference whose bits the antenna-first evaluator keeps.
+    Returns the rate, error estimate, gradient and node count."""
+    h = _MGF_STEP
+    c = max(var_h, var_g) * float(np.max(np.sum(d, axis=-1)))
+    last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * h))
+    s = np.exp(_MGF_TOP - h * np.arange(last + 1))
+    s = np.concatenate((s, s[-1] * _MGF_TAIL_AT))
+    weight = np.full(s.size, h)
+    weight[-2:] = (_MGF_TAIL_WEIGHT[0], 0.0)
+    coarse = np.zeros(s.size)
+    coarse[:-2:2] = 2 * h
+    coarse[-1] = _MGF_TAIL_WEIGHT[1]
+    x_h = s[:, None] * (var_h * d[..., None, :])
+    x_g = s[:, None] * (var_g * d[..., None, :])
+    log_h = np.sum(np.log1p(x_h), axis=-1)
+    log_g = np.sum(np.log1p(x_g), axis=-1)
+    decay = np.exp(-s)
+    m_g = np.exp(-log_g)
+    f = decay * m_g * -np.expm1(log_g - log_h)
+    ln2, eps = math.log(2.0), np.finfo(np.float64).eps
+    rate = f @ weight / ln2
+    err = np.maximum(np.abs(rate - f @ coarse / ln2), eps * (np.abs(f) @ weight) / ln2)
+    w = decay * s * weight
+    m_h = np.exp(-log_h)
+    dr = (var_h * ((w * m_h)[..., None, :] @ (1.0 / (1.0 + x_h)))
+          - var_g * ((w * m_g)[..., None, :] @ (1.0 / (1.0 + x_g))))[..., 0, :]
+    return rate, err, dr / ln2, last + 1
+
+
+_ORACLE_NT = [*range(1, 18), 31, 32, 33, 63, 64, 65, 127, 128, 129, 136, 200, 255, 256]
+
+
+@pytest.mark.parametrize("n_t", _ORACLE_NT)
+def test_mgf_rate_keeps_the_bits_of_the_nodes_last_layout(n_t):
+    # holds on any numpy build, where pinned hex values would not; the batch
+    # of 100 rows stops at 64 antennas to keep its blocks near 5 MB
+    rng = np.random.default_rng(n_t)
+    shapes = [(), (1,), (7,), (2, 3)] + ([(100,)] if n_t <= 64 else [])
+    for shape in shapes:
+        scale = 10.0 ** rng.uniform(-3.0, 3.0, size=(*shape, 1))
+        d = scale * rng.dirichlet(np.ones(n_t), size=shape or None)
+        for var_h, var_g in ((1.0, 0.25), (1.0, 0.998), (2.0, 0.0), (0.5, 3.0)):
+            rate, err, grad, nodes = _nodes_last_mgf_rate(d, var_h, var_g)
+            got = _mgf_rate(d, var_h, var_g, grad=True)
+            assert got[3] == nodes and got[2].shape == d.shape
+            rate1, err1, none, nodes1 = _mgf_rate(d, var_h, var_g)
+            assert none is None and nodes1 == nodes
+            for a, b in zip((*got[:3], rate1, err1), (rate, err, grad, rate, err)):
+                assert np.shape(a) == np.shape(b), (shape, var_h, var_g)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), (shape, var_h, var_g)
+
+
+def test_mgf_rule_cache_is_read_only_bounded_and_exact():
+    _mgf_rule.cache_clear()
+    rule = _mgf_rule(78)
+    assert _mgf_rule(78) is rule
+    for cached, fresh in zip(rule, _mgf_rule.__wrapped__(78)):
+        assert cached.tobytes() == fresh.tobytes() and cached.shape == fresh.shape
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
+    maxsize = _mgf_rule.cache_info().maxsize
+    assert maxsize is not None
+    for last in range(2, 2 * (maxsize + 4), 2):
+        _mgf_rule(last)
+    assert _mgf_rule.cache_info().currsize == maxsize
+    # an evicted rule is built again with the same bits
+    assert _mgf_rule(78)[0].tobytes() == rule[0].tobytes()
 
 
 def test_direct_zero_mean_at_equal_scales():
