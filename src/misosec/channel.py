@@ -53,22 +53,18 @@ STREAM_LEGITIMATE = 0
 STREAM_EAVESDROPPER = 1
 STREAM_GENERIC = 2
 
-# cores this process may run on; sizes the chunk pool and the sweeps' point threads
-USABLE_CORES = (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-)
-
 
 def _new_pool() -> ThreadPoolExecutor:
     # the thread that asks for the chunks runs them too (see stream_moments),
-    # so one worker per other core keeps every usable core busy
-    return ThreadPoolExecutor(
-        max_workers=max(USABLE_CORES - 1, 1), thread_name_prefix="misosec-chunk"
+    # so one worker per other core the process may run on keeps them all busy
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
+    return ThreadPoolExecutor(max_workers=max(cores - 1, 1), thread_name_prefix="misosec-chunk")
 
 
-# every Monte Carlo chunk of the process runs here or in its caller; the
-# workers start on first use
+# the package's only thread pool: every Monte Carlo chunk of the process runs
+# here or in its caller; the workers start on first use
 _POOL = _new_pool()
 
 
@@ -82,15 +78,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
-def _check_n_t(n_t: int) -> None:
-    """Reject an antenna count that is not an integer (a bool is not one),
-    is below 1, or is more entries than any array can have."""
-    if not isinstance(n_t, (int, np.integer)) or isinstance(n_t, bool):
-        raise ValueError(f"n_t must be an integer, got {n_t!r}")
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
-    if n_t > sys.maxsize:
-        raise ValueError(f"n_t must be at most sys.maxsize = {sys.maxsize}, got {n_t}")
+def _check_count(value: int, name: str, minimum: int) -> None:
+    """Reject a count that is not an integer (a bool is not one, a numpy
+    integer is), is below minimum, or is more than any array can have."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    if value > sys.maxsize:
+        raise ValueError(f"{name} must be at most sys.maxsize = {sys.maxsize}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class ChannelModel:
     sigma_g: float
 
     def __post_init__(self) -> None:
-        _check_n_t(self.n_t)
+        _check_count(self.n_t, "n_t", 1)
         # every rate route works with the variances and their ratio a, so a
         # sigma whose square overflows or underflows is as unusable as inf
         for name, sigma in (("sigma_h", self.sigma_h), ("sigma_g", self.sigma_g)):
@@ -146,7 +142,7 @@ class PowerAllocation:
     @classmethod
     def uniform(cls, n_t: int, budget: float) -> PowerAllocation:
         """Equal split budget/n_t per antenna."""
-        _check_n_t(n_t)
+        _check_count(n_t, "n_t", 1)
         return cls(d=(budget / n_t,) * n_t, budget=budget)
 
     @property

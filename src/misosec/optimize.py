@@ -27,6 +27,7 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
+    _check_count,
 )
 from .rates import _check_headroom, _check_mc_route, _mgf_rate
 
@@ -59,8 +60,7 @@ class OptimizerConfig:
     grad_samples: ClassVar[int] = 50_000
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        _check_count(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)

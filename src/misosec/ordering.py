@@ -34,7 +34,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels, channel
-from .channel import STREAM_GENERIC
+from .channel import STREAM_GENERIC, _check_count
 from .rates import _antenna_first, _check_headroom, _check_mc_samples, _sum_antennas
 
 # factorials stay exactly representable in float64 up to 20!
@@ -127,10 +127,12 @@ class OrderCheckReport:
 
 
 def _allocation(d: Sequence[float]) -> NDArray[np.float64]:
-    """d as a 1-D float array, rejected unless its entries are finite and nonnegative."""
+    """d as a 1-D float array, rejected unless nonempty with finite, nonnegative entries."""
     dv = np.asarray(d, dtype=np.float64)
-    if dv.ndim != 1 or not np.all(np.isfinite(dv)) or np.any(dv < 0):
-        raise ValueError(f"allocation must be 1-D, finite and nonnegative, got {dv.tolist()}")
+    if dv.ndim != 1 or dv.size == 0 or not np.all(np.isfinite(dv)) or np.any(dv < 0):
+        raise ValueError(
+            f"allocation must be 1-D, nonempty, finite and nonnegative, got {dv.tolist()}"
+        )
     return dv
 
 
@@ -238,8 +240,7 @@ def cm_derivative(a: float, x: float, n: int) -> float:
         raise ValueError(f"a must lie in [0, 1), got {a}")
     if not x > 0:
         raise ValueError(f"x must be positive, got {x}")
-    if n < 0 or int(n) != n:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    _check_count(n, "n", 0)
     if n > MAX_DERIVATIVE_ORDER:
         raise ValueError(f"n must be <= {MAX_DERIVATIVE_ORDER} (n! must stay exact), got {n}")
     # the recurrence's terms grow only while a + x < 1, and then no faster
@@ -286,8 +287,7 @@ def random_majorization_pair(
     d_star precedes d by construction. A batch of one of
     _random_majorization_pairs: the same draws, with the same bits.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_count(n, "n", 1)
     if not (math.isfinite(total) and total > 0):
         raise ValueError(f"total must be finite and positive, got {total}")
     d_star, d = _random_majorization_pairs(n, total, rng, 1)

@@ -54,7 +54,7 @@ from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-    _check_n_t,
+    _check_count,
 )
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -104,9 +104,9 @@ _GAMMA_MIN_NT = 5
 
 
 def _check_mc_samples(n_samples: int) -> None:
-    # one draw has no spread to measure, so its std_error of 0 would claim an exact answer
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2 for a Monte Carlo std error, got {n_samples}")
+    # at least 2: one draw has no spread to measure, so its std_error of 0
+    # would claim an exact answer
+    _check_count(n_samples, "n_samples", 2)
 
 
 class MethodTag(Enum):
@@ -130,8 +130,8 @@ class EvalMethod:
             raise ValueError(f"tag must be a MethodTag, got {self.tag!r}")
         if self.tag is not MethodTag.QUADRATURE:
             _check_mc_samples(self.n_samples)
-        elif self.n_samples < 1:
-            raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
+        else:
+            _check_count(self.n_samples, "n_samples", 1)
 
     @classmethod
     def direct_mc(cls, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> EvalMethod:
@@ -372,7 +372,7 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
     """
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be finite and positive, got {sigma}")
-    _check_n_t(n_t)
+    _check_count(n_t, "n_t", 1)
     if not (math.isfinite(total_power) and total_power >= 0):
         raise ValueError(f"total_power must be finite and >= 0, got {total_power}")
     if total_power == 0:

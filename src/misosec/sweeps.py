@@ -10,26 +10,24 @@ rows less noisy. An antenna sweep has one group per point i, at
 point_seed(seed, i). A group is one rates._capacities call, the evaluator
 behind secrecy_capacity, and each power in it gets the bits of its own call,
 so a row can be reproduced by calling secrecy_capacity with the row's
-parameters and seed. Groups run on a few point threads, one per usable core
-at most. For the Monte Carlo routes each group hands its chunk fns to
-channel.stream_moments, which runs each chunk as a task on the group's thread
-and on the one shared chunk pool and merges them in chunk order; running
-groups side by side keeps that pool fed across group boundaries.
-Rows come back ordered by sweep value no matter which group finishes first.
+parameters and seed. Groups run one after another, in grid order, on the
+calling thread, so rows come back ordered by sweep value. For the Monte Carlo
+routes each group hands its chunk fns to channel.stream_moments, which runs
+each chunk as a task on the calling thread and on the one shared chunk pool
+and merges them in chunk order; that pool is the sweeps' only parallelism.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .channel import USABLE_CORES, ChannelModel
+from .channel import ChannelModel
 from .rates import EvalMethod, _capacities, asymptote_high_snr, asymptote_large_nt
 
 _POINT_TAG = 13
@@ -154,36 +152,30 @@ def _groups(spec: SweepSpec) -> list[_Group]:
 
 
 def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
-    """One row per grid point, evaluated a group at a time on point threads;
+    """One row per grid point, evaluated a group at a time in grid order;
     writes the CSV if asked."""
     if spec.sweep_kind is not kind:
         raise ValueError(f"expected a {kind.value!r} sweep, got {spec.sweep_kind.value!r}")
-
-    def eval_group(group: _Group) -> list[SweepRow]:
-        model, values, powers, method = group
-        return [
-            SweepRow(
-                sweep_kind=kind.value,
-                sweep_value=float(value),
-                n_t=model.n_t,
-                sigma_h=model.sigma_h,
-                sigma_g=model.sigma_g,
-                P=P,
-                method=method.tag.value,
-                capacity_bits=est.mean,
-                std_error_bits=est.std_error,
-                asymptote_bits=(
-                    asymptote_high_snr(model) if kind is SweepKind.SNR
-                    else asymptote_large_nt(model, P)
-                ),
-                seed=method.seed,
-            )
-            for value, P, est in zip(values, powers, _capacities(model, powers, method))
-        ]
-
-    groups = _groups(spec)
-    with ThreadPoolExecutor(max_workers=min(len(groups), USABLE_CORES)) as pool:
-        rows = [row for group_rows in pool.map(eval_group, groups) for row in group_rows]
+    rows = [
+        SweepRow(
+            sweep_kind=kind.value,
+            sweep_value=float(value),
+            n_t=model.n_t,
+            sigma_h=model.sigma_h,
+            sigma_g=model.sigma_g,
+            P=P,
+            method=method.tag.value,
+            capacity_bits=est.mean,
+            std_error_bits=est.std_error,
+            asymptote_bits=(
+                asymptote_high_snr(model) if kind is SweepKind.SNR
+                else asymptote_large_nt(model, P)
+            ),
+            seed=method.seed,
+        )
+        for model, values, powers, method in _groups(spec)
+        for value, P, est in zip(values, powers, _capacities(model, powers, method))
+    ]
     if spec.output_path is not None:
         write_csv(spec.output_path, rows)
     return rows

@@ -224,6 +224,10 @@ def test_ascent_rejects_bad_inputs():
         optimize_allocation(REF_MODEL, 0.0)
     with pytest.raises(ValueError):
         optimize_allocation(REF_MODEL, REF_POWER, SMALL_CONFIG, start=(1.0, 1.0, 1.0))
+    # an iteration cap that is not an integer failed later, in range
+    for max_iters in (2.5, True):
+        with pytest.raises(ValueError, match="max_iters"):
+            OptimizerConfig(max_iters=max_iters)
 
 
 # --- config and trace types ----------------------------------------------

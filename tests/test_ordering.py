@@ -102,6 +102,7 @@ def test_mgf_matches_monte_carlo():
         ([1.0, 1.0], math.inf, 1.0), ([1.0], 1.0, math.inf),
         # finite, but s sigma^2 d overflows: the product read 0.0
         ([1.0, 1.0], 1e200, 1.0), ([1.0, 1.0], 1.0, 1e308),
+        ([], 1.0, 1.0),  # an empty product read 1.0
     ],
 )
 def test_mgf_rejects_bad_inputs(d, sigma, s):
@@ -142,6 +143,8 @@ def test_lt_gap_rejects_bad_inputs():
     for sigma, s in ((math.inf, 1.0), (1.0, math.inf), (1e200, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError, match="finite"):
             lt_order_gap([1.0, 1.0], [2.0, 0.0], sigma, s)
+    with pytest.raises(ValueError, match="nonempty"):
+        lt_order_gap([], [], 1.0, 1.0)  # raised IndexError
 
 
 def test_lt_gap_rejects_allocations_of_different_lengths():
@@ -230,7 +233,11 @@ def test_cm_derivative_matches_mpmath(a):
 
 @pytest.mark.parametrize(
     "a, x, n",
-    [(1.0, 1.0, 0), (-0.1, 1.0, 0), (0.5, 0.0, 0), (0.5, 1.0, -1), (0.5, 1.0, 21), (0.5, 1.0, 2.5)],
+    [
+        (1.0, 1.0, 0), (-0.1, 1.0, 0), (0.5, 0.0, 0), (0.5, 1.0, -1), (0.5, 1.0, 21),
+        (0.5, 1.0, 2.5), (0.5, 1.0, 2.0),
+        (0.5, 1.0, True),  # a bool is not an order: True gave the order-1 value
+    ],
 )
 def test_cm_derivative_rejects_bad_inputs(a, x, n):
     with pytest.raises(ValueError):
@@ -275,6 +282,13 @@ def test_random_pair_rejects_bad_inputs():
     for total in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite"):
             random_majorization_pair(2, total, rng)
+    # not an integer count: these raised numpy's TypeError from np.ones
+    for n in (True, 2.5):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            random_majorization_pair(n, 4.0, rng)
+    pair = random_majorization_pair(np.int64(3), 4.0, np.random.default_rng(1))
+    for x, y in zip(pair, random_majorization_pair(3, 4.0, np.random.default_rng(1))):
+        assert np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])

@@ -313,8 +313,14 @@ def test_mc_rejects_bad_inputs():
     for route in (ergodic_log_rate_mc, secrecy_rate_direct_mc, secrecy_rate_coupled_mc,
                   grad_estimate):
         first = 1.0 if route is ergodic_log_rate_mc else model
-        with pytest.raises(ValueError, match="n_samples"):
-            route(first, alloc, 1, seed=0)
+        for n_samples in (1, 2.5, True):
+            with pytest.raises(ValueError, match="n_samples"):
+                route(first, alloc, n_samples, seed=0)
+    # 2.5 was accepted, then raised TypeError from range inside the route
+    for make in (EvalMethod.coupled_mc, EvalMethod.direct_mc):
+        for n_samples in (2.5, True, 2**70):
+            with pytest.raises(ValueError, match="n_samples"):
+                make(n_samples)
     # no headroom: sigma^2 or the budget overflows the draws
     for sigma, budget in ((1e200, 1.0), (1.0, 1e308)):
         with pytest.raises(ValueError, match="finite"):
@@ -734,5 +740,6 @@ def test_eval_method_validation():
         with pytest.raises(ValueError, match="n_samples"):
             EvalMethod(tag=tag, n_samples=1)
     assert EvalMethod(tag=MethodTag.QUADRATURE, n_samples=1).n_samples == 1  # unused there
+    assert EvalMethod.coupled_mc(np.int64(10)) == EvalMethod.coupled_mc(10)
     with pytest.raises(ValueError):
         EvalMethod(tag="coupled_mc")  # enum required

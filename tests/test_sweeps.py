@@ -16,7 +16,7 @@ from misosec import (
     run_sweep_snr,
     secrecy_capacity,
 )
-from misosec import channel
+from misosec import channel, sweeps
 from misosec.sweeps import CSV_HEADER, SweepRow, point_seed, rows_to_csv, write_csv
 
 MODEL = ChannelModel(n_t=2, sigma_h=1.0, sigma_g=0.5)
@@ -301,6 +301,35 @@ def test_write_csv_wraps_oserror_with_path(tmp_path, snr_rows):
     bad = tmp_path / "missing_dir" / "out.csv"
     with pytest.raises(OSError, match="missing_dir"):
         write_csv(str(bad), snr_rows)
+
+
+# --- the chunk pool is the only parallelism ------------------------------
+
+
+def test_antenna_sweep_runs_its_groups_in_order_on_the_calling_thread(monkeypatch):
+    calls = []
+    capacities = sweeps._capacities
+
+    def recorded(model, powers, method):
+        calls.append((threading.current_thread(), model.n_t))
+        return capacities(model, powers, method)
+
+    monkeypatch.setattr(sweeps, "_capacities", recorded)
+    grid = (1.0, 2.0, 3.0, 5.0, 8.0)
+    spec = SweepSpec(
+        sweep_kind=SweepKind.ANTENNAS,
+        model=MODEL,
+        grid=grid,
+        method=EvalMethod.coupled_mc(3 * channel.CHUNK, seed=4),  # 3 chunks per group
+        power=10.0,
+    )
+    run_sweep_antennas(spec)
+    assert calls == [(threading.current_thread(), int(n_t)) for n_t in grid]
+    # no thread outlives the sweep but the chunk pool's workers
+    assert [
+        t for t in threading.enumerate()
+        if t is not threading.main_thread() and not t.name.startswith("misosec-chunk")
+    ] == []
 
 
 # --- concurrent callers of the shared chunk pool ---------------------------
