@@ -30,7 +30,7 @@ from .verify import run_verify_suite
 _METHODS = {
     "direct": EvalMethod.direct_mc,
     "coupled": EvalMethod.coupled_mc,
-    "quad": lambda n_samples, seed: EvalMethod.quadrature(),
+    "quad": lambda n_samples, seed: EvalMethod.quadrature(seed),
 }
 
 # Each flag's argparse keywords. Its default applies when neither the command

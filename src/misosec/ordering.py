@@ -13,10 +13,10 @@ forms on whole arrays through the private batched forms: _lt_gaps_grid
 (lt_order_gap over a grid of s and a batch of pairs), _cm_derivatives
 (cm_derivative over a grid of a, x and n), _random_majorization_pairs
 (a batch of random_majorization_pair draws) and _lemma_margins (the
-expectation lemma at several a on one stream of draws). The probes take 1-D
-allocations of finite, nonnegative entries (majorizes takes any finite
-vectors), pairs of one length and sum, and a sigma and s with the headroom of
-rates._check_headroom.
+expectation lemma at several a on one stream of draws, whose chunk fn
+_lemma_chunks the suite reduces itself). The probes take 1-D allocations of
+finite, nonnegative entries (majorizes takes any finite vectors), pairs of
+one length and sum, and a sigma and s with the headroom of rates._check_headroom.
 
 An OrderCheckReport holds its margins as one array and labels a point only
 when it is read, so the suite's reports of up to 1100 points cost no more
@@ -352,6 +352,17 @@ def _lemma_margins(
     Each chunk's draw and its two quadratic forms serve every a, and each a's
     lemma_difference is reduced on its own, with the bits of a batch of one.
     """
+    chunk = _lemma_chunks(d1, d2, sigma, a_values, n_samples, seed)
+    (moments,) = channel.stream_moments((chunk,), n_samples)
+    return [(mean + 3.0 * se, mean, se) for mean, se in moments]
+
+
+def _lemma_chunks(
+    d1: Sequence[float], d2: Sequence[float], sigma: float, a_values: Sequence[float],
+    n_samples: int, seed: int,
+) -> channel._ChunkFn:
+    """The chunk fn of _lemma_margins, after its checks: one lemma_difference
+    output per a in a_values, whose margin is its mean + 3 se."""
     dv1 = _allocation(d1)
     dv2 = _allocation(d2)
     for a in a_values:
@@ -368,5 +379,4 @@ def _lemma_margins(
         dq = _kernels.quad_form(abs2, dv2 - dv1)
         return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
 
-    (moments,) = channel.stream_moments((chunk,), n_samples)
-    return [(mean + 3.0 * se, mean, se) for mean, se in moments]
+    return chunk

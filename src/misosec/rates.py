@@ -142,8 +142,8 @@ class EvalMethod:
         return cls(tag=MethodTag.COUPLED_MC, n_samples=n_samples, seed=seed)
 
     @classmethod
-    def quadrature(cls) -> EvalMethod:
-        return cls(tag=MethodTag.QUADRATURE)
+    def quadrature(cls, seed: int = 0) -> EvalMethod:
+        return cls(tag=MethodTag.QUADRATURE, seed=seed)
 
 
 def _draw_layout(d: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
@@ -191,37 +191,36 @@ def ergodic_log_rate_mc(
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
 
-def _direct_rates(
-    model: ChannelModel, ds: Sequence[NDArray[np.float64]], n_samples: int, seed: int
-) -> list[RateEstimate]:
-    """secrecy_rate_direct_mc of each allocation in ds (checks done by caller).
-    Each chunk is drawn once and serves every allocation. h and g are one chunk
-    fn each, so the pool runs their chunks side by side; one fn drawing both
-    runs them in series (at n_t=64 a call is one chunk per stream), and was slower."""
-    h = _quad_form_chunks(model.sigma_h, STREAM_LEGITIMATE, ds, seed, _kernels.log_rate)
-    g = _quad_form_chunks(model.sigma_g, STREAM_EAVESDROPPER, ds, seed, _kernels.log_rate)
-    rates_h, rates_g = channel.stream_moments((h, g), n_samples)
-    return [
-        RateEstimate(mean=mean_h - mean_g, std_error=math.hypot(se_h, se_g),
-                     n_samples=n_samples, seed=seed)
-        for (mean_h, se_h), (mean_g, se_g) in zip(rates_h, rates_g)
-    ]
-
-
-def _coupled_rates(
-    model: ChannelModel, ds: Sequence[NDArray[np.float64]], n_samples: int, seed: int
-) -> list[RateEstimate]:
-    """secrecy_rate_coupled_mc of each allocation in ds (checks done by caller).
-    Each chunk is drawn once and serves every allocation."""
-    a = model.a
-    chunk = _quad_form_chunks(
-        model.sigma_g, STREAM_EAVESDROPPER, ds, seed, lambda q: _kernels.coupled_integrand(q, a)
-    )
-    (moments,) = channel.stream_moments((chunk,), n_samples)
-    return [
-        RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
-        for mean, se in moments
-    ]
+def _mc_rates(
+    groups: Sequence[tuple[ChannelModel, Sequence[NDArray[np.float64]], EvalMethod]]
+) -> list[list[RateEstimate]]:
+    """The secrecy rate at each allocation in ds of each (model, ds, method)
+    group by its Monte Carlo route (checks done by caller), from one
+    stream_moments call over groups that share n_samples. Each chunk is drawn
+    once and serves its group's allocations. A direct group's h and g are one
+    chunk fn each, so the pool runs their chunks side by side; one fn drawing
+    both runs them in series (at n_t=64 a call is one chunk per stream), and was slower."""
+    fns = []
+    for model, ds, method in groups:
+        if method.tag is MethodTag.DIRECT_MC:
+            draws = ((model.sigma_h, STREAM_LEGITIMATE), (model.sigma_g, STREAM_EAVESDROPPER))
+            kernel = _kernels.log_rate
+        else:
+            draws = ((model.sigma_g, STREAM_EAVESDROPPER),)
+            kernel = functools.partial(_kernels.coupled_integrand, a=model.a)
+        fns += [_quad_form_chunks(sigma, stream, ds, method.seed, kernel)
+                for sigma, stream in draws]
+    moments = iter(channel.stream_moments(fns, groups[0][2].n_samples))
+    out = []
+    for _, _, method in groups:
+        estimate = functools.partial(RateEstimate, n_samples=method.n_samples, seed=method.seed)
+        if method.tag is MethodTag.DIRECT_MC:
+            rates_h, rates_g = next(moments), next(moments)
+            out.append([estimate(mean_h - mean_g, math.hypot(se_h, se_g))
+                        for (mean_h, se_h), (mean_g, se_g) in zip(rates_h, rates_g)])
+        else:
+            out.append([estimate(mean, se) for mean, se in next(moments)])
+    return out
 
 
 def secrecy_rate_direct_mc(
@@ -235,7 +234,7 @@ def secrecy_rate_direct_mc(
     secrecy_capacity does.
     """
     _check_mc_route(model, alloc, n_samples)
-    return _direct_rates(model, (alloc.as_array(),), n_samples, seed)[0]
+    return _mc_rates([(model, (alloc.as_array(),), EvalMethod.direct_mc(n_samples, seed))])[0][0]
 
 
 def secrecy_rate_coupled_mc(
@@ -251,7 +250,7 @@ def secrecy_rate_coupled_mc(
     without headroom, as secrecy_capacity does.
     """
     _check_mc_route(model, alloc, n_samples)
-    return _coupled_rates(model, (alloc.as_array(),), n_samples, seed)[0]
+    return _mc_rates([(model, (alloc.as_array(),), EvalMethod.coupled_mc(n_samples, seed))])[0][0]
 
 
 def _sum_antennas(x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -411,42 +410,52 @@ def secrecy_capacity(model: ChannelModel, P: float, method: EvalMethod) -> RateE
     rejects a P, n_t and sigmas whose draws or rule nodes could overflow: those
     where _HEADROOM * max(P, n_t) * max(sigma_h^2, sigma_g^2) is not finite.
     """
-    return _capacities(model, (P,), method)[0]
+    return _capacities([(model, (P,), method)])[0][0]
 
 
 def _capacities(
-    model: ChannelModel, powers: Sequence[float], method: EvalMethod
-) -> list[RateEstimate]:
-    """secrecy_capacity(model, P, method) for each P in powers, with the same bits.
+    groups: Sequence[tuple[ChannelModel, Sequence[float], EvalMethod]]
+) -> list[list[RateEstimate]]:
+    """secrecy_capacity(model, P, method) for each P of each (model, powers,
+    method) group, with the same bits; the groups share one n_samples.
 
-    The Monte Carlo routes draw each chunk once and evaluate every power on it
-    (common random numbers): each power's values are formed and reduced on
-    their own, so its result does not depend on the other powers. quad makes
-    one single-row _mgf_rate call per power, as a shared rule would move ulps.
+    The Monte Carlo routes draw each chunk once for every power of its group
+    (common random numbers), but form and reduce each power's values on their
+    own, so no result depends on the other powers; all groups go to one
+    _mc_rates reduce. quad makes one single-row _mgf_rate call per power, as a
+    shared rule would move ulps.
     """
-    for P in powers:
-        if not (math.isfinite(P) and P >= 0):
-            raise ValueError(f"P must be finite and >= 0, got {P}")
-    clamped = model.sigma_h <= model.sigma_g
-    live = [P for P in powers if P > 0 and not clamped]
-    estimates: list[RateEstimate] = []
-    if live:
-        _check_headroom(max(max(live), model.n_t), max(model.sigma_h, model.sigma_g))
-        allocs = [PowerAllocation.uniform(model.n_t, P).as_array() for P in live]
-        if method.tag is MethodTag.QUADRATURE:
-            for d in allocs:
-                mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
-                estimates.append(
-                    RateEstimate(float(mean), float(err), n_samples=nodes, seed=method.seed)
-                )
-        else:
-            rates = _direct_rates if method.tag is MethodTag.DIRECT_MC else _coupled_rates
-            estimates = rates(model, allocs, method.n_samples, method.seed)
-    # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
-    count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
-    clamp = RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
-    evaluated = iter(estimates)
-    return [clamp if clamped or P == 0 else next(evaluated) for P in powers]
+    if len({method.n_samples for _, _, method in groups}) != 1:
+        raise ValueError("the groups of one call must share one n_samples")
+    found: list[list[RateEstimate] | None] = []  # None: the group's rates come from _mc_rates
+    mc_groups = []
+    for model, powers, method in groups:
+        for P in powers:
+            if not (math.isfinite(P) and P >= 0):
+                raise ValueError(f"P must be finite and >= 0, got {P}")
+        live = [P for P in powers if P > 0 and model.sigma_h > model.sigma_g]
+        estimates: list[RateEstimate] | None = []
+        if live:
+            _check_headroom(max(max(live), model.n_t), max(model.sigma_h, model.sigma_g))
+            allocs = [PowerAllocation.uniform(model.n_t, P).as_array() for P in live]
+            if method.tag is MethodTag.QUADRATURE:
+                for d in allocs:
+                    mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
+                    estimates.append(RateEstimate(float(mean), float(err), nodes, method.seed))
+            else:
+                mc_groups.append((model, allocs, method))
+                estimates = None
+        found.append(estimates)
+    reduced = iter(_mc_rates(mc_groups) if mc_groups else ())
+    out = []
+    for (model, powers, method), estimates in zip(groups, found):
+        # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
+        count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
+        clamp = RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
+        evaluated = iter(next(reduced) if estimates is None else estimates)
+        clamped = model.sigma_h <= model.sigma_g
+        out.append([clamp if clamped or P == 0 else next(evaluated) for P in powers])
+    return out
 
 
 def asymptote_high_snr(model: ChannelModel) -> float:

@@ -7,14 +7,14 @@ its model does not change along the grid, so every point is evaluated on the
 same draws at point_seed(seed, 0), the common-random-numbers design, which
 draws each chunk once for the whole grid and makes the differences between
 rows less noisy. An antenna sweep has one group per point i, at
-point_seed(seed, i). A group is one rates._capacities call, the evaluator
-behind secrecy_capacity, and each power in it gets the bits of its own call,
-so a row can be reproduced by calling secrecy_capacity with the row's
-parameters and seed. Groups run one after another, in grid order, on the
-calling thread, so rows come back ordered by sweep value. For the Monte Carlo
-routes each group hands its chunk fns to channel.stream_moments, which runs
-each chunk as a task on the calling thread and on the one shared chunk pool
-and merges them in chunk order; that pool is the sweeps' only parallelism.
+point_seed(seed, i). The sweep is one rates._capacities call on the calling
+thread, the evaluator behind secrecy_capacity, and each power of each group
+gets the bits of its own call, so a row can be reproduced by calling
+secrecy_capacity with the row's parameters and seed. For the Monte Carlo
+routes every group's chunk fns go to one channel.stream_moments call, which
+runs each chunk as a task on the calling thread and on the one shared chunk
+pool, with no wait at a group's end, and merges them in chunk order; that
+pool is the sweeps' only parallelism. Rows come back in grid order.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
 """
@@ -152,10 +152,12 @@ def _groups(spec: SweepSpec) -> list[_Group]:
 
 
 def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
-    """One row per grid point, evaluated a group at a time in grid order;
+    """One row per grid point, all groups evaluated in one _capacities call;
     writes the CSV if asked."""
     if spec.sweep_kind is not kind:
         raise ValueError(f"expected a {kind.value!r} sweep, got {spec.sweep_kind.value!r}")
+    groups = _groups(spec)
+    capacities = _capacities([(model, powers, method) for model, _, powers, method in groups])
     rows = [
         SweepRow(
             sweep_kind=kind.value,
@@ -173,8 +175,8 @@ def _sweep(spec: SweepSpec, kind: SweepKind) -> list[SweepRow]:
             ),
             seed=method.seed,
         )
-        for model, values, powers, method in _groups(spec)
-        for value, P, est in zip(values, powers, _capacities(model, powers, method))
+        for (model, values, powers, method), estimates in zip(groups, capacities)
+        for value, P, est in zip(values, powers, estimates)
     ]
     if spec.output_path is not None:
         write_csv(spec.output_path, rows)

@@ -14,8 +14,11 @@ probe evaluates them in one call per dimension (and per sigma or ratio); the
 rate probe asks the MGF evaluator for rates only, without the gradient. The
 complete-monotonicity grid is one array evaluation of the closed form. Each
 lemma case costs one log per draw, and the two canonical cases, one pair at
-two a, share one stream of draws. Each report holds its probe's margins as
-one array and labels a point only when it is read (the CLI reads the worst).
+two a, share one stream of draws. Both its streams are one reduce, queued
+on the chunk pool (channel._start_moments) before the exact probes and the
+optimizer's exact ascent run on the calling thread, and collected after
+them. Each report holds its probe's margins as one array and labels a point
+only when it is read (the CLI reads the worst).
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel
+from .channel import ChannelModel, _start_moments
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
     _cm_derivatives,
-    _lemma_margins,
+    _lemma_chunks,
     _lt_gaps_grid,
     _majorization_margin,
     _random_majorization_pairs,
@@ -90,7 +93,8 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     then each dimension's pairs in one batch (in _PAIR_DIMS order), then the
     Schur probe's s values. The lemma's canonical cases #0 and #1 (one pair,
     two a) share the draws of seed + 0, and case #2 draws at seed + 2. The
-    optimizer runs OptimizerConfig(seed=seed) on the reference problem.
+    optimizer runs OptimizerConfig(seed=seed) on the reference problem, while
+    the pool's workers draw the lemma's chunks.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
     # pair i has dimension dims[i]; the pairs of one dimension are drawn
@@ -101,6 +105,46 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
         rows = np.flatnonzero(dims == n)
         pairs[n] = (rows, *_random_majorization_pairs(n, _PAIR_TOTAL, rng, rows.size))
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
+
+    # expectation-ordering lemma: the canonical spike-vs-flat pair at two a on
+    # one stream (cases #0 and #1), and random pair #0, which leads the rows of
+    # its dimension (case #2); each case's allocations share their draws
+    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
+    _, d_stars, ds = pairs[int(dims[0])]
+    lemma = _start_moments((
+        _lemma_chunks(spike, flat, 1.0, _LEMMA_CANONICAL_A, _LEMMA_SAMPLES, seed),
+        _lemma_chunks(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,), _LEMMA_SAMPLES, seed + 2),
+    ), _LEMMA_SAMPLES)
+    try:
+        checks = _exact_checks(dims, pairs, s_draws)
+        # optimizer-to-uniform check on the reference problem
+        opt_tol, opt_dev, opt_ok = 0.0, float("nan"), True
+        if run_optimizer:
+            model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
+            trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
+            opt_dev = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
+            opt_tol = 0.01 * P
+            opt_ok = trace.converged and opt_dev <= opt_tol
+        lemma_moments = lemma.result()
+    finally:
+        lemma.cancel()  # drops the lemma's unstarted chunks if a probe raised
+    margins = [mean + 3.0 * se for moments in lemma_moments for mean, se in moments]
+    lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
+    grid = f"{len(margins)} cases on 2 pairs, {_LEMMA_SAMPLES} draws per pair shared by its cases"
+    checks.append(("lemma_expectation", OrderCheckReport._of_margins(
+        grid, margins, lambda j: f"case#{j} a={lemma_a[j]}")))
+    return VerifySuiteResult(
+        checks=tuple(checks),
+        optimizer_deviation=opt_dev,
+        optimizer_tol=opt_tol,
+        optimizer_ok=opt_ok,
+    )
+
+
+def _exact_checks(
+    dims: np.ndarray, pairs: dict[int, tuple[np.ndarray, ...]], s_draws: np.ndarray
+) -> list[tuple[str, OrderCheckReport]]:
+    """The suite's exact probes' reports, in order: all but the lemma's."""
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
     # each pair probe makes one array call per pair dimension (and per sigma
@@ -162,34 +206,4 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     grid = f"{_PAIRS} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
     checks.append(("secrecy_rate_schur", OrderCheckReport._of_margins(grid, rate, rate_point)))
 
-    # expectation-ordering lemma: the canonical spike-vs-flat pair at two a on
-    # one stream (cases #0 and #1), and random pair #0, which leads the rows of
-    # its dimension (case #2); each case's allocations share their draws
-    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
-    _, d_stars, ds = pairs[int(dims[0])]
-    lemma = _lemma_margins(spike, flat, 1.0, _LEMMA_CANONICAL_A, _LEMMA_SAMPLES, seed)
-    lemma += _lemma_margins(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,), _LEMMA_SAMPLES, seed + 2)
-    lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
-    grid = f"{len(lemma)} cases on 2 pairs, {_LEMMA_SAMPLES} draws per pair shared by its cases"
-    checks.append(("lemma_expectation", OrderCheckReport._of_margins(
-        grid, [margin for margin, _, _ in lemma], lambda j: f"case#{j} a={lemma_a[j]}")))
-
-    # optimizer-to-uniform check on the reference problem
-    opt_tol = 0.0
-    opt_dev = float("nan")
-    opt_ok = True
-    if run_optimizer:
-        model = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5)
-        P = 4.0
-        trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
-        final = trace.final.as_array()
-        opt_dev = float(np.max(np.abs(final - P / model.n_t)))
-        opt_tol = 0.01 * P
-        opt_ok = trace.converged and opt_dev <= opt_tol
-
-    return VerifySuiteResult(
-        checks=tuple(checks),
-        optimizer_deviation=opt_dev,
-        optimizer_tol=opt_tol,
-        optimizer_ok=opt_ok,
-    )
+    return checks

@@ -3,7 +3,7 @@ import pytest
 
 from misosec import OrderCheckReport, Witness
 from misosec.cli import _COMMANDS, _FILE_KEYS, _FLAGS, main
-from misosec.sweeps import CSV_HEADER
+from misosec.sweeps import CSV_HEADER, point_seed
 from misosec.verify import VerifySuiteResult
 
 CAPACITY_ARGS = [
@@ -307,6 +307,23 @@ def test_sweep_nt_quadrature(capsys):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 4
     assert all(",quadrature," in line for line in lines[1:])
+
+
+def test_quadrature_records_the_seed_it_was_given(capsys):
+    # the rule is deterministic: the seed moves only the records, never a rate
+    model = ["--sigma-h", "1.0", "--sigma-g", "0.5", "--method", "quad"]
+    capacity = ["capacity", "--ntx", "2", "--snr-db", "10", *model]
+    sweep = ["sweep-nt", "--nt-grid", "1,2", "--snr-db", "10", *model]
+    estimate, rows = {}, {}
+    for seed in (0, 5):
+        assert main(capacity + ["--seed", str(seed)]) == 0
+        estimate[seed] = capsys.readouterr().out.split("\n")[1].split()
+        assert main(sweep + ["--seed", str(seed)]) == 0
+        rows[seed] = [line.split(",") for line in capsys.readouterr().out.strip().split("\n")[1:]]
+        assert estimate[seed][-1] == f"seed={seed}"
+        assert [int(row[-1]) for row in rows[seed]] == [point_seed(seed, i) for i in range(2)]
+    assert estimate[5][:-1] == estimate[0][:-1]
+    assert [row[:-1] for row in rows[5]] == [row[:-1] for row in rows[0]]
 
 
 # --- config file -----------------------------------------------------------

@@ -233,6 +233,70 @@ def test_stream_moments_rejects_empty_count():
         channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, FORMS["scalar"]),), 0)
 
 
+# --- reduces started before they are collected ------------------------------
+
+
+def test_started_reduces_collected_in_reverse_order_give_serial_bits():
+    fn = FORMS["per_coordinate"]
+    count = 3 * CHUNK + 5
+    draws = ((0.7, 3), (0.4, 6))
+    started = [
+        channel._start_moments((_chunks(sigma, seed, channel.STREAM_GENERIC, fn),), count)
+        for sigma, seed in draws
+    ]
+    got = [handle.result() for handle in reversed(started)][::-1]
+    for ((g,),), (sigma, seed) in zip(got, draws):
+        _assert_bit_identical(g, _serial(fn, sigma, count, seed, channel.STREAM_GENERIC))
+
+
+@pytest.fixture
+def blocked_pool(monkeypatch):
+    """A one-worker chunk pool whose worker waits until the yielded event is set."""
+    release = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as busy:
+        busy.submit(release.wait, 60)
+        monkeypatch.setattr(channel, "_POOL", busy)
+        try:
+            yield busy, release
+        finally:
+            release.set()
+
+
+def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
+    busy, release = blocked_pool
+    ran = []
+    fn = FORMS["scalar"]
+    counted = _chunks(0.7, 8, channel.STREAM_GENERIC, lambda abs2: ran.append(1) or fn(abs2))
+    channel._start_moments((counted,), 4 * CHUNK).cancel()
+    release.set()
+    busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
+    assert ran == []
+    ((got,),) = channel.stream_moments((_chunks(0.7, 8, channel.STREAM_GENERIC, fn),), 2 * CHUNK)
+    _assert_bit_identical(got, _serial(fn, 0.7, 2 * CHUNK, 8, channel.STREAM_GENERIC))
+
+
+def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocked_pool):
+    busy, release = blocked_pool
+    verify = sys.modules["misosec.verify"]
+    draws = []
+    draw = channel._draw_abs2
+
+    def counted(*args, **kwargs):
+        draws.append(args)  # list.append is atomic, so pool threads may share it
+        return draw(*args, **kwargs)
+
+    def broken(*args, **kwargs):
+        raise FloatingPointError("probe failed")
+
+    monkeypatch.setattr(channel, "_draw_abs2", counted)
+    monkeypatch.setattr(verify, "_mgf_rate", broken)
+    with pytest.raises(FloatingPointError, match="probe failed"):
+        verify.run_verify_suite(0, run_optimizer=False)
+    release.set()
+    busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
+    assert draws == []
+
+
 def _run_python(code):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -197,6 +197,26 @@ def test_snr_sweep_draws_each_chunk_once(monkeypatch, method):
     assert sweep_draws == len(calls) > 0
 
 
+@pytest.mark.parametrize("method", ["coupled", "direct"])
+def test_one_chunk_antenna_rows_match_their_own_call_bit_for_bit(method):
+    # every group of the sweep is one chunk per stream, all reduced in one call
+    model = ChannelModel(n_t=1, sigma_h=1.0, sigma_g=0.6)
+    spec = SweepSpec(
+        sweep_kind=SweepKind.ANTENNAS,
+        model=model,
+        grid=tuple(float(n_t) for n_t in range(1, 9)),
+        method=replace(METHODS[method], n_samples=channel.CHUNK),
+        power=10.0,
+    )
+    rows = run_sweep_antennas(spec)
+    assert [row.n_t for row in rows] == list(range(1, 9))
+    for row in rows:
+        est = secrecy_capacity(
+            replace(model, n_t=row.n_t), row.P, replace(spec.method, seed=row.seed)
+        )
+        assert _same_bits(row, est), row
+
+
 def test_equal_scales_sweep_is_all_zero():
     spec = snr_spec(model=ChannelModel(n_t=2, sigma_h=1.0, sigma_g=1.0))
     for row in run_sweep_snr(spec):
@@ -307,12 +327,13 @@ def test_write_csv_wraps_oserror_with_path(tmp_path, snr_rows):
 
 
 def test_antenna_sweep_runs_its_groups_in_order_on_the_calling_thread(monkeypatch):
+    # one _capacities call, from the calling thread, with the groups in grid order
     calls = []
     capacities = sweeps._capacities
 
-    def recorded(model, powers, method):
-        calls.append((threading.current_thread(), model.n_t))
-        return capacities(model, powers, method)
+    def recorded(groups):
+        calls.append((threading.current_thread(), [model.n_t for model, _, _ in groups]))
+        return capacities(groups)
 
     monkeypatch.setattr(sweeps, "_capacities", recorded)
     grid = (1.0, 2.0, 3.0, 5.0, 8.0)
@@ -324,7 +345,7 @@ def test_antenna_sweep_runs_its_groups_in_order_on_the_calling_thread(monkeypatc
         power=10.0,
     )
     run_sweep_antennas(spec)
-    assert calls == [(threading.current_thread(), int(n_t)) for n_t in grid]
+    assert calls == [(threading.current_thread(), [int(n_t) for n_t in grid])]
     # no thread outlives the sweep but the chunk pool's workers
     assert [
         t for t in threading.enumerate()
