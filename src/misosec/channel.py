@@ -28,9 +28,7 @@ cores, in the calling thread and on one process-wide thread pool, and merges
 each output's chunk statistics in chunk order in the calling thread. So
 every seeded result is bit-identical to running fn(index, rows) over the
 chunks one by one, whatever the core count and however many threads call at
-once. A caller with other work can queue a reduce first (_start_moments), do
-that work while the workers take its chunks, then collect it, bits and all.
-No route draws the complex entries themselves; the tests keep a complex
+once. No route draws the complex entries themselves; the tests keep a complex
 reference sampler, which these draws match in distribution.
 """
 from __future__ import annotations
@@ -246,46 +244,6 @@ def _chunk_stats(
     return list(map(_kernels.RunningMoments.chunk, fn(index, rows)))
 
 
-class _Started:
-    """The handle of _start_moments(fns, count): its tasks and their futures."""
-
-    def __init__(self, fns: Sequence[_ChunkFn], count: int) -> None:
-        chunks = _chunk_rows(count)
-        self._per_fn = len(chunks)
-        self._tasks = [(fn, index, rows) for fn in fns for index, rows in chunks]
-        self._futures = [_POOL.submit(_chunk_stats, *task) for task in self._tasks]
-
-    def result(self) -> _Moments:
-        tasks, futures = self._tasks, self._futures
-        stats: list[list | None] = [None] * len(tasks)
-        try:
-            for i in reversed(range(len(tasks))):
-                if futures[i].cancel():
-                    stats[i] = _chunk_stats(*tasks[i])
-            stats = [f.result() if done is None else done for f, done in zip(futures, stats)]
-            out = []
-            for start in range(0, len(tasks), self._per_fn):
-                moments = [_kernels.RunningMoments() for _ in stats[start]]
-                for chunk in stats[start : start + self._per_fn]:
-                    for m, chunk_stats in zip(moments, chunk, strict=True):
-                        m.merge(*chunk_stats)
-                out.append([m.mean_se() for m in moments])
-            return out
-        finally:
-            self.cancel()  # after a failure, drop the tasks nobody has started
-
-    def cancel(self) -> None:
-        for future in self._futures:
-            future.cancel()
-
-
-def _start_moments(fns: Sequence[_ChunkFn], count: int) -> _Started:
-    """stream_moments(fns, count), queued on the pool now and collected by the
-    handle's result(), bits and all, once the caller has done its other work;
-    cancel() drops the tasks no worker has started, as when that work raised."""
-    return _Started(fns, count)
-
-
 def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
     """Mean and std error of each output of each fn in fns over count rows.
 
@@ -296,14 +254,34 @@ def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
     outputs one at a time: each is reduced to its chunk stats before the next
     is formed, so a chunk drawn once can feed many outputs without their rows
     ever being held together. Each (fn, chunk index) is one task, and every
-    task is queued on the shared pool at once (_start_moments). The calling
-    thread works too: it runs the tasks no worker has started, from the last
-    one back, while the workers take them from the first one on. Each output's
-    partial stats are then merged in chunk order, so each result has the bits of
+    task is queued on the shared pool at once. The calling thread works too:
+    it runs the tasks no worker has started, from the last one back, while the
+    workers take them from the first one on. Each output's partial stats are
+    then merged in chunk order, so each result has the bits of
     `for index, rows in _chunk_rows(count): m.add(list(fn(index, rows))[j])`,
     whatever the other fns and outputs are and whichever threads ran the
     tasks. The caller only ever waits on tasks a worker is running, so a call
     cannot deadlock, however many threads call at once.
     Returns, per fn in order, one RunningMoments.mean_se() per output of fn.
     """
-    return _start_moments(fns, count).result()
+    chunks = _chunk_rows(count)
+    tasks = [(fn, index, rows) for fn in fns for index, rows in chunks]
+    futures = [_POOL.submit(_chunk_stats, *task) for task in tasks]
+    stats: list[list | None] = [None] * len(tasks)
+    try:
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():
+                stats[i] = _chunk_stats(*tasks[i])
+        stats = [future.result() if done is None else done for future, done in zip(futures, stats)]
+    finally:
+        # after a failure, drop the tasks nobody has started
+        for future in futures:
+            future.cancel()
+    out = []
+    for start in range(0, len(tasks), len(chunks)):
+        moments = [_kernels.RunningMoments() for _ in stats[start]]
+        for chunk in stats[start : start + len(chunks)]:
+            for m, chunk_stats in zip(moments, chunk, strict=True):
+                m.merge(*chunk_stats)
+        out.append([m.mean_se() for m in moments])
+    return out

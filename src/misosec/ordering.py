@@ -12,11 +12,13 @@ Each public probe checks one point. The verify suite runs the same closed
 forms on whole arrays through the private batched forms: _lt_gaps_grid
 (lt_order_gap over a grid of s and a batch of pairs), _cm_derivatives
 (cm_derivative over a grid of a, x and n), _random_majorization_pairs
-(a batch of random_majorization_pair draws) and _lemma_margins (the
-expectation lemma at several a on one stream of draws, whose chunk fn
-_lemma_chunks the suite reduces itself). The probes take 1-D allocations of
-finite, nonnegative entries (majorizes takes any finite vectors), pairs of
-one length and sum, and a sigma and s with the headroom of rates._check_headroom.
+(a batch of random_majorization_pair draws) and _lemma_exact (the
+expectation lemma's exact difference at several a, by the MGF and Frullani
+integrals of rates). _lemma_margins, the Monte Carlo lemma at several a on
+one stream of draws, is its sampled cross-check. The probes take 1-D
+allocations of finite, nonnegative entries (majorizes takes any finite
+vectors), pairs of one length and sum, and a sigma and s with the headroom
+of rates._check_headroom.
 
 An OrderCheckReport holds its margins as one array and labels a point only
 when it is read, so the suite's reports of up to 1100 points cost no more
@@ -35,7 +37,9 @@ from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels, channel
 from .channel import STREAM_GENERIC, _check_count
-from .rates import _antenna_first, _check_headroom, _check_mc_samples, _sum_antennas
+from .rates import (
+    _antenna_first, _check_headroom, _check_mc_samples, _log_gap, _mgf_rate, _sum_antennas,
+)
 
 # factorials stay exactly representable in float64 up to 20!
 MAX_DERIVATIVE_ORDER = 20
@@ -380,3 +384,29 @@ def _lemma_chunks(
         return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
 
     return chunk
+
+
+def _lemma_exact(
+    d1: ArrayLike, d2: ArrayLike, sigma: float, a_values: Sequence[float]
+) -> list[float]:
+    """E f(q2) - E f(q1) of verify_lemma_LT_implies_expectation for each a in
+    a_values, exact to rounding (validation done by caller).
+
+    For a > 0, f(q) = log2 a + log2(1 + q/a) - log2(1 + q), so the difference
+    is R(d2) - R(d1) for R the MGF rate at variances sigma^2/a and sigma^2. At
+    a = 0 it is E log2 q2 - E log2 q1 (Frullani's integral, rates._log_gap)
+    less the difference of E log2(1 + q), the MGF rate at sigma^2 and 0. Both
+    rows go to _mgf_rate as one batch; their equal sums give each its own rule,
+    so each rate is within a few ulps of its single-row call.
+    """
+    var = sigma * sigma
+    d = np.array((d2, d1), dtype=np.float64)
+    out = []
+    for a in a_values:
+        if a > 0:
+            r2, r1 = _mgf_rate(d, var / a, var)[0]
+            out.append(float(r2 - r1))
+        else:
+            r2, r1 = _mgf_rate(d, var, 0.0)[0]
+            out.append(_log_gap(d, var) - float(r2 - r1))
+    return out

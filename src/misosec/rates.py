@@ -362,6 +362,35 @@ def _mgf_rate(
     return rate, err, dr / _LN2, last + 1
 
 
+# Frullani's integral E ln q0 - E ln q1 = int (M1(s) - M0(s)) ds/s, for two
+# allocations of one sum S, on a trapezoid rule in u = ln s. M1 - M0 is
+# analytic for |Im u| < pi, and on |Im u| <= pi/2, where
+# |1 + s c| >= max(1, |s| c), it keeps the bounds below, so the error falls
+# as exp(-pi^2/step), as for the MGF rule: ~1e-17 at step 1/4. (At step 1/2,
+# ~1e-9, it erred by 1.4e-12 bits on an 8-antenna pair.) With no e^{-s}
+# factor, the nodes run far past s = e^TOP. Below: the s^m coefficient of
+# M = prod_k 1/(1 + s var d_k) is at most (var S)^m, and the rows' equal sums
+# cancel its s^0 and s^1 terms, so for var S s <= e^-LOW,
+# |M1 - M0| <= 2.1 (var S s)^2 and the tail below is within 1.1 e^{-2 LOW}
+# nats. Above: |M1 - M0| <= max(M0, M1) <= 1/(s m), m = var times the smaller
+# row maximum, so past s m = e^HIGH the tail is within e^-HIGH nats. LOW = 20
+# and HIGH = 37 put both below 1e-16 nats: they are bounds, not settings.
+_GAP_STEP, _GAP_LOW, _GAP_HIGH = 0.25, 20.0, 37.0
+
+
+def _log_gap(d: NDArray[np.float64], var: float) -> float:
+    """E log2(g^H D0 g) - E log2(g^H D1 g) for the rows D0, D1 of d, which have
+    one sum, and entries of g of variance var, by Frullani's integral (see the
+    rule above). M1 - M0 is formed as M1 * -expm1(L1 - L0), as _mgf_rate forms
+    M_g - M_h, and the arrays are antenna-first, as there."""
+    top = _GAP_HIGH - math.log(var * float(d.max(axis=-1).min()))
+    bottom = -_GAP_LOW - math.log(var * float(d.sum(axis=-1).max()))
+    u = top - _GAP_STEP * np.arange(math.ceil((top - bottom) / _GAP_STEP) + 1)
+    x = _antenna_first(d, var * np.exp(u))
+    log0, log1 = _sum_antennas(np.log1p(x, out=x))
+    return float(np.exp(-log1) @ -np.expm1(log1 - log0)) * _GAP_STEP / _LN2
+
+
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:
     """Deterministic E[log2(1 + (P/n_t) ||g||^2)], entries of g at scale sigma.
 

@@ -5,20 +5,18 @@ complete-monotonicity probes, the expectation-ordering lemma, a
 deterministic check that the secrecy rate itself is Schur-concave
 (R(d*) >= R(d) whenever d* is majorized by d, by Hamdi's MGF integral), and
 one optimizer run that must land on the uniform allocation. Margins use the
-convention "claim holds iff margin >= -1e-12"; Monte Carlo probes fold their
-noise in as mean + 3 * std_error.
+convention "claim holds iff margin >= -1e-12". Every probe is exact to
+rounding, so the suite draws nothing and its output depends only on the seed.
 
 Every probe is array work, through to its report. The pairs of one
 dimension are drawn by one Dirichlet and one uniform call, and each pair
 probe evaluates them in one call per dimension (and per sigma or ratio); the
 rate probe asks the MGF evaluator for rates only, without the gradient. The
 complete-monotonicity grid is one array evaluation of the closed form. Each
-lemma case costs one log per draw, and the two canonical cases, one pair at
-two a, share one stream of draws. Both its streams are one reduce, queued
-on the chunk pool (channel._start_moments) before the exact probes and the
-optimizer's exact ascent run on the calling thread, and collected after
-them. Each report holds its probe's margins as one array and labels a point
-only when it is read (the CLI reads the worst).
+lemma case's margin is its exact difference E f(q2) - E f(q1), a difference
+of two MGF rates and at a = 0 Frullani's integral (ordering._lemma_exact).
+Each report holds its probe's margins as one array and labels a point only
+when it is read (the CLI reads the worst).
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
@@ -29,12 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, _start_moments
+from .channel import ChannelModel
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
     _cm_derivatives,
-    _lemma_chunks,
+    _lemma_exact,
     _lt_gaps_grid,
     _majorization_margin,
     _random_majorization_pairs,
@@ -45,9 +43,8 @@ from .rates import _mgf_rate
 _PAIRS = 400
 _PAIR_DIMS = (2, 3, 4, 8)
 _PAIR_TOTAL = 4.0
-# LT probe's s grid size, and draws per expectation-lemma case
+# LT probe's s grid size
 _S_POINTS = 50
-_LEMMA_SAMPLES = 200_000
 # the lemma's a: two on the canonical spike-vs-flat pair, one on a random pair
 _LEMMA_CANONICAL_A = (0.25, 0.0)
 _LEMMA_RANDOM_A = 0.5
@@ -88,13 +85,12 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     """Run every ordering probe and (optionally) the optimizer check.
 
     The probe sizes are fixed: _PAIRS random (d_star, d) pairs feed the pair
-    probes, the LT probe runs on _S_POINTS log-spaced s and each lemma case
-    on _LEMMA_SAMPLES draws. The seed's generator draws the pair dimensions,
-    then each dimension's pairs in one batch (in _PAIR_DIMS order), then the
-    Schur probe's s values. The lemma's canonical cases #0 and #1 (one pair,
-    two a) share the draws of seed + 0, and case #2 draws at seed + 2. The
-    optimizer runs OptimizerConfig(seed=seed) on the reference problem, while
-    the pool's workers draw the lemma's chunks.
+    probes and the LT probe runs on _S_POINTS log-spaced s. The seed's
+    generator draws the pair dimensions, then each dimension's pairs in one
+    batch (in _PAIR_DIMS order), then the Schur probe's s values. The lemma's
+    cases #0 and #1 are the canonical spike-vs-flat pair at two a, and case #2
+    is random pair #0. The optimizer runs OptimizerConfig(seed=seed) on the
+    reference problem.
     """
     rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
     # pair i has dimension dims[i]; the pairs of one dimension are drawn
@@ -105,46 +101,6 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
         rows = np.flatnonzero(dims == n)
         pairs[n] = (rows, *_random_majorization_pairs(n, _PAIR_TOTAL, rng, rows.size))
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
-
-    # expectation-ordering lemma: the canonical spike-vs-flat pair at two a on
-    # one stream (cases #0 and #1), and random pair #0, which leads the rows of
-    # its dimension (case #2); each case's allocations share their draws
-    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
-    _, d_stars, ds = pairs[int(dims[0])]
-    lemma = _start_moments((
-        _lemma_chunks(spike, flat, 1.0, _LEMMA_CANONICAL_A, _LEMMA_SAMPLES, seed),
-        _lemma_chunks(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,), _LEMMA_SAMPLES, seed + 2),
-    ), _LEMMA_SAMPLES)
-    try:
-        checks = _exact_checks(dims, pairs, s_draws)
-        # optimizer-to-uniform check on the reference problem
-        opt_tol, opt_dev, opt_ok = 0.0, float("nan"), True
-        if run_optimizer:
-            model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
-            trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
-            opt_dev = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
-            opt_tol = 0.01 * P
-            opt_ok = trace.converged and opt_dev <= opt_tol
-        lemma_moments = lemma.result()
-    finally:
-        lemma.cancel()  # drops the lemma's unstarted chunks if a probe raised
-    margins = [mean + 3.0 * se for moments in lemma_moments for mean, se in moments]
-    lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
-    grid = f"{len(margins)} cases on 2 pairs, {_LEMMA_SAMPLES} draws per pair shared by its cases"
-    checks.append(("lemma_expectation", OrderCheckReport._of_margins(
-        grid, margins, lambda j: f"case#{j} a={lemma_a[j]}")))
-    return VerifySuiteResult(
-        checks=tuple(checks),
-        optimizer_deviation=opt_dev,
-        optimizer_tol=opt_tol,
-        optimizer_ok=opt_ok,
-    )
-
-
-def _exact_checks(
-    dims: np.ndarray, pairs: dict[int, tuple[np.ndarray, ...]], s_draws: np.ndarray
-) -> list[tuple[str, OrderCheckReport]]:
-    """The suite's exact probes' reports, in order: all but the lemma's."""
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
     # each pair probe makes one array call per pair dimension (and per sigma
@@ -206,4 +162,29 @@ def _exact_checks(
     grid = f"{_PAIRS} pairs, sigma_h=1, sigma_g in {{0.5, 0.9}}, MGF integral"
     checks.append(("secrecy_rate_schur", OrderCheckReport._of_margins(grid, rate, rate_point)))
 
-    return checks
+    # expectation-ordering lemma, exact: the canonical spike-vs-flat pair at
+    # two a (cases #0 and #1), and random pair #0, which leads the rows of its
+    # dimension (case #2)
+    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
+    _, d_stars, ds = pairs[int(dims[0])]
+    lemma = _lemma_exact(spike, flat, 1.0, _LEMMA_CANONICAL_A)
+    lemma += _lemma_exact(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,))
+    lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
+    grid = f"{len(lemma)} cases on 2 pairs, MGF and Frullani integrals"
+    checks.append(("lemma_expectation", OrderCheckReport._of_margins(
+        grid, lemma, lambda j: f"case#{j} a={lemma_a[j]}")))
+
+    # optimizer-to-uniform check on the reference problem
+    opt_tol, opt_dev, opt_ok = 0.0, float("nan"), True
+    if run_optimizer:
+        model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
+        trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
+        opt_dev = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
+        opt_tol = 0.01 * P
+        opt_ok = trace.converged and opt_dev <= opt_tol
+    return VerifySuiteResult(
+        checks=tuple(checks),
+        optimizer_deviation=opt_dev,
+        optimizer_tol=opt_tol,
+        optimizer_ok=opt_ok,
+    )

@@ -233,20 +233,7 @@ def test_stream_moments_rejects_empty_count():
         channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, FORMS["scalar"]),), 0)
 
 
-# --- reduces started before they are collected ------------------------------
-
-
-def test_started_reduces_collected_in_reverse_order_give_serial_bits():
-    fn = FORMS["per_coordinate"]
-    count = 3 * CHUNK + 5
-    draws = ((0.7, 3), (0.4, 6))
-    started = [
-        channel._start_moments((_chunks(sigma, seed, channel.STREAM_GENERIC, fn),), count)
-        for sigma, seed in draws
-    ]
-    got = [handle.result() for handle in reversed(started)][::-1]
-    for ((g,),), (sigma, seed) in zip(got, draws):
-        _assert_bit_identical(g, _serial(fn, sigma, count, seed, channel.STREAM_GENERIC))
+# --- a reduce that fails while the pool is busy ------------------------------
 
 
 @pytest.fixture
@@ -263,14 +250,21 @@ def blocked_pool(monkeypatch):
 
 
 def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
+    # the caller runs the last chunk first; when it raises, the reduce cancels
+    # every chunk no worker has started before it re-raises
     busy, release = blocked_pool
     ran = []
     fn = FORMS["scalar"]
-    counted = _chunks(0.7, 8, channel.STREAM_GENERIC, lambda abs2: ran.append(1) or fn(abs2))
-    channel._start_moments((counted,), 4 * CHUNK).cancel()
+
+    def failing(abs2):
+        ran.append(1)
+        raise FloatingPointError("chunk failed")
+
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        channel.stream_moments((_chunks(0.7, 8, channel.STREAM_GENERIC, failing),), 4 * CHUNK)
     release.set()
     busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
-    assert ran == []
+    assert ran == [1]
     ((got,),) = channel.stream_moments((_chunks(0.7, 8, channel.STREAM_GENERIC, fn),), 2 * CHUNK)
     _assert_bit_identical(got, _serial(fn, 0.7, 2 * CHUNK, 8, channel.STREAM_GENERIC))
 

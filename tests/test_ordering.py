@@ -19,10 +19,12 @@ from misosec.channel import iter_abs2
 from misosec.ordering import (
     MAX_DERIVATIVE_ORDER,
     _cm_derivatives,
+    _lemma_exact,
     _lemma_margins,
     _lt_gaps_grid,
     _random_majorization_pairs,
 )
+from misosec.rates import _log_gap
 
 # log2(4) - log2(3): the MGF gap of (1,1) vs (2,0) at s = sigma = 1
 HAND_LT_GAP = 0.4150374992788439
@@ -389,6 +391,47 @@ def test_batched_lemma_gives_each_a_the_bits_of_the_probe():
     for (margin, _, _), a in zip(batch, (0.25, 0.0)):
         report = verify_lemma_LT_implies_expectation(d1, d2, 1.0, a, 100_000, 5)
         assert report.min_margin == margin
+
+
+def _lemma_by_quad(d1, d2, var, a):
+    """E f(q2) - E f(q1) in bits by scipy quad, from f's Laplace form
+    ln(a+q) - ln(1+q) = int (e^{-s} - e^{-as}) e^{-sq} ds/s, in u = ln s."""
+    integrate = pytest.importorskip("scipy.integrate")
+    d1, d2 = var * np.asarray(d1), var * np.asarray(d2)
+
+    def f(u):
+        s = math.exp(u)
+        # e^{-s} - e^{-as} = e^{-as} expm1(-(1-a) s), accurate as a nears 1
+        weight = math.exp(-a * s) * math.expm1(-(1.0 - a) * s)
+        return weight * (np.prod(1.0 / (1.0 + s * d2)) - np.prod(1.0 / (1.0 + s * d1)))
+
+    # it falls like s^2 below and at least like 1/s above, so |u| > 60 adds below e^-60
+    edges = (-60.0, -10.0, -3.0, 0.0, 3.0, 10.0, 30.0, 60.0)
+    total = sum(
+        integrate.quad(f, lo, hi, epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+    return total / math.log(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+def test_exact_lemma_matches_quadrature(n):
+    rng = np.random.default_rng(n)
+    a_values = (0.0, 0.25, 0.5, 0.9, 0.999)
+    for sigma in (1.0, math.sqrt(2.0)):
+        d2, d1 = random_majorization_pair(n, 4.0, rng)
+        got = _lemma_exact(d1, d2, sigma, a_values)
+        for a, value in zip(a_values, got):
+            assert abs(value - _lemma_by_quad(d1, d2, sigma * sigma, a)) <= 1e-12, (d1, d2, a)
+
+
+def test_exact_lemma_at_a_zero_is_frullanis_integral():
+    # spike (4, 0) against flat (2, 2) at unit variance: E ln q2 - E ln q1 is
+    # (ln 2 + psi(2)) - (ln 4 + psi(1)) = 1 - ln 2 nats
+    gap = _log_gap(np.array(((2.0, 2.0), (4.0, 0.0))), 1.0)
+    assert abs(gap - (1.0 - math.log(2.0)) / math.log(2.0)) <= 4 * np.finfo(float).eps
+    assert _log_gap(np.array(((1.0, 3.0), (1.0, 3.0))), 1.0) == 0.0
+    assert _lemma_exact((3.0, 1.0), (3.0, 1.0), 1.0, (0.0, 0.5)) == [0.0, 0.0]
 
 
 def test_lemma_handles_a_zero_edge():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from misosec import channel, run_verify_suite, verify_lemma_LT_implies_expectation
+from misosec import channel, run_verify_suite
+from misosec.ordering import _lemma_exact, _lemma_margins, _random_majorization_pairs
+from misosec.verify import _PAIR_DIMS, _PAIR_TOTAL, _PAIRS
 
 EXPECTED_CHECKS = {
     "majorization",
@@ -87,20 +89,45 @@ def test_reports_list_one_witness_per_point_and_the_first_worst(seed):
         assert report.min_margin == report.worst.margin
 
 
-def test_canonical_lemma_cases_share_one_stream(monkeypatch):
-    calls = []
-    draw = channel._draw_abs2
+def _random_pair0(seed):
+    """Random pair #0 of run_verify_suite(seed) as (d, d_star), drawn in the
+    order the suite documents: the dimensions, then each dimension's pairs."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
+    dims = rng.choice(_PAIR_DIMS, size=_PAIRS)
+    for n in _PAIR_DIMS:
+        d_star, d = _random_majorization_pairs(n, _PAIR_TOTAL, rng, int(np.sum(dims == n)))
+        if n == dims[0]:
+            return d[0], d_star[0]
 
-    def counted(*args, **kwargs):
-        calls.append(args)  # list.append is atomic, so pool threads may share it
-        return draw(*args, **kwargs)
 
-    monkeypatch.setattr(channel, "_draw_abs2", counted)
-    result = run_verify_suite(7, run_optimizer=False)
-    suite_calls = list(calls)
-    calls.clear()
-    single = verify_lemma_LT_implies_expectation([4.0, 0.0], [2.0, 2.0], 1.0, 0.25, 200_000, 7)
-    assert len(suite_calls) == 2 * len(calls) > 0  # two streams for three cases
-    assert {args[3] for args in suite_calls} == {7, 9}  # seed + 0 and seed + 2
+def test_suite_makes_no_draws_and_no_pool_submissions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify drew or queued a Monte Carlo chunk")
+
+    monkeypatch.setattr(channel, "_draw_abs2", refuse)
+    monkeypatch.setattr(channel._POOL, "submit", refuse)
+    result = run_verify_suite(7)
+    assert result.exit_code == 0
+    # the lemma's margins are its exact differences, case by case
+    d, d_star = _random_pair0(7)
+    exact = _lemma_exact((4.0, 0.0), (2.0, 2.0), 1.0, (0.25, 0.0))
+    exact += _lemma_exact(d, d_star, 1.0, (0.5,))
     lemma = dict(result.checks)["lemma_expectation"]
-    assert lemma.witnesses[0].margin == single.min_margin
+    assert [w.margin for w in lemma.witnesses] == exact
+    assert lemma.grid == "3 cases on 2 pairs, MGF and Frullani integrals"
+
+
+def test_sampled_lemma_lies_within_4_se_of_the_exact_value():
+    # the suite's three cases at seed 0 (cases #0 and #1 share seed + 0, case
+    # #2 draws at seed + 2), and an 8-antenna pair at a = 0 and 0.25
+    d, d_star = _random_pair0(0)
+    cases = [
+        ((4.0, 0.0), (2.0, 2.0), (0.25, 0.0), 0),
+        (d, d_star, (0.5,), 2),
+        ((2.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0), (0.5,) * 8, (0.0, 0.25), 5),
+    ]
+    for d1, d2, a_values, seed in cases:
+        sampled = _lemma_margins(d1, d2, 1.0, a_values, 200_000, seed)
+        exact = _lemma_exact(d1, d2, 1.0, a_values)
+        for a, (_, mean, se), value in zip(a_values, sampled, exact):
+            assert abs(mean - value) <= 4 * se, (d1, a, mean, se, value)
