@@ -30,6 +30,12 @@ every seeded result is bit-identical to running fn(index, rows) over the
 chunks one by one, whatever the core count and however many threads call at
 once. No route draws the complex entries themselves; the tests keep a complex
 reference sampler, which these draws match in distribution.
+
+_pool_map is the pool's one scheduler: the reducer queues its chunks through
+it, and the verify suite its probe tasks and its ascent. Results come back in
+task order, whichever thread ran a task, so no output depends on the core
+count. A task on a worker does not see the caller's np.errstate, which is a
+context variable in numpy 2 and does not pass to pool threads.
 """
 from __future__ import annotations
 
@@ -55,16 +61,16 @@ STREAM_GENERIC = 2
 
 
 def _new_pool() -> ThreadPoolExecutor:
-    # the thread that asks for the chunks runs them too (see stream_moments),
-    # so one worker per other core the process may run on keeps them all busy
+    # the thread that queues the tasks runs them too (see _pool_map), so one
+    # worker per other core the process may run on keeps them all busy
     cores = (
         len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     )
     return ThreadPoolExecutor(max_workers=max(cores - 1, 1), thread_name_prefix="misosec-chunk")
 
 
-# the package's only thread pool: every Monte Carlo chunk of the process runs
-# here or in its caller; the workers start on first use
+# the package's only thread pool: every Monte Carlo chunk and verify task of
+# the process runs here or in its caller; the workers start on first use
 _POOL = _new_pool()
 
 
@@ -244,6 +250,32 @@ def _chunk_stats(
     return list(map(_kernels.RunningMoments.chunk, fn(index, rows)))
 
 
+def _pool_map(tasks: Sequence[tuple]) -> list:
+    """[fn(*args) for fn, *args in tasks], run on the shared pool and in the caller.
+
+    Every task is queued at once. The calling thread works too: it runs the
+    tasks no worker has started, from the last one back, while the workers
+    take them from the first one on. The results come back in task order,
+    whichever threads ran the tasks. The caller only ever waits on tasks a
+    worker is running, so a call cannot deadlock, however many threads call
+    at once. If a task raises, the tasks nobody has started are dropped and
+    the error is raised. A task on a worker does not see the caller's
+    np.errstate (a context variable in numpy 2), so no task may rely on it.
+    """
+    futures = [_POOL.submit(*task) for task in tasks]
+    mine = {}
+    try:
+        for i in reversed(range(len(tasks))):
+            if futures[i].cancel():
+                fn, *args = tasks[i]
+                mine[i] = fn(*args)
+        return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
+    finally:
+        # after a failure, drop the tasks nobody has started
+        for future in futures:
+            future.cancel()
+
+
 def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
     """Mean and std error of each output of each fn in fns over count rows.
 
@@ -253,32 +285,19 @@ def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
     form. It must depend on nothing but index and rows, and should yield its
     outputs one at a time: each is reduced to its chunk stats before the next
     is formed, so a chunk drawn once can feed many outputs without their rows
-    ever being held together. Each (fn, chunk index) is one task, and every
-    task is queued on the shared pool at once. The calling thread works too:
-    it runs the tasks no worker has started, from the last one back, while the
-    workers take them from the first one on. Each output's partial stats are
-    then merged in chunk order, so each result has the bits of
+    ever being held together. Each (fn, chunk index) is one _chunk_stats task
+    of _pool_map, which runs them on the shared pool and in the calling
+    thread. Each output's partial stats are then merged in chunk order, so
+    each result has the bits of
     `for index, rows in _chunk_rows(count): m.add(list(fn(index, rows))[j])`,
     whatever the other fns and outputs are and whichever threads ran the
-    tasks. The caller only ever waits on tasks a worker is running, so a call
-    cannot deadlock, however many threads call at once.
-    Returns, per fn in order, one RunningMoments.mean_se() per output of fn.
+    tasks. Returns, per fn in order, one RunningMoments.mean_se() per output
+    of fn.
     """
     chunks = _chunk_rows(count)
-    tasks = [(fn, index, rows) for fn in fns for index, rows in chunks]
-    futures = [_POOL.submit(_chunk_stats, *task) for task in tasks]
-    stats: list[list | None] = [None] * len(tasks)
-    try:
-        for i in reversed(range(len(tasks))):
-            if futures[i].cancel():
-                stats[i] = _chunk_stats(*tasks[i])
-        stats = [future.result() if done is None else done for future, done in zip(futures, stats)]
-    finally:
-        # after a failure, drop the tasks nobody has started
-        for future in futures:
-            future.cancel()
+    stats = _pool_map([(_chunk_stats, fn, index, rows) for fn in fns for index, rows in chunks])
     out = []
-    for start in range(0, len(tasks), len(chunks)):
+    for start in range(0, len(stats), len(chunks)):
         moments = [_kernels.RunningMoments() for _ in stats[start]]
         for chunk in stats[start : start + len(chunks)]:
             for m, chunk_stats in zip(moments, chunk, strict=True):

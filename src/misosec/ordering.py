@@ -396,8 +396,10 @@ def _lemma_exact(
     is R(d2) - R(d1) for R the MGF rate at variances sigma^2/a and sigma^2. At
     a = 0 it is E log2 q2 - E log2 q1 (Frullani's integral, rates._log_gap)
     less the difference of E log2(1 + q), the MGF rate at sigma^2 and 0. Both
-    rows go to _mgf_rate as one batch; their equal sums give each its own rule,
-    so each rate is within a few ulps of its single-row call.
+    rows go to _mgf_rate as one batch. Their equal sums give the batch the rule
+    each row would have alone, but the batch weights its (2, nodes) integrand
+    by one gemv, which sums in another order than a single row's dot, so each
+    rate is within a few ulps of its single-row call.
     """
     var = sigma * sigma
     d = np.array((d2, d1), dtype=np.float64)

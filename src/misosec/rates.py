@@ -313,7 +313,7 @@ def _mgf_rule(last: int) -> tuple[NDArray[np.float64], ...]:
 
 
 def _mgf_rate(
-    d: NDArray[np.float64], var_h: float, var_g: float, *, grad: bool = False
+    d: NDArray[np.float64], var_h: float, var_g: float | Sequence[float], *, grad: bool = False
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | None, int]:
     """E[log2(1 + h^H D h)] - E[log2(1 + g^H D g)] by Hamdi's MGF integral.
 
@@ -327,39 +327,66 @@ def _mgf_rate(
     explicit nodes, without the two tail nodes that sum everything below
     them. Only a caller that sets grad gets the gradients; the others get
     None and skip their cost, with the same rates and error estimates to the
-    bit. The whole batch shares the rule of its largest row sum, so a row's
-    rate can differ from its own single-row call by a few ulps. After s = e^u
-    the rate is int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
+    bit. var_g may also be a sequence of variances: the rates, error
+    estimates and gradients then gain a leading axis, one entry per var_g,
+    and M_h is formed once for them all. After s = e^u the rate is
+    int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
 
-    The arrays are antenna-first: both transforms' log1p terms are one
-    C-contiguous (n_t, 2, ..., nodes) block, so every elementwise step and
-    each add of the antenna sum runs over long contiguous slabs. _sum_antennas
-    adds the slabs in numpy's pairwise order, so the bits are those of
-    np.sum over the last axis of a (..., nodes, n_t) block. The rule's arrays
-    are built once per node count and cached (_mgf_rule).
+    A row's rate can differ from its own single-row call by a few ulps, for
+    two reasons. The whole call shares one rule, that of its largest row sum
+    and its largest variance (var_h or any var_g). And each rate is
+    f @ weight on a (..., nodes) block f: on a 2-D f that is a BLAS gemv,
+    whose sum order differs from that of the 1-D dot of a single row. Each
+    var_g's f is its own block, of the shape a call with that var_g alone
+    forms, so its rates have that call's bits whenever the two share a rule.
+
+    The arrays are antenna-first: a transform's log1p terms are a
+    C-contiguous (n_t, ..., nodes) block, so every elementwise step and each
+    add of the antenna sum runs over long contiguous slabs. A single var_g
+    forms both transforms in one (n_t, 2, ..., nodes) block, the fewest calls
+    for the optimizer's small arrays; a sequence forms one transform per
+    block and holds one block at a time, so a call's working memory is one
+    transform's, however many var_g it has. _sum_antennas adds the slabs in
+    numpy's pairwise order, so the bits are those of np.sum over the last
+    axis of a (..., nodes, n_t) block. The rule's arrays are built once per
+    node count and cached (_mgf_rule).
     """
-    c = max(var_h, var_g) * float(d.sum(axis=-1).max())
+    several = not np.isscalar(var_g)
+    var_gs = tuple(var_g) if several else (var_g,)
+    c = max(var_h, *var_gs) * float(d.sum(axis=-1).max())
     last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * _MGF_STEP))
     s, weight, coarse, decay, w = _mgf_rule(last)
-    # x[k, 0] = s var_h d_k and x[k, 1] = s var_g d_k: both transforms in one block
-    x = _antenna_first(np.multiply.outer((var_h, var_g), d), s)
-    # the gradient's matmuls take 1/(1+x) as C-contiguous (..., nodes, n_t)
-    # operands, so they run the BLAS calls, and give the bits, of that layout
-    inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
-    log_h, log_g = logs = _sum_antennas(np.log1p(x, out=x))
-    m_g = np.exp(-log_g)
-    f = decay * m_g * -np.expm1(log_g - log_h)
-    rate = f @ weight / _LN2
-    rate_coarse = f @ coarse / _LN2
-    err = np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2)
-    if not grad:
-        return rate, err, None, last + 1
-    # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
-    p = (w * np.exp(-logs))[..., None, :] @ np.divide(1.0, inverse, out=inverse)
-    dr = (var_h * p[0] - var_g * p[1])[..., 0, :]
-    return rate, err, dr / _LN2, last + 1
+    variances = (var_h, *var_gs)
+    per_block = 1 if several else 2
+    logs, p = [], []
+    for start in range(0, len(variances), per_block):
+        # x[k, j] = s variances[start + j] d_k: the block's transforms side by side
+        x = _antenna_first(np.multiply.outer(variances[start : start + per_block], d), s)
+        # the gradient's matmuls take 1/(1+x) as C-contiguous (..., nodes, n_t)
+        # operands, so they run the BLAS calls, and give the bits, of that layout
+        inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
+        log = _sum_antennas(np.log1p(x, out=x))
+        if grad:
+            # the nodes' sums of w M / (1 + x_k), per transform
+            p.extend((w * np.exp(-log))[..., None, :] @ np.divide(1.0, inverse, out=inverse))
+        # the sums are views of x: copied out, they let x go before the next block
+        logs.extend(log.copy())
+    rates, errs, drs = [], [], []
+    for j, v in enumerate(var_gs, 1):
+        m_g = np.exp(-logs[j])
+        f = decay * m_g * -np.expm1(logs[j] - logs[0])
+        rate = f @ weight / _LN2
+        rate_coarse = f @ coarse / _LN2
+        rates.append(rate)
+        errs.append(np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2))
+        if grad:
+            # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
+            drs.append((var_h * p[0] - v * p[j])[..., 0, :] / _LN2)
+    if several:
+        return np.array(rates), np.array(errs), np.array(drs) if grad else None, last + 1
+    return rates[0], errs[0], drs[0] if grad else None, last + 1
 
 
 # Frullani's integral E ln q0 - E ln q1 = int (M1(s) - M0(s)) ds/s, for two

@@ -10,8 +10,16 @@ rounding, so the suite draws nothing and its output depends only on the seed.
 
 Every probe is array work, through to its report. The pairs of one
 dimension are drawn by one Dirichlet and one uniform call, and each pair
-probe evaluates them in one call per dimension (and per sigma or ratio); the
-rate probe asks the MGF evaluator for rates only, without the gradient. The
+probe evaluates them in one call per dimension (and per sigma, or per side
+of the pair). The rate probe asks the MGF evaluator for rates only, without
+the gradient, and for both ratios at once, so each side's sigma_h transform
+serves both. The probes of one pair dimension are one task and the ascent
+is another; channel._pool_map runs them on the chunk pool and in the calling
+thread, the largest dimension first. A task computes the same margins
+whichever thread runs it, so the output does not depend on the core count.
+A task on the pool does not see the caller's np.errstate (a context
+variable in numpy 2); the suite sets off no floating-point error, even
+under np.errstate(all="raise"), so that changes nothing. The
 complete-monotonicity grid is one array evaluation of the closed form. Each
 lemma case's margin is its exact difference E f(q2) - E f(q1), a difference
 of two MGF rates and at a = 0 Frullani's integral (ordering._lemma_exact).
@@ -27,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channel
 from .channel import ChannelModel
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
@@ -57,6 +66,8 @@ _CM_ORDERS = 10
 _LT_SIGMAS = (1.0, np.sqrt(2.0))
 # sigma_g/sigma_h ratios of the secrecy-rate Schur probe (sigma_h = 1)
 _RATE_RATIOS = (0.5, 0.9)
+# the probe's sigma_g^2, asked of the MGF evaluator in one call per side
+_RATE_VAR_G = tuple(r * r for r in _RATE_RATIOS)
 
 
 @dataclass(frozen=True)
@@ -81,6 +92,41 @@ class VerifySuiteResult:
         return self.exit_code == 0
 
 
+def _pair_probes(
+    d_star: np.ndarray, d: np.ndarray, s_grid: np.ndarray, s_schur: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The pair probes' margins on the (k, n) pairs of one dimension: majorization
+    (k,), LT order (k, sigmas) with the index of each worst s, Schur concavity
+    at the (k, 1) column s_schur (k,), and the secrecy rate's Schur concavity
+    (k, ratios). Each probe is one array call (per sigma, or per side)."""
+    # majorization: every generated pair must satisfy d_star majorized by d,
+    # with the margin being the worst prefix-sum gap
+    maj = _majorization_margin(d, d_star)
+    # LT order across the whole s grid, both variance conventions
+    lt = np.empty((len(d), len(_LT_SIGMAS)))
+    lt_at = np.empty((len(d), len(_LT_SIGMAS)), dtype=np.intp)
+    for m, sigma in enumerate(_LT_SIGMAS):
+        gaps = _lt_gaps_grid(d_star, d, float(sigma), s_grid)
+        lt_at[:, m] = np.argmin(gaps, axis=-1)
+        lt[:, m] = np.min(gaps, axis=-1)
+    # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
+    schur = _lt_gaps_grid(d_star, d, 1.0, s_schur)[:, 0]
+    # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to
+    # rounding; each side's sigma_h transform serves both ratios
+    rate = _mgf_rate(d_star, 1.0, _RATE_VAR_G)[0] - _mgf_rate(d, 1.0, _RATE_VAR_G)[0]
+    return maj, lt, lt_at, schur, rate.T
+
+
+def _ascent(seed: int) -> tuple[float, float, bool]:
+    """(deviation, tolerance, ok) of OptimizerConfig(seed=seed)'s ascent on the
+    reference problem: ok when it converged within 1% of the budget of uniform."""
+    model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
+    trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
+    deviation = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
+    tolerance = 0.01 * P
+    return deviation, tolerance, trace.converged and deviation <= tolerance
+
+
 def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuiteResult:
     """Run every ordering probe and (optionally) the optimizer check.
 
@@ -103,28 +149,26 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
-    # each pair probe makes one array call per pair dimension (and per sigma
-    # or ratio) and writes its margins at the pairs' rows, so every report
-    # lists its points by pair, then by sigma or ratio
+    # one task per pair dimension, largest first, and the ascent last: the
+    # pool's worker starts on the largest dimension while the caller takes
+    # the ascent. Each task's margins are written at its pairs' rows, so every
+    # report lists its points by pair, then by sigma or ratio
+    largest_first = sorted(_PAIR_DIMS, reverse=True)
+    tasks: list[tuple] = [
+        (_pair_probes, d_star, d, s_grid, s_draws[rows, None])
+        for rows, d_star, d in (pairs[n] for n in largest_first)
+    ]
+    if run_optimizer:
+        tasks.append((_ascent, seed))
+    done = channel._pool_map(tasks)
     maj = np.empty(_PAIRS)
     lt = np.empty((_PAIRS, len(_LT_SIGMAS)))
     lt_at = np.empty((_PAIRS, len(_LT_SIGMAS)), dtype=np.intp)  # index of the worst s
     schur = np.empty(_PAIRS)
     rate = np.empty((_PAIRS, len(_RATE_RATIOS)))
-    for rows, d_star, d in pairs.values():
-        # majorization: every generated pair must satisfy d_star majorized by d,
-        # with the margin being the worst prefix-sum gap
-        maj[rows] = _majorization_margin(d, d_star)
-        # LT order across the whole s grid, both variance conventions
-        for m, sigma in enumerate(_LT_SIGMAS):
-            gaps = _lt_gaps_grid(d_star, d, float(sigma), s_grid)
-            lt_at[rows, m] = np.argmin(gaps, axis=-1)
-            lt[rows, m] = np.min(gaps, axis=-1)
-        # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
-        schur[rows] = _lt_gaps_grid(d_star, d, 1.0, s_draws[rows, None])[:, 0]
-        # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to rounding
-        for m, r in enumerate(_RATE_RATIOS):
-            rate[rows, m] = _mgf_rate(d_star, 1.0, r * r)[0] - _mgf_rate(d, 1.0, r * r)[0]
+    for n, probed in zip(largest_first, done):
+        rows = pairs[n][0]
+        maj[rows], lt[rows], lt_at[rows], schur[rows], rate[rows] = probed
 
     def lt_point(k: int) -> str:
         i, m = divmod(k, len(_LT_SIGMAS))
@@ -175,13 +219,7 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
         grid, lemma, lambda j: f"case#{j} a={lemma_a[j]}")))
 
     # optimizer-to-uniform check on the reference problem
-    opt_tol, opt_dev, opt_ok = 0.0, float("nan"), True
-    if run_optimizer:
-        model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
-        trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
-        opt_dev = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
-        opt_tol = 0.01 * P
-        opt_ok = trace.converged and opt_dev <= opt_tol
+    opt_dev, opt_tol, opt_ok = done[-1] if run_optimizer else (float("nan"), 0.0, True)
     return VerifySuiteResult(
         checks=tuple(checks),
         optimizer_deviation=opt_dev,

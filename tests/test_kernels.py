@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import misosec
+from conftest import suite_bits
 from misosec import _kernels as K
 from misosec import channel
 
@@ -236,19 +237,6 @@ def test_stream_moments_rejects_empty_count():
 # --- a reduce that fails while the pool is busy ------------------------------
 
 
-@pytest.fixture
-def blocked_pool(monkeypatch):
-    """A one-worker chunk pool whose worker waits until the yielded event is set."""
-    release = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as busy:
-        busy.submit(release.wait, 60)
-        monkeypatch.setattr(channel, "_POOL", busy)
-        try:
-            yield busy, release
-        finally:
-            release.set()
-
-
 def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
     # the caller runs the last chunk first; when it raises, the reduce cancels
     # every chunk no worker has started before it re-raises
@@ -270,25 +258,46 @@ def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
 
 
 def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocked_pool):
+    # the caller runs the suite's tasks from the back, so the probe task of
+    # the smallest dimension raises first; the tasks nobody started are
+    # dropped, and the pool then runs a whole suite with the serial bits
     busy, release = blocked_pool
     verify = sys.modules["misosec.verify"]
-    draws = []
-    draw = channel._draw_abs2
+    serial = suite_bits(verify.run_verify_suite(0, run_optimizer=False))
+    draws, probed = [], []
+    draw, probes = channel._draw_abs2, verify._pair_probes
 
     def counted(*args, **kwargs):
         draws.append(args)  # list.append is atomic, so pool threads may share it
         return draw(*args, **kwargs)
 
+    def counted_probes(d_star, *args):
+        probed.append(d_star.shape[1])
+        return probes(d_star, *args)
+
     def broken(*args, **kwargs):
         raise FloatingPointError("probe failed")
 
-    monkeypatch.setattr(channel, "_draw_abs2", counted)
-    monkeypatch.setattr(verify, "_mgf_rate", broken)
-    with pytest.raises(FloatingPointError, match="probe failed"):
-        verify.run_verify_suite(0, run_optimizer=False)
-    release.set()
-    busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
+    with monkeypatch.context() as patch:
+        patch.setattr(channel, "_draw_abs2", counted)
+        patch.setattr(verify, "_pair_probes", counted_probes)
+        patch.setattr(verify, "_mgf_rate", broken)
+        with pytest.raises(FloatingPointError, match="probe failed"):
+            verify.run_verify_suite(0, run_optimizer=False)
+        release.set()
+        busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
     assert draws == []
+    assert probed == [min(verify._PAIR_DIMS)]
+    assert suite_bits(verify.run_verify_suite(0, run_optimizer=False)) == serial
+
+
+def test_pool_map_returns_results_in_task_order(blocked_pool):
+    # None is a result like any other, whichever thread ran the task
+    tasks = [(lambda i: None if i % 2 else i, i) for i in range(5)]
+    assert channel._pool_map(tasks) == [0, None, 2, None, 4]
+    busy, release = blocked_pool
+    release.set()
+    assert channel._pool_map(tasks) == [0, None, 2, None, 4]
 
 
 def _run_python(code):

@@ -363,6 +363,32 @@ def test_rate_only_calls_keep_the_bits_of_the_gradient_call(n_t):
         assert single == _mgf_rate(uniform, 1.0, 0.0, grad=True)[0]
 
 
+@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 8, 64])
+def test_several_var_g_keep_the_bits_of_one_call_each(n_t):
+    # var_h = 1 is the largest variance, so every call below has one rule;
+    # the shared M_h and the blocks of one transform each move no bit
+    rng = np.random.default_rng(n_t)
+    var_g = [0.25, 0.81, 0.0, 0.5]
+    for d in (np.full(n_t, 4.0 / n_t), 4.0 * rng.dirichlet(np.ones(n_t), size=7)):
+        for grad in (False, True):
+            rates, errs, grads, nodes = _mgf_rate(d, 1.0, var_g, grad=grad)
+            assert rates.shape == errs.shape == (len(var_g), *d.shape[:-1])
+            assert grads is None if not grad else grads.shape == (len(var_g), *d.shape)
+            for j, v in enumerate(var_g):
+                rate, err, g, nodes1 = _mgf_rate(d, 1.0, v, grad=grad)
+                assert nodes1 == nodes
+                assert rates[j].tobytes() == np.asarray(rate).tobytes()
+                assert errs[j].tobytes() == np.asarray(err).tobytes()
+                assert not grad or grads[j].tobytes() == g.tobytes()
+
+
+def test_several_var_g_share_the_rule_of_the_largest_variance():
+    d = np.array([3.0, 1.0])
+    rates, _, _, nodes = _mgf_rate(d, 1.0, [0.25, 50.0])
+    assert nodes == _mgf_rate(d, 1.0, 50.0)[3] > _mgf_rate(d, 1.0, 0.25)[3]
+    assert rates[1] == _mgf_rate(d, 1.0, 50.0)[0]
+
+
 _SUM_NT = [*range(1, 10), 15, 16, 17, 64, 127, 128, 129, 200, 256, 257, 300]
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import suite_bits
 from misosec import channel, run_verify_suite
 from misosec.ordering import _lemma_exact, _lemma_margins, _random_majorization_pairs
 from misosec.verify import _PAIR_DIMS, _PAIR_TOTAL, _PAIRS
@@ -100,12 +101,20 @@ def _random_pair0(seed):
             return d[0], d_star[0]
 
 
-def test_suite_makes_no_draws_and_no_pool_submissions(monkeypatch):
+def test_suite_makes_no_draws_and_queues_no_chunk(monkeypatch):
+    # the suite's probes and ascent are pool tasks, but none is a Monte Carlo chunk
     def refuse(*args, **kwargs):
         raise AssertionError("verify drew or queued a Monte Carlo chunk")
 
+    submit = channel._POOL.submit
+
+    def submit_no_chunk(fn, *args, **kwargs):
+        if fn is channel._chunk_stats:
+            refuse()
+        return submit(fn, *args, **kwargs)
+
     monkeypatch.setattr(channel, "_draw_abs2", refuse)
-    monkeypatch.setattr(channel._POOL, "submit", refuse)
+    monkeypatch.setattr(channel._POOL, "submit", submit_no_chunk)
     result = run_verify_suite(7)
     assert result.exit_code == 0
     # the lemma's margins are its exact differences, case by case
@@ -115,6 +124,18 @@ def test_suite_makes_no_draws_and_no_pool_submissions(monkeypatch):
     lemma = dict(result.checks)["lemma_expectation"]
     assert [w.margin for w in lemma.witnesses] == exact
     assert lemma.grid == "3 cases on 2 pairs, MGF and Frullani integrals"
+
+
+@pytest.mark.parametrize("run_optimizer", [False, True])
+def test_suite_output_does_not_depend_on_the_schedule(blocked_pool, run_optimizer):
+    # the caller runs every task while the pool's worker is blocked; with the
+    # worker free, the tasks split between the two threads
+    busy, release = blocked_pool
+    serial = [suite_bits(run_verify_suite(s, run_optimizer=run_optimizer)) for s in range(6)]
+    release.set()
+    busy.submit(int).result(timeout=60)
+    pooled = [suite_bits(run_verify_suite(s, run_optimizer=run_optimizer)) for s in range(6)]
+    assert pooled == serial
 
 
 def test_sampled_lemma_lies_within_4_se_of_the_exact_value():
