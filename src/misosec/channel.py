@@ -32,7 +32,7 @@ once. No route draws the complex entries themselves; the tests keep a complex
 reference sampler, which these draws match in distribution.
 
 _pool_map is the pool's one scheduler: the reducer queues its chunks through
-it, and the verify suite its probe tasks and its ascent. Results come back in
+it, and the verify suite its probe tasks. Results come back in
 task order, whichever thread ran a task, so no output depends on the core
 count. A task on a worker does not see the caller's np.errstate, which is a
 context variable in numpy 2 and does not pass to pool threads.

@@ -83,6 +83,10 @@ _MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 14.0
 # The tail nodes of the rules of step h and 2h, as fractions of s_L, and their weights.
 _MGF_TAIL_AT = 1.0 / (np.exp([_MGF_STEP, 2 * _MGF_STEP]) + 1.0)
 _MGF_TAIL_WEIGHT = (_MGF_STEP / math.tanh(_MGF_STEP / 2), 2 * _MGF_STEP / math.tanh(_MGF_STEP))
+# _mgf_rate forms as many transforms in one block as fit in this many elements
+# (512 KiB), and a transform alone when it is larger: a single allocation's
+# few transforms take the fewest calls, and a large batch holds one at a time.
+_MGF_BLOCK = 1 << 16
 # Bound on the factor the routes put on max(P, n_t) * sigma^2 before a log.
 # An Exponential(1) draw -log(1 - U) of a 53-bit uniform U stays at or below
 # 53 ln 2 < 36.8, and a quadratic form's weights sum to P. A summed draw has
@@ -342,16 +346,18 @@ def _mgf_rate(
     var_g's f is its own block, of the shape a call with that var_g alone
     forms, so its rates have that call's bits whenever the two share a rule.
 
-    The arrays are antenna-first: a transform's log1p terms are a
-    C-contiguous (n_t, ..., nodes) block, so every elementwise step and each
-    add of the antenna sum runs over long contiguous slabs. A single var_g
-    forms both transforms in one (n_t, 2, ..., nodes) block, the fewest calls
-    for the optimizer's small arrays; a sequence forms one transform per
-    block and holds one block at a time, so a call's working memory is one
-    transform's, however many var_g it has. _sum_antennas adds the slabs in
-    numpy's pairwise order, so the bits are those of np.sum over the last
-    axis of a (..., nodes, n_t) block. The rule's arrays are built once per
-    node count and cached (_mgf_rule).
+    The arrays are antenna-first: the log1p terms of a block of transforms are
+    one C-contiguous (n_t, j, ..., nodes) block, so every elementwise step and
+    each add of the antenna sum runs over long contiguous slabs. A block takes
+    as many transforms as fit in _MGF_BLOCK elements, and at least one. So a
+    single allocation's transforms are one block, the fewest calls for the
+    optimizer's small arrays, while a large batch forms its transforms a few
+    at a time and copies out each block's antenna sums before the next, so
+    its working memory is bounded however many var_g it has. _sum_antennas
+    adds the slabs in numpy's pairwise order, so the bits are those of
+    np.sum over the last axis of a (..., nodes, n_t) block, however the
+    transforms are grouped. The rule's arrays are built once per node count
+    and cached (_mgf_rule).
     """
     several = not np.isscalar(var_g)
     var_gs = tuple(var_g) if several else (var_g,)
@@ -359,7 +365,8 @@ def _mgf_rate(
     last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * _MGF_STEP))
     s, weight, coarse, decay, w = _mgf_rule(last)
     variances = (var_h, *var_gs)
-    per_block = 1 if several else 2
+    # as many transforms per block as fit in _MGF_BLOCK elements, at least one
+    per_block = max(1, _MGF_BLOCK // (d.size * s.size))
     logs, p = [], []
     for start in range(0, len(variances), per_block):
         # x[k, j] = s variances[start + j] d_k: the block's transforms side by side
@@ -371,8 +378,10 @@ def _mgf_rate(
         if grad:
             # the nodes' sums of w M / (1 + x_k), per transform
             p.extend((w * np.exp(-log))[..., None, :] @ np.divide(1.0, inverse, out=inverse))
-        # the sums are views of x: copied out, they let x go before the next block
-        logs.extend(log.copy())
+        # the sums are views of x: when another block follows, they are copied
+        # out and x is let go before that block is formed
+        logs.extend(log if per_block >= len(variances) else log.copy())
+        del x, log, inverse
     rates, errs, drs = [], [], []
     for j, v in enumerate(var_gs, 1):
         m_g = np.exp(-logs[j])

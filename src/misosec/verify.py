@@ -13,14 +13,15 @@ dimension are drawn by one Dirichlet and one uniform call, and each pair
 probe evaluates them in one call per dimension (and per sigma, or per side
 of the pair). The rate probe asks the MGF evaluator for rates only, without
 the gradient, and for both ratios at once, so each side's sigma_h transform
-serves both. The probes of one pair dimension are one task and the ascent
-is another; channel._pool_map runs them on the chunk pool and in the calling
-thread, the largest dimension first. A task computes the same margins
-whichever thread runs it, so the output does not depend on the core count.
-A task on the pool does not see the caller's np.errstate (a context
-variable in numpy 2); the suite sets off no floating-point error, even
-under np.errstate(all="raise"), so that changes nothing. The
-complete-monotonicity grid is one array evaluation of the closed form. Each
+serves both. The probes of one pair dimension are one task;
+channel._pool_map runs them on the chunk pool and in the calling thread, the
+largest dimension first, and the calling thread then runs the ascent. A task
+computes the same margins whichever thread runs it, so the output does not
+depend on the core count. A task on the pool does not see the caller's
+np.errstate (a context variable in numpy 2); the suite sets off no
+floating-point error, even under np.errstate(all="raise"), so that changes
+nothing. The complete-monotonicity grid is one array evaluation of the
+closed form. Each
 lemma case's margin is its exact difference E f(q2) - E f(q1), a difference
 of two MGF rates and at a = 0 Frullani's integral (ordering._lemma_exact).
 Each report holds its probe's margins as one array and labels a point only
@@ -117,16 +118,6 @@ def _pair_probes(
     return maj, lt, lt_at, schur, rate.T
 
 
-def _ascent(seed: int) -> tuple[float, float, bool]:
-    """(deviation, tolerance, ok) of OptimizerConfig(seed=seed)'s ascent on the
-    reference problem: ok when it converged within 1% of the budget of uniform."""
-    model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
-    trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
-    deviation = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
-    tolerance = 0.01 * P
-    return deviation, tolerance, trace.converged and deviation <= tolerance
-
-
 def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuiteResult:
     """Run every ordering probe and (optionally) the optimizer check.
 
@@ -149,18 +140,15 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
-    # one task per pair dimension, largest first, and the ascent last: the
-    # pool's worker starts on the largest dimension while the caller takes
-    # the ascent. Each task's margins are written at its pairs' rows, so every
-    # report lists its points by pair, then by sigma or ratio
+    # one task per pair dimension, largest first: the pool's worker starts on
+    # the largest while the caller takes the smallest. Each task's margins are
+    # written at its pairs' rows, so every report lists its points by pair,
+    # then by sigma or ratio
     largest_first = sorted(_PAIR_DIMS, reverse=True)
-    tasks: list[tuple] = [
+    done = channel._pool_map([
         (_pair_probes, d_star, d, s_grid, s_draws[rows, None])
         for rows, d_star, d in (pairs[n] for n in largest_first)
-    ]
-    if run_optimizer:
-        tasks.append((_ascent, seed))
-    done = channel._pool_map(tasks)
+    ])
     maj = np.empty(_PAIRS)
     lt = np.empty((_PAIRS, len(_LT_SIGMAS)))
     lt_at = np.empty((_PAIRS, len(_LT_SIGMAS)), dtype=np.intp)  # index of the worst s
@@ -219,7 +207,13 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
         grid, lemma, lambda j: f"case#{j} a={lemma_a[j]}")))
 
     # optimizer-to-uniform check on the reference problem
-    opt_dev, opt_tol, opt_ok = done[-1] if run_optimizer else (float("nan"), 0.0, True)
+    opt_tol, opt_dev, opt_ok = 0.0, float("nan"), True
+    if run_optimizer:
+        model, P = ChannelModel(n_t=4, sigma_h=1.0, sigma_g=0.5), 4.0
+        trace = optimize_allocation(model, P, OptimizerConfig(seed=seed))
+        opt_dev = float(np.max(np.abs(trace.final.as_array() - P / model.n_t)))
+        opt_tol = 0.01 * P
+        opt_ok = trace.converged and opt_dev <= opt_tol
     return VerifySuiteResult(
         checks=tuple(checks),
         optimizer_deviation=opt_dev,
