@@ -102,7 +102,7 @@ def _random_pair0(seed):
 
 
 def test_suite_makes_no_draws_and_queues_no_chunk(monkeypatch):
-    # the suite's probes and ascent are pool tasks, but none is a Monte Carlo chunk
+    # the suite's probes are pool tasks, but none is a Monte Carlo chunk
     def refuse(*args, **kwargs):
         raise AssertionError("verify drew or queued a Monte Carlo chunk")
 
