@@ -24,25 +24,44 @@ not draw for draw. stream_moments is the one reducer they all use. Each
 caller hands it chunk functions: fn(index, rows) draws chunk index of its
 own stream or streams with _draw_abs2 and yields the chunk's per-row
 outputs. The reducer runs one task per (fn, chunk index) on the usable
-cores, in the calling thread and on one process-wide thread pool, and merges
-each output's chunk statistics in chunk order in the calling thread. So
-every seeded result is bit-identical to running fn(index, rows) over the
+cores, in the calling thread and in the chunk pool's worker processes, and
+merges each output's chunk statistics in chunk order in the calling thread.
+So every seeded result is bit-identical to running fn(index, rows) over the
 chunks one by one, whatever the core count and however many threads call at
 once. No route draws the complex entries themselves; the tests keep a complex
 reference sampler, which these draws match in distribution.
 
 _pool_map is the pool's one scheduler: the reducer queues its chunks through
-it, and the verify suite its probe tasks. Results come back in
-task order, whichever thread ran a task, so no output depends on the core
-count. A task on a worker does not see the caller's np.errstate, which is a
-context variable in numpy 2 and does not pass to pool threads.
+it, and the verify suite its probe tasks. The workers are processes, not
+threads, so the caller's and the workers' tasks do not take turns on one
+GIL: one worker for each other core the process may run on, forked from the
+caller by the first call that has tasks to share (import starts none), each
+linked to it by two pipes. A task is therefore a picklable function and
+picklable arguments: a module-level function, or a functools.partial of one.
+Results come back in task order, whoever ran a task, so no output depends on
+the core count. A worker ignores SIGINT and exits when its task pipe reads
+end of file: when the caller's atexit hook closes it, or when the caller
+dies. A child forked from the caller drops its copies of the pipes and
+forks its own workers. Python 3.12 and later warn when a process that runs
+other OS threads forks, and OpenBLAS's threads count. A task in a worker runs
+under numpy's default np.errstate, not the caller's (a context variable in
+numpy 2). Memory figures of the calling process, such as its peak RSS, leave
+the workers out.
 """
 from __future__ import annotations
 
+import atexit
+import contextvars
+import fcntl
 import math
+import mmap
 import os
+import pickle
+import signal
+import struct
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import traceback
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -58,30 +77,6 @@ CHUNK = 1 << 15
 STREAM_LEGITIMATE = 0
 STREAM_EAVESDROPPER = 1
 STREAM_GENERIC = 2
-
-
-def _new_pool() -> ThreadPoolExecutor:
-    # the thread that queues the tasks runs them too (see _pool_map), so one
-    # worker per other core the process may run on keeps them all busy
-    cores = (
-        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    )
-    return ThreadPoolExecutor(max_workers=max(cores - 1, 1), thread_name_prefix="misosec-chunk")
-
-
-# the package's only thread pool: every Monte Carlo chunk and verify task of
-# the process runs here or in its caller; the workers start on first use
-_POOL = _new_pool()
-
-
-def _renew_pool_in_child() -> None:
-    # a forked child inherits the pool but none of its threads
-    global _POOL
-    _POOL = _new_pool()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_renew_pool_in_child)
 
 
 def _check_count(value: int, name: str, minimum: int) -> None:
@@ -250,30 +245,301 @@ def _chunk_stats(
     return list(map(_kernels.RunningMoments.chunk, fn(index, rows)))
 
 
-def _pool_map(tasks: Sequence[tuple]) -> list:
-    """[fn(*args) for fn, *args in tasks], run on the shared pool and in the caller.
+# --- the chunk pool: the caller and one forked worker process per other core ---
 
-    Every task is queued at once. The calling thread works too: it runs the
-    tasks no worker has started, from the last one back, while the workers
-    take them from the first one on. The results come back in task order,
-    whichever threads ran the tasks. The caller only ever waits on tasks a
-    worker is running, so a call cannot deadlock, however many threads call
-    at once. If a task raises, the tasks nobody has started are dropped and
-    the error is raised. A task on a worker does not see the caller's
-    np.errstate (a context variable in numpy 2), so no task may rely on it.
-    """
-    futures = [_POOL.submit(*task) for task in tasks]
-    mine = {}
+# the length of each message on a pipe; an empty message ends a worker's share of a call
+_HEADER = struct.Struct("<q")
+
+
+class _RemoteTraceback(Exception):
+    """The traceback of a task that raised in a worker process, as text."""
+
+
+@dataclass(frozen=True)
+class _Worker:
+    pid: int
+    tasks: int  # the caller's end of the pipe that carries task lists to the worker
+    results: int  # the caller's end of the pipe that carries its results back
+
+
+class _Claims:
+    """The task counter a call shares with its workers, in memory they all map:
+    [front, back, worker 0's task, worker 1's task, ...]. A worker claims the
+    front task and the caller the back one, until they meet; each worker's slot
+    names the task it is running, or -1. Every change holds a POSIX record
+    lock (`with claims:`), which the kernel drops if its holder dies."""
+
+    def __init__(self, workers: int) -> None:
+        size = 8 * (2 + workers)
+        self._fd = os.memfd_create("misosec-claims")
+        os.ftruncate(self._fd, size)
+        self._slots = memoryview(mmap.mmap(self._fd, size)).cast("q")
+
+    def __enter__(self) -> None:
+        fcntl.lockf(self._fd, fcntl.LOCK_EX)
+
+    def __exit__(self, *exc: object) -> None:
+        fcntl.lockf(self._fd, fcntl.LOCK_UN)
+
+    def reset(self, count: int) -> None:
+        with self:
+            self._slots[0], self._slots[1] = 0, count
+            for k in range(2, len(self._slots)):
+                self._slots[k] = -1
+
+    def take(self, worker: int | None) -> int | None:
+        """Claim the next task, the front one for worker k and the back one
+        for the caller (None); None when every task is claimed or stopped."""
+        with self:
+            front, back = self._slots[0], self._slots[1]
+            if front >= back:
+                return None
+            if worker is None:
+                self._slots[1] = back - 1
+                return back - 1
+            self._slots[2 + worker] = front  # named before it is claimed, in case the worker dies
+            self._slots[0] = front + 1
+            return front
+
+    def stop(self) -> None:
+        """Leave every unclaimed task unclaimed."""
+        with self:
+            self._slots[1] = self._slots[0]
+
+    def running(self, worker: int) -> int:
+        return self._slots[2 + worker]
+
+    def finished(self, worker: int) -> None:
+        self._slots[2 + worker] = -1
+
+
+@dataclass(frozen=True)
+class _Pool:
+    claims: _Claims | None  # None with no workers
+    workers: list[_Worker]
+
+
+# held by the one call that is using the workers; a call that finds it taken
+# runs its tasks in the caller
+_POOL_LOCK = threading.Lock()
+# the package's only pool: every Monte Carlo chunk and verify task of the
+# process runs in its caller or in one of these workers, which start on first use
+_POOL: _Pool | None = None
+
+
+def _send(fd: int, message: bytes) -> None:
+    view = memoryview(_HEADER.pack(len(message)) + message)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytes | None:
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            return None
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _recv(fd: int) -> bytes | None:
+    """The next message on fd; None at end of file, when the writer is gone,
+    perhaps in the middle of a message."""
+    header = _read(fd, _HEADER.size)
+    return None if header is None else _read(fd, _HEADER.unpack(header)[0])
+
+
+def _serve(worker: int, tasks_fd: int, results_fd: int, claims: _Claims) -> None:
+    """A worker's life: for each task list the caller sends, claim tasks from
+    the front until none is left, sending back each result or error, then an
+    empty message. It exits at end of file on its task pipe, when the caller
+    closes it or dies, or when the caller no longer reads its results."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     try:
-        for i in reversed(range(len(tasks))):
-            if futures[i].cancel():
+        while (payload := _recv(tasks_fd)) is not None:
+            tasks = pickle.loads(payload)
+            while (i := claims.take(worker)) is not None:
                 fn, *args = tasks[i]
-                mine[i] = fn(*args)
-        return [mine[i] if i in mine else future.result() for i, future in enumerate(futures)]
+                try:
+                    message = pickle.dumps((i, fn(*args), None), pickle.HIGHEST_PROTOCOL)
+                except Exception as err:
+                    claims.stop()
+                    text = "".join(traceback.format_exception(err))
+                    try:
+                        message = pickle.dumps((i, None, (err, text)), pickle.HIGHEST_PROTOCOL)
+                        pickle.loads(message)
+                    except Exception:
+                        err = RuntimeError(f"{type(err).__name__}: {err}")
+                        message = pickle.dumps((i, None, (err, text)), pickle.HIGHEST_PROTOCOL)
+                _send(results_fd, message)
+                claims.finished(worker)
+            _send(results_fd, b"")
     finally:
-        # after a failure, drop the tasks nobody has started
-        for future in futures:
-            future.cancel()
+        os._exit(0)  # never the caller's atexit hooks or stdio buffers
+
+
+def _fork_worker(worker: int, claims: _Claims) -> _Worker:
+    tasks_r, tasks_w = os.pipe()
+    results_r, results_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (tasks_r, tasks_w, results_r, results_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # the at-fork hook has dropped the caller's ends of the earlier workers' pipes
+        os.close(tasks_w)
+        os.close(results_r)
+        _POOL_LOCK.acquire()  # a worker's own calls find the pool taken: it starts no workers
+        # a fresh context: the tasks run under numpy's default errstate, not
+        # under the one the caller happened to be in when it forked
+        contextvars.Context().run(_serve, worker, tasks_r, results_w, claims)
+    os.close(tasks_r)
+    os.close(results_w)
+    return _Worker(pid, tasks_w, results_r)
+
+
+def _start_pool() -> _Pool:
+    """Fork one worker for each other usable core (none where the platform
+    lacks fork or memfd_create); the caller holds _POOL_LOCK."""
+    global _POOL
+    cores = (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    )
+    count = cores - 1 if hasattr(os, "fork") and hasattr(os, "memfd_create") else 0
+    _POOL = _Pool(None, [])
+    try:
+        if count:
+            _POOL = _Pool(_Claims(count), [])
+        for k in range(count):
+            # listed as soon as it is forked, so the next worker's fork drops its pipes
+            _POOL.workers.append(_fork_worker(k, _POOL.claims))
+    except OSError:
+        pass  # the workers that started serve; with none, every call runs in the caller
+    return _POOL
+
+
+def _stop_pool(kill: bool = False) -> None:
+    """Close the pipes to the workers, so that each exits at end of file (or
+    kill them), and reap them. The next call that needs workers forks new ones."""
+    global _POOL
+    pool, _POOL = _POOL, None
+    if pool is None:
+        return
+    for worker in pool.workers:
+        os.close(worker.tasks)
+        os.close(worker.results)
+        if kill:
+            os.kill(worker.pid, signal.SIGKILL)
+    for worker in pool.workers:
+        try:
+            os.waitpid(worker.pid, 0)
+        except ChildProcessError:
+            pass  # reaped already, as under signal(SIGCHLD, SIG_IGN)
+
+
+def _drop_pool_in_child() -> None:
+    # a forked child inherits the caller's ends of the workers' pipes, but the
+    # workers are not its children; it closes the ends, so that each worker
+    # still sees end of file when its caller goes, and starts its own pool
+    global _POOL, _POOL_LOCK
+    if _POOL is not None:
+        for worker in _POOL.workers:
+            os.close(worker.tasks)
+            os.close(worker.results)
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+atexit.register(_stop_pool)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool_in_child)
+
+
+def _pool_map(tasks: Sequence[tuple]) -> list:
+    """[fn(*args) for fn, *args in tasks], run in the caller and in the pool's workers.
+
+    Each task is a picklable fn and its picklable args: a module-level
+    function, or a functools.partial of one. The caller sends the pickled task
+    list to every worker once. The workers claim tasks from the first one on,
+    the caller from the last one back, each from one counter that they share,
+    and the results come back in task order, whoever ran the tasks. One call at
+    a time uses the workers: a call that finds them taken, or that has a
+    single task, runs every task in the caller, from the last one back. So a
+    caller only ever waits on tasks a worker has claimed, and no call can
+    deadlock, however many threads call at once. If a task raises, no task is
+    claimed after it, and once the running tasks end, the error of the first
+    failed task in task order is raised (a worker's with its traceback as the
+    cause). With workers, a task that does not pickle raises before any task
+    runs. If a worker dies, the caller reruns the task it had claimed; a task
+    is a pure function of its args, so the bits stay the same. A worker runs
+    its tasks under numpy's default np.errstate, not the caller's (a context
+    variable in numpy 2), so no task may rely on it. A patch made in the
+    caller after the workers forked never reaches them.
+    """
+    if len(tasks) > 1 and _POOL_LOCK.acquire(blocking=False):
+        try:
+            pool = _POOL or _start_pool()
+            if pool.workers:
+                return _map_on(pool, tasks)
+        finally:
+            _POOL_LOCK.release()
+    out = [None] * len(tasks)
+    for i in reversed(range(len(tasks))):
+        fn, *args = tasks[i]
+        out[i] = fn(*args)
+    return out
+
+
+def _map_on(pool: _Pool, tasks: Sequence[tuple]) -> list:
+    payload = pickle.dumps(tasks, pickle.HIGHEST_PROTOCOL)
+    claims = pool.claims
+    results: dict[int, object] = {}
+    errors: dict[int, BaseException] = {}
+
+    def run(i: int) -> None:
+        fn, *args = tasks[i]
+        try:
+            results[i] = fn(*args)
+        except Exception as err:
+            claims.stop()
+            errors[i] = err
+
+    claims.reset(len(tasks))
+    intact = False
+    try:
+        for worker in pool.workers:
+            try:
+                _send(worker.tasks, payload)
+            except BrokenPipeError:
+                pass  # a worker that died between calls: its results pipe is at end of file
+        while (i := claims.take(None)) is not None:
+            run(i)
+        # each worker's results, up to its empty message or, if it died, end of file
+        lost = []
+        for k, worker in enumerate(pool.workers):
+            while message := _recv(worker.results):
+                i, value, error = pickle.loads(message)
+                if error is None:
+                    results[i] = value
+                else:
+                    err, text = error
+                    err.__cause__ = _RemoteTraceback(text)
+                    errors[i] = err
+            if message is None:
+                lost.append(claims.running(k))
+        for i in lost:  # rerun the task each dead worker had claimed
+            if i >= 0 and i not in results and not errors:
+                run(i)
+        intact = not lost
+    finally:
+        if not intact:  # an interrupt, an unread message or a dead worker: start afresh
+            _stop_pool(kill=True)
+    if errors:
+        raise errors[min(errors)]
+    return [results[i] for i in range(len(tasks))]
 
 
 def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
@@ -286,12 +552,12 @@ def stream_moments(fns: Sequence[_ChunkFn], count: int) -> _Moments:
     outputs one at a time: each is reduced to its chunk stats before the next
     is formed, so a chunk drawn once can feed many outputs without their rows
     ever being held together. Each (fn, chunk index) is one _chunk_stats task
-    of _pool_map, which runs them on the shared pool and in the calling
-    thread. Each output's partial stats are then merged in chunk order, so
-    each result has the bits of
+    of _pool_map, which runs them in the calling thread and in the pool's
+    worker processes, so fn must pickle: a functools.partial of a
+    module-level function. Each output's partial stats are then merged in
+    chunk order, so each result has the bits of
     `for index, rows in _chunk_rows(count): m.add(list(fn(index, rows))[j])`,
-    whatever the other fns and outputs are and whichever threads ran the
-    tasks. Returns, per fn in order, one RunningMoments.mean_se() per output
+    whatever the other fns and outputs are and whoever ran the tasks. Returns, per fn in order, one RunningMoments.mean_se() per output
     of fn.
     """
     chunks = _chunk_rows(count)

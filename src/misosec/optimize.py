@@ -14,6 +14,7 @@ of the exact one.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Iterator, Sequence
@@ -123,14 +124,19 @@ def _grad_objective(
 ) -> tuple[NDArray, NDArray]:
     """One pass over the eavesdropper draws: the gradient and its
     per-coordinate std errors at d."""
-    a = model.a
-
-    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
-        abs2 = channel._draw_abs2(model.sigma_g, d.shape[0], rows, seed, STREAM_EAVESDROPPER, index)
-        yield abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None]
-
+    chunk = functools.partial(_grad_chunk, model.sigma_g, model.a, d, seed)
     ((grad,),) = channel.stream_moments((chunk,), n_samples)
     return grad
+
+
+def _grad_chunk(
+    sigma_g: float, a: float, d: NDArray[np.float64], seed: int, index: int, rows: int
+) -> Iterator[NDArray[np.float64]]:
+    """Chunk index of _grad_objective's eavesdropper draws: each row's gradient
+    term, its |g_k|^2 times its grad_weights. Module-level, so the
+    chunk fn pickles and can run in a pool worker."""
+    abs2 = channel._draw_abs2(sigma_g, d.shape[0], rows, seed, STREAM_EAVESDROPPER, index)
+    yield abs2 * _kernels.grad_weights(_kernels.quad_form(abs2, d), a)[:, None]
 
 
 def grad_estimate(

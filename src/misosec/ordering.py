@@ -28,6 +28,7 @@ All operations are pure, stateless and safe for concurrent use.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -366,7 +367,8 @@ def _lemma_chunks(
     n_samples: int, seed: int,
 ) -> channel._ChunkFn:
     """The chunk fn of _lemma_margins, after its checks: one lemma_difference
-    output per a in a_values, whose margin is its mean + 3 se."""
+    output per a in a_values, whose margin is its mean + 3 se. A
+    functools.partial of _lemma_chunk, so it can run in a pool worker."""
     dv1 = _allocation(d1)
     dv2 = _allocation(d2)
     for a in a_values:
@@ -377,13 +379,19 @@ def _lemma_chunks(
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
 
-    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
-        abs2 = channel._draw_abs2(sigma, dv1.shape[0], rows, seed, STREAM_GENERIC, index)
-        q1 = _kernels.quad_form(abs2, dv1)
-        dq = _kernels.quad_form(abs2, dv2 - dv1)
-        return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
+    return functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, tuple(a_values), seed)
 
-    return chunk
+
+def _lemma_chunk(
+    sigma: float, dv1: NDArray[np.float64], ddv: NDArray[np.float64], a_values: Sequence[float],
+    seed: int, index: int, rows: int,
+) -> Iterator[NDArray[np.float64]]:
+    """Chunk index of a _lemma_chunks fn: lemma_difference(q1, q2 - q1, a) for
+    each a, from the chunk's q1 = g^H D1 g and q2 - q1 = g^H (D2 - D1) g."""
+    abs2 = channel._draw_abs2(sigma, dv1.shape[0], rows, seed, STREAM_GENERIC, index)
+    q1 = _kernels.quad_form(abs2, dv1)
+    dq = _kernels.quad_form(abs2, ddv)
+    return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
 
 
 def _lemma_exact(

@@ -166,19 +166,28 @@ def _quad_form_chunks(
     kernel: Callable[[NDArray[np.float64]], NDArray[np.float64]],
 ) -> Callable[[int, int], Iterator[NDArray[np.float64]]]:
     """The stream_moments chunk fn of one stream at scale sigma: per-row kernel(q),
-    q = g^H D g, for each D in ds in turn, all on one draw of the chunk.
+    q = g^H D g, for each D in ds in turn, all on one draw of the chunk. It is
+    a functools.partial of _quad_form_chunk, so it pickles (given a picklable
+    kernel) and can run in a pool worker.
 
     ds is one allocation or several equal ones of one length, so _draw_layout
     gives them all one layout.
     """
     layouts = [_draw_layout(d) for d in ds]
-    n_t, summed = ds[0].shape[0], layouts[0][1]
+    weights = [d for d, _ in layouts]
+    return functools.partial(
+        _quad_form_chunk, sigma, ds[0].shape[0], layouts[0][1], weights, seed, stream, kernel
+    )
 
-    def chunk(index: int, rows: int) -> Iterator[NDArray[np.float64]]:
-        abs2 = channel._draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
-        return (kernel(_kernels.quad_form(abs2, d)) for d, _ in layouts)
 
-    return chunk
+def _quad_form_chunk(
+    sigma: float, n_t: int, summed: bool, weights: Sequence[NDArray[np.float64]], seed: int,
+    stream: int, kernel: Callable[[NDArray[np.float64]], NDArray[np.float64]], index: int, rows: int,
+) -> Iterator[NDArray[np.float64]]:
+    """Chunk index of a _quad_form_chunks fn, drawn in its layout: kernel(q)
+    for the weights of each allocation in turn."""
+    abs2 = channel._draw_abs2(sigma, n_t, rows, seed, stream, index, summed)
+    return (kernel(_kernels.quad_form(abs2, d)) for d in weights)
 
 
 def ergodic_log_rate_mc(

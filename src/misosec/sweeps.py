@@ -12,9 +12,10 @@ thread, the evaluator behind secrecy_capacity, and each power of each group
 gets the bits of its own call, so a row can be reproduced by calling
 secrecy_capacity with the row's parameters and seed. For the Monte Carlo
 routes every group's chunk fns go to one channel.stream_moments call, which
-runs each chunk as a task on the calling thread and on the one shared chunk
-pool, with no wait at a group's end, and merges them in chunk order; that
-pool is the sweeps' only parallelism. Rows come back in grid order.
+runs each chunk as a task in the calling thread and in the one shared chunk
+pool's worker processes, with no wait at a group's end, and merges them in
+chunk order; that pool is the sweeps' only parallelism. Rows come back in
+grid order.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
 """

@@ -14,24 +14,27 @@ probe evaluates them in one call per dimension (and per sigma, or per side
 of the pair). The rate probe asks the MGF evaluator for rates only, without
 the gradient, and for both ratios at once, so each side's sigma_h transform
 serves both. The probes of one pair dimension are one task;
-channel._pool_map runs them on the chunk pool and in the calling thread, the
-largest dimension first, and the calling thread then runs the ascent. A task
-computes the same margins whichever thread runs it, so the output does not
-depend on the core count. A task on the pool does not see the caller's
-np.errstate (a context variable in numpy 2); the suite sets off no
-floating-point error, even under np.errstate(all="raise"), so that changes
-nothing. The complete-monotonicity grid is one array evaluation of the
-closed form. Each
-lemma case's margin is its exact difference E f(q2) - E f(q1), a difference
-of two MGF rates and at a = 0 Frullani's integral (ordering._lemma_exact).
-Each report holds its probe's margins as one array and labels a point only
-when it is read (the CLI reads the worst).
+channel._pool_map runs them in the calling thread and in the chunk pool's
+worker processes, the largest dimension first, and the calling thread then
+runs the ascent. A task computes the same margins wherever it runs, so the
+output does not depend on the core count. A task in a worker runs under
+numpy's default np.errstate, not the caller's (a context variable in numpy
+2); the suite sets off no floating-point error, even under
+np.errstate(all="raise"), so that changes nothing. The complete-monotonicity
+grid is one array evaluation of the closed form. It and the lemma's two
+canonical cases are the same at every seed, so each process computes them
+once (_cm_margins, _canonical_lemma) and keeps them as read-only arrays.
+Each lemma case's margin is its exact difference E f(q2) - E f(q1), a
+difference of two MGF rates and at a = 0 Frullani's integral
+(ordering._lemma_exact). Each report holds its probe's margins as one array
+and labels a point only when it is read (the CLI reads the worst).
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +72,35 @@ _LT_SIGMAS = (1.0, np.sqrt(2.0))
 _RATE_RATIOS = (0.5, 0.9)
 # the probe's sigma_g^2, asked of the MGF evaluator in one call per side
 _RATE_VAR_G = tuple(r * r for r in _RATE_RATIOS)
+
+
+# the complete-monotonicity grid's x values
+_CM_X_GRID = np.logspace(-3.0, 3.0, _CM_X_POINTS)
+_CM_X_GRID.flags.writeable = False
+
+
+@functools.cache
+def _cm_margins() -> np.ndarray:
+    """The complete-monotonicity margins, the sign-corrected derivatives on the
+    (a, x, n) grid in one array call. The grid is the same at every seed, so
+    they are computed once per process, as a read-only array."""
+    orders = np.arange(_CM_ORDERS + 1)
+    signed = np.where(orders % 2, -1.0, 1.0) * _cm_derivatives(
+        np.array(_CM_A_GRID)[:, None, None], _CM_X_GRID[:, None], orders
+    )
+    signed.flags.writeable = False
+    return signed
+
+
+@functools.cache
+def _canonical_lemma() -> np.ndarray:
+    """The lemma's cases #0 and #1, the canonical spike-vs-flat pair at each
+    of _LEMMA_CANONICAL_A: the same at every seed, so computed once per
+    process, as a read-only array."""
+    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
+    lemma = np.array(_lemma_exact(spike, flat, 1.0, _LEMMA_CANONICAL_A))
+    lemma.flags.writeable = False
+    return lemma
 
 
 @dataclass(frozen=True)
@@ -173,16 +205,11 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     checks.append(("schur_concave", OrderCheckReport._of_margins(
         grid, schur, lambda i: f"pair#{i} s={float(s_draws[i]):.6g}")))
 
-    # complete monotonicity sign pattern on the (a, x, n) grid, in one array call
-    x_grid = np.logspace(-3.0, 3.0, _CM_X_POINTS)
-    orders = np.arange(_CM_ORDERS + 1)
-    signed = np.where(orders % 2, -1.0, 1.0) * _cm_derivatives(
-        np.array(_CM_A_GRID)[:, None, None], x_grid[:, None], orders
-    )
+    signed = _cm_margins()
 
     def cm_point(k: int) -> str:
         i, j, n = np.unravel_index(k, signed.shape)
-        return f"a={_CM_A_GRID[i]} x={float(x_grid[j]):.6g} n={n}"
+        return f"a={_CM_A_GRID[i]} x={float(_CM_X_GRID[j]):.6g} n={n}"
 
     grid = f"a in {{0,0.1,0.5,0.9}}, {_CM_X_POINTS}-point log x grid, n <= {_CM_ORDERS}"
     checks.append(("complete_monotone", OrderCheckReport._of_margins(grid, signed, cm_point)))
@@ -197,10 +224,8 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     # expectation-ordering lemma, exact: the canonical spike-vs-flat pair at
     # two a (cases #0 and #1), and random pair #0, which leads the rows of its
     # dimension (case #2)
-    spike, flat = (_PAIR_TOTAL, 0.0), (_PAIR_TOTAL / 2, _PAIR_TOTAL / 2)
     _, d_stars, ds = pairs[int(dims[0])]
-    lemma = _lemma_exact(spike, flat, 1.0, _LEMMA_CANONICAL_A)
-    lemma += _lemma_exact(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,))
+    lemma = np.append(_canonical_lemma(), _lemma_exact(ds[0], d_stars[0], 1.0, (_LEMMA_RANDOM_A,)))
     lemma_a = (*_LEMMA_CANONICAL_A, _LEMMA_RANDOM_A)
     grid = f"{len(lemma)} cases on 2 pairs, MGF and Frullani integrals"
     checks.append(("lemma_expectation", OrderCheckReport._of_margins(

@@ -1,24 +1,35 @@
 """Fixtures shared by the test modules."""
-import threading
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from misosec import channel
 
 
 @pytest.fixture
-def blocked_pool(monkeypatch):
-    """A one-worker chunk pool whose worker waits until the yielded event is set,
-    so the calling thread runs every task it queues until then."""
-    release = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as busy:
-        busy.submit(release.wait, 60)
-        monkeypatch.setattr(channel, "_POOL", busy)
-        try:
-            yield busy, release
-        finally:
-            release.set()
+def blocked_pool():
+    """Take the chunk pool as a call using its workers does, until the yielded
+    release() is called: until then every pool call finds the workers taken
+    and runs all its tasks in the calling thread, from the last one back."""
+    lock = channel._POOL_LOCK
+    assert lock.acquire(timeout=60)
+    held = True
+
+    def release():
+        nonlocal held
+        if held:
+            held = False
+            lock.release()
+
+    try:
+        yield release
+    finally:
+        release()
+
+
+@pytest.fixture
+def caller_only(blocked_pool):
+    """No worker runs a task while the test runs. A patch made after the
+    workers forked never reaches them, so a test that patches what a task runs
+    (to count draws, say) takes this; the calling thread runs the same tasks."""
 
 
 def suite_bits(result):

@@ -1,9 +1,11 @@
 """Per-sample kernels and the streaming reducer."""
+import functools
 import os
+import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,21 +119,38 @@ CHUNK = channel.CHUNK
 # one row, one full chunk, one row past it, and 7 chunks with a short tail
 COUNTS = [1, CHUNK, CHUNK + 1, 6 * CHUNK + 123]
 D = np.array([0.5, 1.5, 2.0])
-FORMS = {
-    "scalar": lambda abs2: K.coupled_integrand(K.quad_form(abs2, D), 0.3),
-    "per_coordinate": lambda abs2: abs2 * K.grad_weights(K.quad_form(abs2, D), 0.3)[:, None],
-}
+
+
+# the reducer's tasks run in forked workers, so every fn they run is a
+# module-level function, which pickles by name
+def _scalar(abs2):
+    return K.coupled_integrand(K.quad_form(abs2, D), 0.3)
+
+
+def _per_coordinate(abs2):
+    return abs2 * K.grad_weights(K.quad_form(abs2, D), 0.3)[:, None]
+
+
+def _log_rate_2d(abs2):
+    return K.log_rate(K.quad_form(abs2, 2 * D))
+
+
+def _boom(abs2):
+    raise FloatingPointError("chunk failed")
+
+
+FORMS = {"scalar": _scalar, "per_coordinate": _per_coordinate}
+
+
+def _chunk(sigma, seed, stream, fns, index, rows):
+    abs2 = channel._draw_abs2(sigma, 3, rows, seed, stream, index)
+    return (fn(abs2) for fn in fns)
 
 
 def _chunks(sigma, seed, stream, *fns):
     """A chunk fn as stream_moments takes it: chunk index of one stream, drawn
     as the routes draw it, and each of fns on it in turn."""
-
-    def chunk(index, rows):
-        abs2 = channel._draw_abs2(sigma, 3, rows, seed, stream, index)
-        return (fn(abs2) for fn in fns)
-
-    return chunk
+    return functools.partial(_chunk, sigma, seed, stream, fns)
 
 
 def _serial(fn, sigma, count, seed, stream):
@@ -172,11 +191,7 @@ def test_stream_moments_reduces_each_draw_in_order(form):
 def test_stream_moments_reduces_each_output_as_if_alone():
     # one draw feeding several outputs, of both forms, gives each output the
     # bits of a call that asks for it alone
-    fns = [
-        FORMS["scalar"],
-        FORMS["per_coordinate"],
-        lambda abs2: K.log_rate(K.quad_form(abs2, 2 * D)),
-    ]
+    fns = [_scalar, _per_coordinate, _log_rate_2d]
     draws = ((1.0, channel.STREAM_LEGITIMATE), (0.5, channel.STREAM_EAVESDROPPER))
     count = 2 * CHUNK + 9
     chunks = [_chunks(sigma, 4, stream, *fns) for sigma, stream in draws]
@@ -188,42 +203,52 @@ def test_stream_moments_reduces_each_output_as_if_alone():
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
-def test_stream_moments_same_bits_on_one_worker(monkeypatch, form):
+def test_stream_moments_same_bits_without_workers(blocked_pool, form):
+    # the calling thread alone, then the calling thread and the workers
     fn = FORMS[form]
     count = 6 * CHUNK + 123
     chunk = _chunks(0.7, 2, channel.STREAM_GENERIC, fn)
+    ((alone,),) = channel.stream_moments((chunk,), count)
+    blocked_pool()
     ((pooled,),) = channel.stream_moments((chunk,), count)
-    with ThreadPoolExecutor(max_workers=1) as one:
-        monkeypatch.setattr(channel, "_POOL", one)
-        ((single,),) = channel.stream_moments((chunk,), count)
-    _assert_bit_identical(single, pooled)
-    _assert_bit_identical(single, _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
+    _assert_bit_identical(alone, pooled)
+    _assert_bit_identical(alone, _serial(fn, 0.7, count, 2, channel.STREAM_GENERIC))
 
 
-def test_stream_moments_finishes_while_every_worker_is_busy(monkeypatch):
-    # the caller runs every chunk no worker has started, so a pool whose
-    # workers are all taken cannot stall it
-    release = threading.Event()
+def _wait_for(path):
+    deadline = time.monotonic() + 60
+    while not os.path.exists(path) and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def _hold(directory, i):
+    # marks that task i has started, then waits for the release
+    Path(directory, f"held{i}").touch()
+    _wait_for(Path(directory, "release"))
+
+
+def test_stream_moments_finishes_while_every_worker_is_busy(tmp_path):
+    # another call holds the pool, its tasks waiting for a file; this call
+    # runs every chunk itself, so it cannot stall
     fn = FORMS["scalar"]
-    with ThreadPoolExecutor(max_workers=1) as busy:
-        blocker = busy.submit(release.wait, 60)
-        monkeypatch.setattr(channel, "_POOL", busy)
-        try:
-            chunk = _chunks(0.7, 8, channel.STREAM_GENERIC, fn)
-            ((got,),) = channel.stream_moments((chunk,), 3 * CHUNK)
-            finished_while_blocked = not blocker.done()
-        finally:
-            release.set()
-    assert finished_while_blocked
+    tasks = [(_hold, str(tmp_path), i) for i in range(2)]
+    holder = threading.Thread(target=channel._pool_map, args=(tasks,))
+    holder.start()
+    try:
+        _wait_for(tmp_path / "held1")  # the holder's thread runs the last task
+        chunk = _chunks(0.7, 8, channel.STREAM_GENERIC, fn)
+        ((got,),) = channel.stream_moments((chunk,), 3 * CHUNK)
+        finished_while_blocked = holder.is_alive()
+    finally:
+        (tmp_path / "release").touch()
+        holder.join(timeout=60)
+    assert finished_while_blocked and not holder.is_alive()
     _assert_bit_identical(got, _serial(fn, 0.7, 3 * CHUNK, 8, channel.STREAM_GENERIC))
 
 
 def test_stream_moments_raises_the_chunk_error_and_stays_usable():
-    def boom(abs2):
-        raise FloatingPointError("chunk failed")
-
     with pytest.raises(FloatingPointError, match="chunk failed"):
-        channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, boom),), 5 * CHUNK)
+        channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, _boom),), 5 * CHUNK)
     fn = FORMS["scalar"]
     ((got,),) = channel.stream_moments((_chunks(1.0, 0, channel.STREAM_GENERIC, fn),), 100)
     _assert_bit_identical(got, _serial(fn, 1.0, 100, 0, channel.STREAM_GENERIC))
@@ -238,9 +263,8 @@ def test_stream_moments_rejects_empty_count():
 
 
 def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
-    # the caller runs the last chunk first; when it raises, the reduce cancels
-    # every chunk no worker has started before it re-raises
-    busy, release = blocked_pool
+    # the caller runs the last chunk first; when it raises, no other chunk is
+    # claimed, and the next reduce, with the workers free, runs as usual
     ran = []
     fn = FORMS["scalar"]
 
@@ -250,8 +274,7 @@ def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
 
     with pytest.raises(FloatingPointError, match="chunk failed"):
         channel.stream_moments((_chunks(0.7, 8, channel.STREAM_GENERIC, failing),), 4 * CHUNK)
-    release.set()
-    busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
+    blocked_pool()
     assert ran == [1]
     ((got,),) = channel.stream_moments((_chunks(0.7, 8, channel.STREAM_GENERIC, fn),), 2 * CHUNK)
     _assert_bit_identical(got, _serial(fn, 0.7, 2 * CHUNK, 8, channel.STREAM_GENERIC))
@@ -260,15 +283,14 @@ def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
 def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocked_pool):
     # the caller runs the suite's tasks from the back, so the probe task of
     # the smallest dimension raises first; the tasks nobody started are
-    # dropped, and the pool then runs a whole suite with the serial bits
-    busy, release = blocked_pool
+    # never claimed, and the pool then runs a whole suite with the serial bits
     verify = sys.modules["misosec.verify"]
     serial = suite_bits(verify.run_verify_suite(0, run_optimizer=False))
-    draws, probed = [], []
+    draws, probed = [], []  # appended in the calling thread, which runs every task
     draw, probes = channel._draw_abs2, verify._pair_probes
 
     def counted(*args, **kwargs):
-        draws.append(args)  # list.append is atomic, so pool threads may share it
+        draws.append(args)
         return draw(*args, **kwargs)
 
     def counted_probes(d_star, *args):
@@ -284,45 +306,275 @@ def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocke
         patch.setattr(verify, "_mgf_rate", broken)
         with pytest.raises(FloatingPointError, match="probe failed"):
             verify.run_verify_suite(0, run_optimizer=False)
-        release.set()
-        busy.submit(int).result(timeout=60)  # the worker has now taken every earlier task
+    blocked_pool()
     assert draws == []
     assert probed == [min(verify._PAIR_DIMS)]
     assert suite_bits(verify.run_verify_suite(0, run_optimizer=False)) == serial
 
 
+def _none_if_odd(i):
+    return None if i % 2 else i
+
+
 def test_pool_map_returns_results_in_task_order(blocked_pool):
-    # None is a result like any other, whichever thread ran the task
-    tasks = [(lambda i: None if i % 2 else i, i) for i in range(5)]
+    # None is a result like any other, whoever ran the task
+    tasks = [(_none_if_odd, i) for i in range(5)]
     assert channel._pool_map(tasks) == [0, None, 2, None, 4]
-    busy, release = blocked_pool
-    release.set()
+    blocked_pool()
     assert channel._pool_map(tasks) == [0, None, 2, None, 4]
+
+
+_PARENT = os.getpid()
+_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+needs_a_worker = pytest.mark.skipif(
+    not sys.platform.startswith("linux") or _CORES < 2,
+    reason="needs Linux (fork, memfd_create and /proc) and a second usable core",
+)
+
+
+def _fail_last(directory, i, count):
+    # the last task, the caller's first, fails; task 0, a worker's first,
+    # waits until it has, so no worker can claim another task in between
+    if i == count - 1:
+        Path(directory, "failed").touch()
+        raise FloatingPointError("task failed")
+    Path(directory, str(i)).touch()
+    if i == 0:
+        _wait_for(Path(directory, "failed"))
+        time.sleep(0.05)
+    return i
+
+
+def test_no_worker_claims_a_task_after_one_fails(tmp_path):
+    tasks = [(_fail_last, str(tmp_path), i, 6) for i in range(6)]
+    with pytest.raises(FloatingPointError, match="task failed"):
+        channel._pool_map(tasks)
+    assert sorted(os.listdir(tmp_path)) in (["failed"], ["0", "failed"])
+    assert channel._pool_map([(_none_if_odd, i) for i in range(6)]) == [0, None, 2, None, 4, None]
+
+
+def _fail_in_a_worker(i):
+    if os.getpid() != _PARENT:
+        raise FloatingPointError(f"task {i} failed in a worker")
+    time.sleep(0.01)  # leaves a worker time to claim the front tasks
+    return i
+
+
+def test_a_worker_error_carries_its_traceback():
+    try:
+        channel._pool_map([(_fail_in_a_worker, i) for i in range(4)])
+    except FloatingPointError as err:
+        assert "task 0 failed in a worker" in str(err)
+        assert isinstance(err.__cause__, channel._RemoteTraceback)
+        assert "_fail_in_a_worker" in str(err.__cause__)
+    else:
+        assert _CORES < 2, "a worker ran no task"
+
+
+_chunk_stats = channel._chunk_stats
+
+
+def _chunk_stats_or_die(fn, index, rows):
+    # a worker dies in the first chunk it claims; the caller runs it as usual
+    if os.getpid() != _PARENT:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _chunk_stats(fn, index, rows)
+
+
+@needs_a_worker
+def test_a_call_whose_worker_dies_keeps_its_bits(monkeypatch):
+    # a worker forked after the patch runs the patched task and dies; the
+    # caller reruns the chunk it had claimed, and the next call forks anew
+    model, method = misosec.ChannelModel(3, 1.0, 0.6), misosec.EvalMethod.coupled_mc(40 * CHUNK, 5)
+    want = misosec.secrecy_capacity(model, 10.0, method)
+    channel._stop_pool()
+    monkeypatch.setattr(channel, "_chunk_stats", _chunk_stats_or_die)
+    try:
+        got = misosec.secrecy_capacity(model, 10.0, method)
+        stopped = channel._POOL is None
+    finally:
+        channel._stop_pool()  # no worker may keep the patched task
+    assert stopped, "no worker died"
+    assert got == want
+
+
+def _overflow_rule(i):
+    # the rule the task runs under, and whether a worker ran it
+    in_a_worker = os.getpid() != _PARENT
+    if not in_a_worker:
+        time.sleep(0.01)  # leaves a worker time to claim the front tasks
+    return np.geterr()["over"], in_a_worker
+
+
+@needs_a_worker
+def test_workers_forked_under_an_errstate_run_under_the_default():
+    # the workers fork inside the caller's np.errstate, a context variable,
+    # but run every task in a fresh context
+    channel._stop_pool()
+    with np.errstate(over="raise"):
+        channel._pool_map([(_none_if_odd, i) for i in range(2)])
+    rules, in_a_worker = zip(*channel._pool_map([(_overflow_rule, i) for i in range(6)]))
+    assert any(in_a_worker)
+    assert set(rules) == {np.geterr()["over"]} != {"raise"}
+
+
+def _nested(i):
+    # a task that makes a pool call of its own; where it ran, and whether
+    # that process then has workers
+    in_a_worker = os.getpid() != _PARENT
+    if not in_a_worker:
+        time.sleep(0.01)  # leaves a worker time to claim the front tasks
+    channel._pool_map([(_none_if_odd, k) for k in range(4)])
+    return in_a_worker, channel._POOL is not None and bool(channel._POOL.workers)
+
+
+@needs_a_worker
+def test_a_worker_starts_no_workers_of_its_own():
+    ran = channel._pool_map([(_nested, i) for i in range(6)])
+    assert (True, False) in ran
+    assert (True, True) not in ran
+
+
+@needs_a_worker
+def test_a_worker_ignores_sigint():
+    # Ctrl-C reaches the whole process group; the caller handles it, and the
+    # workers keep serving
+    channel._pool_map([(_none_if_odd, i) for i in range(2)])
+    pids = [worker.pid for worker in channel._POOL.workers]
+    for pid in pids:
+        os.kill(pid, signal.SIGINT)
+    time.sleep(0.05)
+    assert channel._pool_map([(_none_if_odd, i) for i in range(6)]) == [0, None, 2, None, 4, None]
+    assert [worker.pid for worker in channel._POOL.workers] == pids
+
+
+def test_two_threads_calling_at_once_get_the_serial_bits(blocked_pool):
+    # one call uses the workers, the other runs its tasks in its own thread
+    model = misosec.ChannelModel(4, 1.0, 0.5)
+    methods = [misosec.EvalMethod.coupled_mc(200_001, 1), misosec.EvalMethod.direct_mc(200_001, 2)]
+    serial = [misosec.secrecy_capacity(model, 10.0, method) for method in methods]
+    blocked_pool()
+    results = {}
+
+    def run(method):
+        results[method] = [misosec.secrecy_capacity(model, 10.0, method) for _ in range(5)]
+
+    threads = [threading.Thread(target=run, args=(method,), daemon=True) for method in methods]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "a caller did not finish: deadlock?"
+    assert [results[method] for method in methods] == [[value] * 5 for value in serial]
+
+
+def _env():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 def _run_python(code):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    """Run code in a fresh interpreter; returns its stdout."""
+    return subprocess.run(
+        [sys.executable, "-c", code], env=_env(), check=True, timeout=120,
+        stdout=subprocess.PIPE, text=True,
+    ).stdout
 
 
 def test_import_starts_no_thread():
-    _run_python("import threading, misosec; assert threading.active_count() == 1")
+    # nor a process: the workers fork at the first call with tasks to share
+    _run_python("""
+import os, threading, misosec
+assert threading.active_count() == 1 and misosec.channel._POOL is None
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise AssertionError("import started a process")
+""")
+
+
+# a parallel call, then the workers' pids on one line
+_CALL = """
+from misosec import ChannelModel, EvalMethod, channel, secrecy_capacity
+secrecy_capacity(ChannelModel(2, 1.0, 0.5), 10.0, EvalMethod.coupled_mc(70_000, 1))
+print(*(worker.pid for worker in channel._POOL.workers), flush=True)
+"""
+
+
+def _running(pid):
+    """Whether process pid runs; a zombie (exited, not yet reaped) does not."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@needs_a_worker
+def test_a_process_that_exits_leaves_no_worker_behind():
+    # the atexit hook closes the pipes and reaps the workers
+    pids = [int(pid) for pid in _run_python(_CALL).split()]
+    assert pids
+    assert [pid for pid in pids if Path(f"/proc/{pid}").exists()] == []
+
+
+# then a child that sleeps, and its pid on one more line
+_FORK_A_SLEEPER = """
+import os, sys, time
+child = os.fork()
+if child == 0:
+    time.sleep(60)
+    os._exit(0)
+print(child, flush=True)
+sys.stdin.read()
+"""
+
+
+@needs_a_worker
+def test_a_killed_caller_leaves_no_worker_running_after_1s():
+    # no hook runs; the worker reads end of file from its task pipe and exits,
+    # although a child the caller forked lives on: the child dropped its copy
+    # of the pipe's end at the fork
+    with subprocess.Popen(
+        [sys.executable, "-c", _CALL + _FORK_A_SLEEPER],
+        env=_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    ) as proc:
+        try:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            sleeper = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+    try:
+        assert pids and _running(sleeper)
+        deadline = time.monotonic() + 1.0
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_running, pids))
+    finally:
+        os.kill(sleeper, signal.SIGKILL)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_child_gets_its_own_pool():
-    # a child forked after the pool ran inherits no pool threads; its calls
-    # must still finish, with the parent's bits
+    # a child forked after the pool ran drops the pipes of its parent's
+    # workers; its calls fork workers of its own and keep the parent's bits
     code = """
 import multiprocessing as mp
-from misosec import ChannelModel, EvalMethod, secrecy_capacity
+from misosec import ChannelModel, EvalMethod, channel, secrecy_capacity
 def cap(seed):
     model = ChannelModel(2, 1.0, 0.5)
     return secrecy_capacity(model, 10.0, EvalMethod.coupled_mc(70_000, seed)).mean
+def in_child(seed):
+    inherited = channel._POOL
+    return cap(seed), inherited, [worker.pid for worker in channel._POOL.workers]
 if __name__ == "__main__":
     here = cap(1)
+    parents = [worker.pid for worker in channel._POOL.workers]
     with mp.get_context("fork").Pool(1) as pool:
-        assert pool.apply_async(cap, (1,)).get(timeout=60) == here
+        there, inherited, own = pool.apply_async(in_child, (1,)).get(timeout=60)
+    assert there == here and inherited is None
+    assert len(own) == len(parents) and not set(own) & set(parents)
 """
     _run_python(code)

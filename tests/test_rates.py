@@ -635,14 +635,15 @@ def test_equal_allocation_routes_merge_gamma_chunks_serially(n_t, count):
     assert (single.mean, single.std_error) == ref
 
 
-def test_direct_route_draws_each_chunk_of_each_stream_once(monkeypatch):
+def test_direct_route_draws_each_chunk_of_each_stream_once(monkeypatch, caller_only):
     # h and g are two streams of 3 chunks each, every chunk drawn once, through
     # the module's own _draw_abs2 so that a patched sampler sees every draw
+    # (the calling thread runs every chunk: a forked worker would not see it)
     calls = []
     draw = channel._draw_abs2
 
     def counted(*args, **kwargs):
-        calls.append(args)  # list.append is atomic, so pool threads may share it
+        calls.append(args)
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(channel, "_draw_abs2", counted)

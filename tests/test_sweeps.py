@@ -180,12 +180,13 @@ def test_clamped_snr_rows_match_their_own_call(method):
 
 
 @pytest.mark.parametrize("method", ["coupled", "direct"])
-def test_snr_sweep_draws_each_chunk_once(monkeypatch, method):
+def test_snr_sweep_draws_each_chunk_once(monkeypatch, caller_only, method):
+    # the calling thread runs every chunk, so the patched sampler sees every draw
     calls = []
     draw = channel._draw_abs2
 
     def counted(*args, **kwargs):
-        calls.append(args)  # list.append is atomic, so pool threads may share it
+        calls.append(args)
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(channel, "_draw_abs2", counted)
@@ -346,11 +347,8 @@ def test_antenna_sweep_runs_its_groups_in_order_on_the_calling_thread(monkeypatc
     )
     run_sweep_antennas(spec)
     assert calls == [(threading.current_thread(), [int(n_t) for n_t in grid])]
-    # no thread outlives the sweep but the chunk pool's workers
-    assert [
-        t for t in threading.enumerate()
-        if t is not threading.main_thread() and not t.name.startswith("misosec-chunk")
-    ] == []
+    # no thread outlives the sweep: the chunk pool's workers are processes
+    assert threading.enumerate() == [threading.main_thread()]
 
 
 # --- concurrent callers of the shared chunk pool ---------------------------

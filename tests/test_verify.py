@@ -101,20 +101,21 @@ def _random_pair0(seed):
             return d[0], d_star[0]
 
 
-def test_suite_makes_no_draws_and_queues_no_chunk(monkeypatch):
-    # the suite's probes are pool tasks, but none is a Monte Carlo chunk
+def test_suite_makes_no_draws_and_queues_no_chunk(monkeypatch, caller_only):
+    # the suite's probes are pool tasks, but none is a Monte Carlo chunk; the
+    # calling thread runs them all, so the refused sampler sees every draw
     def refuse(*args, **kwargs):
         raise AssertionError("verify drew or queued a Monte Carlo chunk")
 
-    submit = channel._POOL.submit
+    pool_map = channel._pool_map
 
-    def submit_no_chunk(fn, *args, **kwargs):
-        if fn is channel._chunk_stats:
+    def map_no_chunk(tasks):
+        if any(fn is channel._chunk_stats for fn, *_ in tasks):
             refuse()
-        return submit(fn, *args, **kwargs)
+        return pool_map(tasks)
 
     monkeypatch.setattr(channel, "_draw_abs2", refuse)
-    monkeypatch.setattr(channel._POOL, "submit", submit_no_chunk)
+    monkeypatch.setattr(channel, "_pool_map", map_no_chunk)
     result = run_verify_suite(7)
     assert result.exit_code == 0
     # the lemma's margins are its exact differences, case by case
@@ -128,12 +129,10 @@ def test_suite_makes_no_draws_and_queues_no_chunk(monkeypatch):
 
 @pytest.mark.parametrize("run_optimizer", [False, True])
 def test_suite_output_does_not_depend_on_the_schedule(blocked_pool, run_optimizer):
-    # the caller runs every task while the pool's worker is blocked; with the
-    # worker free, the tasks split between the two threads
-    busy, release = blocked_pool
+    # the caller runs every task while the pool is taken; with the workers
+    # free, the tasks split between the caller and the workers
     serial = [suite_bits(run_verify_suite(s, run_optimizer=run_optimizer)) for s in range(6)]
-    release.set()
-    busy.submit(int).result(timeout=60)
+    blocked_pool()
     pooled = [suite_bits(run_verify_suite(s, run_optimizer=run_optimizer)) for s in range(6)]
     assert pooled == serial
 
