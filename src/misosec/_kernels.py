@@ -107,7 +107,7 @@ class RunningMoments:
     against the mean; add(x) is merge(*chunk(x)). The mean is the sum of the
     merged totals divided by n. Merging depends on its order in floating
     point, so the invariant is the merge order: the same chunks merged in
-    the same order give the same bits, whichever threads formed them.
+    the same order give the same bits, whichever processes formed them.
     """
 
     def __init__(self) -> None:

@@ -38,27 +38,27 @@ GIL: one worker for each other core the process may run on, forked from the
 caller by the first call that has tasks to share (import starts none), each
 linked to it by two pipes. A task is therefore a picklable function and
 picklable arguments: a module-level function, or a functools.partial of one.
-Results come back in task order, whoever ran a task, so no output depends on
-the core count. A worker ignores SIGINT and exits when its task pipe reads
-end of file: when the caller's atexit hook closes it, or when the caller
-dies. A child forked from the caller drops its copies of the pipes and
-forks its own workers. Python 3.12 and later warn when a process that runs
-other OS threads forks, and OpenBLAS's threads count. A task in a worker runs
-under numpy's default np.errstate, not the caller's (a context variable in
-numpy 2). Memory figures of the calling process, such as its peak RSS, leave
-the workers out.
+Every process takes the next task in list order, and the results come back
+in task order, whoever ran a task, so no output depends on the core count.
+A worker ignores SIGINT and exits when its task pipe reads end of file: when
+the caller's atexit hook closes it, or when the caller dies. A child forked
+from the caller drops its copies of the pipes and forks its own workers.
+Python 3.12 and later warn when a process that runs other OS threads forks,
+and OpenBLAS's threads count. A task in a worker runs under numpy's default
+np.errstate, not the caller's (a context variable in numpy 2). Memory figures
+of the calling process, such as its peak RSS, leave the workers out.
 """
 from __future__ import annotations
 
 import atexit
 import contextvars
 import fcntl
+import io
 import math
 import mmap
 import os
 import pickle
 import signal
-import struct
 import sys
 import threading
 import traceback
@@ -247,9 +247,6 @@ def _chunk_stats(
 
 # --- the chunk pool: the caller and one forked worker process per other core ---
 
-# the length of each message on a pipe; an empty message ends a worker's share of a call
-_HEADER = struct.Struct("<q")
-
 
 class _RemoteTraceback(Exception):
     """The traceback of a task that raised in a worker process, as text."""
@@ -259,21 +256,19 @@ class _RemoteTraceback(Exception):
 class _Worker:
     pid: int
     tasks: int  # the caller's end of the pipe that carries task lists to the worker
-    results: int  # the caller's end of the pipe that carries its results back
+    results: io.BufferedReader  # the caller's end of the pipe that carries its results back
 
 
 class _Claims:
     """The task counter a call shares with its workers, in memory they all map:
-    [front, back, worker 0's task, worker 1's task, ...]. A worker claims the
-    front task and the caller the back one, until they meet; each worker's slot
-    names the task it is running, or -1. Every change holds a POSIX record
-    lock (`with claims:`), which the kernel drops if its holder dies."""
+    [next, end]. Every process, the caller and each worker, claims the next
+    task in list order until next reaches end. Every change holds a POSIX
+    record lock (`with claims:`), which the kernel drops if its holder dies."""
 
-    def __init__(self, workers: int) -> None:
-        size = 8 * (2 + workers)
+    def __init__(self) -> None:
         self._fd = os.memfd_create("misosec-claims")
-        os.ftruncate(self._fd, size)
-        self._slots = memoryview(mmap.mmap(self._fd, size)).cast("q")
+        os.ftruncate(self._fd, 16)
+        self._slots = memoryview(mmap.mmap(self._fd, 16)).cast("q")
 
     def __enter__(self) -> None:
         fcntl.lockf(self._fd, fcntl.LOCK_EX)
@@ -284,33 +279,20 @@ class _Claims:
     def reset(self, count: int) -> None:
         with self:
             self._slots[0], self._slots[1] = 0, count
-            for k in range(2, len(self._slots)):
-                self._slots[k] = -1
 
-    def take(self, worker: int | None) -> int | None:
-        """Claim the next task, the front one for worker k and the back one
-        for the caller (None); None when every task is claimed or stopped."""
+    def take(self) -> int | None:
+        """Claim the next task; None when every task is claimed or stopped."""
         with self:
-            front, back = self._slots[0], self._slots[1]
-            if front >= back:
+            i = self._slots[0]
+            if i >= self._slots[1]:
                 return None
-            if worker is None:
-                self._slots[1] = back - 1
-                return back - 1
-            self._slots[2 + worker] = front  # named before it is claimed, in case the worker dies
-            self._slots[0] = front + 1
-            return front
+            self._slots[0] = i + 1
+            return i
 
     def stop(self) -> None:
         """Leave every unclaimed task unclaimed."""
         with self:
             self._slots[1] = self._slots[0]
-
-    def running(self, worker: int) -> int:
-        return self._slots[2 + worker]
-
-    def finished(self, worker: int) -> None:
-        self._slots[2 + worker] = -1
 
 
 @dataclass(frozen=True)
@@ -328,39 +310,26 @@ _POOL: _Pool | None = None
 
 
 def _send(fd: int, message: bytes) -> None:
-    view = memoryview(_HEADER.pack(len(message)) + message)
+    view = memoryview(message)
     while view:
         view = view[os.write(fd, view):]
 
 
-def _read(fd: int, size: int) -> bytes | None:
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            return None
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+# a worker's last message of a call; each message is one pickle, which frames itself
+_DONE = pickle.dumps(None, pickle.HIGHEST_PROTOCOL)
 
 
-def _recv(fd: int) -> bytes | None:
-    """The next message on fd; None at end of file, when the writer is gone,
-    perhaps in the middle of a message."""
-    header = _read(fd, _HEADER.size)
-    return None if header is None else _read(fd, _HEADER.unpack(header)[0])
-
-
-def _serve(worker: int, tasks_fd: int, results_fd: int, claims: _Claims) -> None:
-    """A worker's life: for each task list the caller sends, claim tasks from
-    the front until none is left, sending back each result or error, then an
-    empty message. It exits at end of file on its task pipe, when the caller
-    closes it or dies, or when the caller no longer reads its results."""
+def _serve(tasks_fd: int, results_fd: int, claims: _Claims) -> None:
+    """A worker's life: for each task list the caller sends, claim tasks in
+    list order until none is left, sending back each result or error, then
+    _DONE. It exits at end of file on its task pipe, when the caller closes
+    it or dies, or when the caller no longer reads its results."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's to handle
     try:
-        while (payload := _recv(tasks_fd)) is not None:
-            tasks = pickle.loads(payload)
-            while (i := claims.take(worker)) is not None:
+        incoming = open(tasks_fd, "rb")
+        while True:
+            tasks = pickle.load(incoming)  # EOFError at end of file
+            while (i := claims.take()) is not None:
                 fn, *args = tasks[i]
                 try:
                     message = pickle.dumps((i, fn(*args), None), pickle.HIGHEST_PROTOCOL)
@@ -374,13 +343,12 @@ def _serve(worker: int, tasks_fd: int, results_fd: int, claims: _Claims) -> None
                         err = RuntimeError(f"{type(err).__name__}: {err}")
                         message = pickle.dumps((i, None, (err, text)), pickle.HIGHEST_PROTOCOL)
                 _send(results_fd, message)
-                claims.finished(worker)
-            _send(results_fd, b"")
+            _send(results_fd, _DONE)
     finally:
         os._exit(0)  # never the caller's atexit hooks or stdio buffers
 
 
-def _fork_worker(worker: int, claims: _Claims) -> _Worker:
+def _fork_worker(claims: _Claims) -> _Worker:
     tasks_r, tasks_w = os.pipe()
     results_r, results_w = os.pipe()
     try:
@@ -396,10 +364,12 @@ def _fork_worker(worker: int, claims: _Claims) -> _Worker:
         _POOL_LOCK.acquire()  # a worker's own calls find the pool taken: it starts no workers
         # a fresh context: the tasks run under numpy's default errstate, not
         # under the one the caller happened to be in when it forked
-        contextvars.Context().run(_serve, worker, tasks_r, results_w, claims)
+        contextvars.Context().run(_serve, tasks_r, results_w, claims)
     os.close(tasks_r)
     os.close(results_w)
-    return _Worker(pid, tasks_w, results_r)
+    # one buffered reader for the pipe's life: a byte it reads ahead stays in
+    # its buffer for the next message
+    return _Worker(pid, tasks_w, open(results_r, "rb"))
 
 
 def _start_pool() -> _Pool:
@@ -413,10 +383,10 @@ def _start_pool() -> _Pool:
     _POOL = _Pool(None, [])
     try:
         if count:
-            _POOL = _Pool(_Claims(count), [])
-        for k in range(count):
+            _POOL = _Pool(_Claims(), [])
+        for _ in range(count):
             # listed as soon as it is forked, so the next worker's fork drops its pipes
-            _POOL.workers.append(_fork_worker(k, _POOL.claims))
+            _POOL.workers.append(_fork_worker(_POOL.claims))
     except OSError:
         pass  # the workers that started serve; with none, every call runs in the caller
     return _POOL
@@ -431,7 +401,7 @@ def _stop_pool(kill: bool = False) -> None:
         return
     for worker in pool.workers:
         os.close(worker.tasks)
-        os.close(worker.results)
+        worker.results.close()
         if kill:
             os.kill(worker.pid, signal.SIGKILL)
     for worker in pool.workers:
@@ -449,7 +419,7 @@ def _drop_pool_in_child() -> None:
     if _POOL is not None:
         for worker in _POOL.workers:
             os.close(worker.tasks)
-            os.close(worker.results)
+            worker.results.close()
     _POOL, _POOL_LOCK = None, threading.Lock()
 
 
@@ -463,21 +433,22 @@ def _pool_map(tasks: Sequence[tuple]) -> list:
 
     Each task is a picklable fn and its picklable args: a module-level
     function, or a functools.partial of one. The caller sends the pickled task
-    list to every worker once. The workers claim tasks from the first one on,
-    the caller from the last one back, each from one counter that they share,
-    and the results come back in task order, whoever ran the tasks. One call at
-    a time uses the workers: a call that finds them taken, or that has a
-    single task, runs every task in the caller, from the last one back. So a
-    caller only ever waits on tasks a worker has claimed, and no call can
-    deadlock, however many threads call at once. If a task raises, no task is
-    claimed after it, and once the running tasks end, the error of the first
-    failed task in task order is raised (a worker's with its traceback as the
-    cause). With workers, a task that does not pickle raises before any task
-    runs. If a worker dies, the caller reruns the task it had claimed; a task
-    is a pure function of its args, so the bits stay the same. A worker runs
-    its tasks under numpy's default np.errstate, not the caller's (a context
-    variable in numpy 2), so no task may rely on it. A patch made in the
-    caller after the workers forked never reaches them.
+    list to every worker once. Tasks are claimed in list order, the caller and
+    the workers each taking the next one from a counter that they share, so a
+    caller that lists its longest tasks first gets them started first. The
+    results come back in task order, whoever ran the tasks. One call at a time
+    uses the workers: a call that finds them taken, or that has a single task,
+    runs every task in the caller, in list order. So a caller only ever waits
+    on tasks a worker has claimed, and no call can deadlock, however many
+    threads call at once. If a task raises, no task is claimed after it, and
+    once the running tasks end, the error of the first failed task in task
+    order is raised (a worker's with its traceback as the cause). With
+    workers, a task that does not pickle raises before any task runs. If a
+    worker dies, the caller reruns the task it had claimed; a task is a pure
+    function of its args, so the bits stay the same. A worker runs its tasks
+    under numpy's default np.errstate, not the caller's (a context variable in
+    numpy 2), so no task may rely on it. A patch made in the caller after the
+    workers forked never reaches them.
     """
     if len(tasks) > 1 and _POOL_LOCK.acquire(blocking=False):
         try:
@@ -486,11 +457,7 @@ def _pool_map(tasks: Sequence[tuple]) -> list:
                 return _map_on(pool, tasks)
         finally:
             _POOL_LOCK.release()
-    out = [None] * len(tasks)
-    for i in reversed(range(len(tasks))):
-        fn, *args = tasks[i]
-        out[i] = fn(*args)
-    return out
+    return [fn(*args) for fn, *args in tasks]
 
 
 def _map_on(pool: _Pool, tasks: Sequence[tuple]) -> list:
@@ -515,23 +482,27 @@ def _map_on(pool: _Pool, tasks: Sequence[tuple]) -> list:
                 _send(worker.tasks, payload)
             except BrokenPipeError:
                 pass  # a worker that died between calls: its results pipe is at end of file
-        while (i := claims.take(None)) is not None:
+        while (i := claims.take()) is not None:
             run(i)
-        # each worker's results, up to its empty message or, if it died, end of file
-        lost = []
-        for k, worker in enumerate(pool.workers):
-            while message := _recv(worker.results):
-                i, value, error = pickle.loads(message)
-                if error is None:
-                    results[i] = value
-                else:
-                    err, text = error
-                    err.__cause__ = _RemoteTraceback(text)
-                    errors[i] = err
-            if message is None:
-                lost.append(claims.running(k))
-        for i in lost:  # rerun the task each dead worker had claimed
-            if i >= 0 and i not in results and not errors:
+        # each worker's results, up to _DONE or, if it died, perhaps in the
+        # middle of a message, end of file
+        lost = False
+        for worker in pool.workers:
+            try:
+                while (message := pickle.load(worker.results)) is not None:
+                    i, value, error = message
+                    if error is None:
+                        results[i] = value
+                    else:
+                        err, text = error
+                        err.__cause__ = _RemoteTraceback(text)
+                        errors[i] = err
+            except (EOFError, pickle.UnpicklingError):
+                lost = True
+        # with no error every task was claimed, so a task with no result is
+        # one that a dead worker had claimed: rerun it
+        for i in range(len(tasks)):
+            if i not in results and not errors:
                 run(i)
         intact = not lost
     finally:

@@ -15,7 +15,8 @@ of the pair). The rate probe asks the MGF evaluator for rates only, without
 the gradient, and for both ratios at once, so each side's sigma_h transform
 serves both. The probes of one pair dimension are one task;
 channel._pool_map runs them in the calling thread and in the chunk pool's
-worker processes, the largest dimension first, and the calling thread then
+worker processes. It claims tasks in list order, and the suite lists the
+largest dimension first, so that task starts first; the calling thread then
 runs the ascent. A task computes the same margins wherever it runs, so the
 output does not depend on the core count. A task in a worker runs under
 numpy's default np.errstate, not the caller's (a context variable in numpy
@@ -172,8 +173,8 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
-    # one task per pair dimension, largest first: the pool's worker starts on
-    # the largest while the caller takes the smallest. Each task's margins are
+    # one task per pair dimension, largest first: the pool claims tasks in
+    # list order, so the costliest starts first. Each task's margins are
     # written at its pairs' rows, so every report lists its points by pair,
     # then by sigma or ratio
     largest_first = sorted(_PAIR_DIMS, reverse=True)

@@ -8,7 +8,7 @@ from misosec import channel
 def blocked_pool():
     """Take the chunk pool as a call using its workers does, until the yielded
     release() is called: until then every pool call finds the workers taken
-    and runs all its tasks in the calling thread, from the last one back."""
+    and runs all its tasks in the calling thread, in list order."""
     lock = channel._POOL_LOCK
     assert lock.acquire(timeout=60)
     held = True

@@ -1,9 +1,11 @@
 """Per-sample kernels and the streaming reducer."""
+import fcntl
 import functools
 import os
 import signal
 import subprocess
 import sys
+import termios
 import threading
 import time
 from pathlib import Path
@@ -235,7 +237,7 @@ def test_stream_moments_finishes_while_every_worker_is_busy(tmp_path):
     holder = threading.Thread(target=channel._pool_map, args=(tasks,))
     holder.start()
     try:
-        _wait_for(tmp_path / "held1")  # the holder's thread runs the last task
+        _wait_for(tmp_path / "held0")  # the holder's call has started: it holds the pool
         chunk = _chunks(0.7, 8, channel.STREAM_GENERIC, fn)
         ((got,),) = channel.stream_moments((chunk,), 3 * CHUNK)
         finished_while_blocked = holder.is_alive()
@@ -263,8 +265,8 @@ def test_stream_moments_rejects_empty_count():
 
 
 def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
-    # the caller runs the last chunk first; when it raises, no other chunk is
-    # claimed, and the next reduce, with the workers free, runs as usual
+    # the caller runs the chunks in list order; when the first raises, no other
+    # chunk is claimed, and the next reduce, with the workers free, runs as usual
     ran = []
     fn = FORMS["scalar"]
 
@@ -281,8 +283,8 @@ def test_cancelled_reduce_runs_no_chunk_and_the_pool_stays_usable(blocked_pool):
 
 
 def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocked_pool):
-    # the caller runs the suite's tasks from the back, so the probe task of
-    # the smallest dimension raises first; the tasks nobody started are
+    # the caller runs the suite's tasks in list order, so the probe task of
+    # the largest dimension raises first; the tasks nobody started are
     # never claimed, and the pool then runs a whole suite with the serial bits
     verify = sys.modules["misosec.verify"]
     serial = suite_bits(verify.run_verify_suite(0, run_optimizer=False))
@@ -308,7 +310,7 @@ def test_verify_suite_failure_drops_its_started_lemma_chunks(monkeypatch, blocke
             verify.run_verify_suite(0, run_optimizer=False)
     blocked_pool()
     assert draws == []
-    assert probed == [min(verify._PAIR_DIMS)]
+    assert probed == [max(verify._PAIR_DIMS)]
     assert suite_bits(verify.run_verify_suite(0, run_optimizer=False)) == serial
 
 
@@ -332,39 +334,44 @@ needs_a_worker = pytest.mark.skipif(
 )
 
 
-def _fail_last(directory, i, count):
-    # the last task, the caller's first, fails; task 0, a worker's first,
-    # waits until it has, so no worker can claim another task in between
-    if i == count - 1:
+def _fail_in_the_caller(directory, i):
+    # a task in the caller fails; a task in a worker waits until one has, so
+    # no worker can claim another task in between
+    Path(directory, str(i)).touch()
+    if os.getpid() == _PARENT:
         Path(directory, "failed").touch()
         raise FloatingPointError("task failed")
-    Path(directory, str(i)).touch()
-    if i == 0:
-        _wait_for(Path(directory, "failed"))
-        time.sleep(0.05)
+    _wait_for(Path(directory, "failed"))
+    time.sleep(0.05)
     return i
 
 
 def test_no_worker_claims_a_task_after_one_fails(tmp_path):
-    tasks = [(_fail_last, str(tmp_path), i, 6) for i in range(6)]
+    # each worker holds one task until the caller's fails, which leaves the
+    # caller a task to claim; after the failure nobody claims another
+    tasks = [(_fail_in_the_caller, str(tmp_path), i) for i in range(_CORES + 1)]
     with pytest.raises(FloatingPointError, match="task failed"):
         channel._pool_map(tasks)
-    assert sorted(os.listdir(tmp_path)) in (["failed"], ["0", "failed"])
+    started = set(os.listdir(tmp_path)) - {"failed"}
+    assert "failed" in os.listdir(tmp_path) and 1 <= len(started) <= _CORES
     assert channel._pool_map([(_none_if_odd, i) for i in range(6)]) == [0, None, 2, None, 4, None]
 
 
-def _fail_in_a_worker(i):
+def _fail_in_a_worker(directory, i):
     if os.getpid() != _PARENT:
+        Path(directory, str(i)).touch()
         raise FloatingPointError(f"task {i} failed in a worker")
-    time.sleep(0.01)  # leaves a worker time to claim the front tasks
+    time.sleep(0.01)  # leaves a worker time to claim a task
     return i
 
 
-def test_a_worker_error_carries_its_traceback():
+def test_a_worker_error_carries_its_traceback(tmp_path):
+    # the error raised is that of the first task in task order that failed
     try:
-        channel._pool_map([(_fail_in_a_worker, i) for i in range(4)])
+        channel._pool_map([(_fail_in_a_worker, str(tmp_path), i) for i in range(4)])
     except FloatingPointError as err:
-        assert "task 0 failed in a worker" in str(err)
+        first = min(map(int, os.listdir(tmp_path)))
+        assert f"task {first} failed in a worker" in str(err)
         assert isinstance(err.__cause__, channel._RemoteTraceback)
         assert "_fail_in_a_worker" in str(err.__cause__)
     else:
@@ -398,11 +405,59 @@ def test_a_call_whose_worker_dies_keeps_its_bits(monkeypatch):
     assert got == want
 
 
+def _filled(i, size):
+    return np.full(size, float(i))
+
+
+def test_results_that_fill_the_pipes_come_back_in_task_order():
+    # each result is 32 KiB, so a worker's results fill its pipe before the
+    # caller, busy with its own tasks, reads them; the worker waits, and the
+    # call still ends
+    got = channel._pool_map([(_filled, i, 4096) for i in range(40)])
+    assert len(got) == 40
+    assert all(np.array_equal(g, _filled(i, 4096)) for i, g in enumerate(got))
+
+
+def _unread(reader):
+    """The bytes waiting in the pipe under reader."""
+    return int.from_bytes(fcntl.ioctl(reader.fileno(), termios.FIONREAD, bytes(4)), sys.byteorder)
+
+
+def _kill_a_writer(directory, i):
+    # in a worker, a result larger than a pipe buffer; the caller's first task
+    # kills the worker whose result has started to fill its pipe, while the
+    # caller does not read it yet
+    if os.getpid() == _PARENT and not Path(directory, "killed").exists():
+        Path(directory, "killed").touch()
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            writers = [w.pid for w in channel._POOL.workers if _unread(w.results)]
+            if writers:
+                os.kill(writers[0], signal.SIGKILL)
+                break
+            time.sleep(0.001)
+    return _filled(i, 200_000)
+
+
+@needs_a_worker
+def test_a_worker_killed_in_the_middle_of_a_result_keeps_the_bits(tmp_path):
+    # the caller reads a truncated result, reruns the task and forks new
+    # workers at the next call
+    channel._pool_map([(_none_if_odd, i) for i in range(2)])
+    pids = {worker.pid for worker in channel._POOL.workers}
+    got = channel._pool_map([(_kill_a_writer, str(tmp_path), i) for i in range(2)])
+    assert channel._POOL is None, "no worker died"
+    assert len(got) == 2
+    assert all(np.array_equal(g, _filled(i, 200_000)) for i, g in enumerate(got))
+    assert channel._pool_map([(_none_if_odd, i) for i in range(4)]) == [0, None, 2, None]
+    assert channel._POOL.workers and not pids & {worker.pid for worker in channel._POOL.workers}
+
+
 def _overflow_rule(i):
     # the rule the task runs under, and whether a worker ran it
     in_a_worker = os.getpid() != _PARENT
     if not in_a_worker:
-        time.sleep(0.01)  # leaves a worker time to claim the front tasks
+        time.sleep(0.01)  # leaves a worker time to claim a task
     return np.geterr()["over"], in_a_worker
 
 
@@ -423,7 +478,7 @@ def _nested(i):
     # that process then has workers
     in_a_worker = os.getpid() != _PARENT
     if not in_a_worker:
-        time.sleep(0.01)  # leaves a worker time to claim the front tasks
+        time.sleep(0.01)  # leaves a worker time to claim a task
     channel._pool_map([(_none_if_odd, k) for k in range(4)])
     return in_a_worker, channel._POOL is not None and bool(channel._POOL.workers)
 
