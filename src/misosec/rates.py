@@ -96,14 +96,18 @@ _MGF_BLOCK = 1 << 16
 # sigma^2 Gamma(n_t) stays below 31 n_t sigma^2 until the weight P/n_t takes it
 # below 31 P sigma^2. The MGF rule's largest node is s = e^4 < 55. The draws
 # are scaled by sigma^2 before any power weights them, hence max(P, n_t).
+# These bounds hold for any 64-bit generator, SFC64 included: numpy forms
+# both the uniforms and the ziggurat's tail draws from next_double, the top
+# 53 bits of one 64-bit output times 2^-53.
 _HEADROOM = 1e3
 # Smallest n_t at which an equal allocation draws each row as one Gamma(n_t)
 # variate. standard_gamma (Marsaglia & Tsang, ACM TOMS 26(3), 2000) costs about
 # the same per row whatever n_t is; n_t exponentials plus the quad_form gemv
-# grow with n_t. Per CHUNK rows on a 2-core host (lower quartile/median of 80
-# interleaved chunks, draw plus quad_form, in three runs): 0.71-0.75 ms for the
-# variate, against 0.58-0.61 ms at n_t=4 per entry, 0.74-0.79 ms at 5 (a tie)
-# and 0.88-0.92 ms at 6. A measured crossover, not a setting.
+# grow with n_t. Per CHUNK rows drawn by SFC64 on a 2-core host (lower
+# quartile/median of 80 interleaved chunks, draw plus quad_form, in three
+# runs): 0.44 ms for the variate at n_t=5, against 0.35-0.36 ms at n_t=4 per
+# entry, 0.44-0.46 ms at 5 (a tie) and 0.53-0.55 ms at 6. A measured
+# crossover, not a setting.
 _GAMMA_MIN_NT = 5
 
 

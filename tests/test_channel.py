@@ -86,6 +86,22 @@ def test_iter_abs2_yields_the_draw_chunks(n_t):
         assert np.array_equal(chunk, drawn)
 
 
+@pytest.mark.parametrize("seed, index", [(3, 0), (-5, 2)])
+def test_chunks_map_the_draws_of_an_sfc64_generator(seed, index):
+    # chunk index of a stream draws from SFC64 seeded by (seed mod 2^63, stream, index)
+    def generator():
+        entropy = (seed % 2**63, STREAM_EAVESDROPPER, index)
+        return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
+
+    sigma, n_t, rows = 0.7, 6, 1000
+    entries = -(sigma * sigma) * np.log(1.0 - generator().random((rows, n_t)))
+    drawn = _draw_abs2(sigma, n_t, rows, seed, STREAM_EAVESDROPPER, index)
+    assert np.array_equal(drawn, entries)
+    sums = generator().standard_gamma(n_t, (rows, 1)) * (sigma * sigma)
+    drawn = _draw_abs2(sigma, n_t, rows, seed, STREAM_EAVESDROPPER, index, summed=True)
+    assert np.array_equal(drawn, sums)
+
+
 @pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])
 def test_summed_rows_match_complex_draws_in_distribution(n_t):
     # the equal-allocation routes draw q as (P/n_t) * sigma^2 Gamma(n_t) per row
