@@ -18,28 +18,22 @@ with one streaming reducer; no route draws the complex entries, whose
 reference sampler lives with the tests. The top level exports what the CLI,
 the README and the benchmark use; the chunk stream (CHUNK, iter_abs2), the
 route tags (MethodTag) and the CSV writers stay in channel, rates and sweeps.
+
+Importing the package loads channel, rates and sweeps, which are all that a
+capacity or a sweep runs. The optimizer's exports (OptimizerConfig,
+OptimizerTrace, grad_estimate, optimize_allocation, project_to_simplex), the
+ordering checks' (OrderCheckReport, Witness, cm_derivative, lt_order_gap,
+majorizes, mgf_quadratic_form, random_majorization_pair,
+verify_lemma_LT_implies_expectation) and run_verify_suite load with their
+module on first use, as do the modules optimize, ordering and verify
+themselves.
 """
+import importlib
+
 from .channel import (
     ChannelModel,
     PowerAllocation,
     RateEstimate,
-)
-from .optimize import (
-    OptimizerConfig,
-    OptimizerTrace,
-    grad_estimate,
-    optimize_allocation,
-    project_to_simplex,
-)
-from .ordering import (
-    OrderCheckReport,
-    Witness,
-    cm_derivative,
-    lt_order_gap,
-    majorizes,
-    mgf_quadratic_form,
-    random_majorization_pair,
-    verify_lemma_LT_implies_expectation,
 )
 from .rates import (
     EvalMethod,
@@ -57,7 +51,22 @@ from .sweeps import (
     run_sweep_antennas,
     run_sweep_snr,
 )
-from .verify import run_verify_suite
+
+# export: the submodule it loads from on first use (see __getattr__)
+_LAZY = {
+    **dict.fromkeys(
+        ("OptimizerConfig", "OptimizerTrace", "grad_estimate", "optimize_allocation",
+         "project_to_simplex"),
+        "optimize",
+    ),
+    **dict.fromkeys(
+        ("OrderCheckReport", "Witness", "cm_derivative", "lt_order_gap", "majorizes",
+         "mgf_quadratic_form", "random_majorization_pair",
+         "verify_lemma_LT_implies_expectation"),
+        "ordering",
+    ),
+    "run_verify_suite": "verify",
+}
 
 __version__ = "0.1.0"
 
@@ -68,6 +77,22 @@ def active_backend() -> str:
     Kept for the benchmark, which records it among its host facts.
     """
     return "numpy"
+
+
+def __getattr__(name: str):
+    """Load an export of optimize, ordering or verify, or the module itself,
+    on first use and keep it in the package's namespace (PEP 562)."""
+    if name in _LAZY.values():
+        return importlib.import_module(f".{name}", __name__)  # the import binds it here
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
 
 
 __all__ = [

@@ -47,7 +47,9 @@ Every process takes the next task in list order, and the results come back
 in task order, whoever ran a task, so no output depends on the core count.
 A worker ignores SIGINT and exits when its task pipe reads end of file: when
 the caller's atexit hook closes it, or when the caller dies. A child forked
-from the caller drops its copies of the pipes and forks its own workers.
+from the caller drops its copies of the pipes and forks its own workers; a
+multiprocessing child, which exits past the atexit hooks, reaps them through
+a multiprocessing finalizer.
 Python 3.12 and later warn when a process that runs other OS threads forks,
 and OpenBLAS's threads count. A task in a worker runs under numpy's default
 np.errstate, not the caller's (a context variable in numpy 2). Memory figures
@@ -393,12 +395,28 @@ def _start_pool() -> _Pool:
     try:
         if count:
             _POOL = _Pool(_Claims(), [])
+            _reap_at_multiprocessing_exit()
         for _ in range(count):
             # listed as soon as it is forked, so the next worker's fork drops its pipes
             _POOL.workers.append(_fork_worker(_POOL.claims))
     except OSError:
         pass  # the workers that started serve; with none, every call runs in the caller
     return _POOL
+
+
+def _reap_at_multiprocessing_exit() -> None:
+    """In a multiprocessing child, stop the pool at the child's exit.
+
+    Such a child leaves through os._exit, so the atexit hook never runs and
+    its workers would outlive it as zombies; its own finalizers do run when
+    its target returns. Registered at pool start, since the child's start-up
+    clears the finalizer registry after the at-fork hooks have run. A child
+    that is killed, as by Pool.terminate(), runs no finalizer. Imports
+    nothing: a process that never loaded multiprocessing is no such child.
+    """
+    util = sys.modules.get("multiprocessing.util")
+    if util is not None and sys.modules["multiprocessing"].parent_process() is not None:
+        util.Finalize(None, _stop_pool, exitpriority=0)
 
 
 def _stop_pool(kill: bool = False) -> None:

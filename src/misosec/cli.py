@@ -17,7 +17,6 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelModel
-from .optimize import OptimizerConfig, optimize_allocation
 from .rates import (
     DEFAULT_MC_SAMPLES,
     EvalMethod,
@@ -25,7 +24,6 @@ from .rates import (
     secrecy_capacity,
 )
 from .sweeps import SweepKind, SweepSpec, _db_to_power, _sweep, rows_to_csv
-from .verify import run_verify_suite
 
 _METHODS = {
     "direct": EvalMethod.direct_mc,
@@ -40,7 +38,9 @@ _FLAGS: dict[str, dict[str, object]] = {
     "snr_db": dict(type=float, help="fixed total power in dB"),
     "snr_grid": dict(type=str, help="comma-separated dB values, strictly increasing"),
     "nt_grid": dict(type=str, help="comma-separated antenna counts, strictly increasing"),
-    "iters": dict(type=int, default=OptimizerConfig.max_iters, help="iteration cap"),
+    # the default is OptimizerConfig.max_iters, which the handler reads: the
+    # optimizer loads only when its command runs
+    "iters": dict(type=int, help="iteration cap"),
     "out": dict(type=str, help="CSV path (stdout when omitted)"),
     "skip_optimizer": dict(action="store_true", default=False),
     "config": dict(type=str, help="key=value file setting any flag but --config and "
@@ -134,6 +134,8 @@ def _cmd_capacity(ns: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(ns: argparse.Namespace) -> int:
+    from .optimize import OptimizerConfig, optimize_allocation
+
     model = _model(ns)
     _require(ns, "snr_db")
     P = _db_to_power(ns.snr_db)
@@ -142,7 +144,8 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
         print("degenerate regime sigma_h <= sigma_g: capacity 0, optimization skipped")
         print("capacity_bits=0.0 std_error_bits=0.0")
         return 0
-    trace = optimize_allocation(model, P, OptimizerConfig(max_iters=ns.iters, seed=ns.seed))
+    iters = OptimizerConfig.max_iters if ns.iters is None else ns.iters
+    trace = optimize_allocation(model, P, OptimizerConfig(max_iters=iters, seed=ns.seed))
     final = trace.final.as_array()
     deviation = float(np.max(np.abs(final - P / model.n_t)))
     print(f"converged={trace.converged} iterations={len(trace.iterates) - 1}")
@@ -153,6 +156,8 @@ def _cmd_optimize(ns: argparse.Namespace) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> int:
+    from .verify import run_verify_suite
+
     result = run_verify_suite(ns.seed, run_optimizer=not ns.skip_optimizer)
     for name, report in result.checks:
         status = "PASS" if report.holds else "FAIL"

@@ -1,4 +1,7 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures and helpers shared by the test modules."""
+import os
+from pathlib import Path
+
 import pytest
 
 from misosec import channel
@@ -41,3 +44,10 @@ def suite_bits(result):
         for name, report in result.checks
     )
     return checks, repr(result.optimizer_deviation), result.exit_code
+
+
+def python_env():
+    """The environment of a fresh interpreter that imports the package from
+    this checkout's source tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

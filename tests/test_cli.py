@@ -251,7 +251,7 @@ def test_verify_optimizer_line_follows_optimizer_ok(capsys, monkeypatch):
         optimizer_tol=0.04,
         optimizer_ok=False,
     )
-    monkeypatch.setattr("misosec.cli.run_verify_suite", lambda *args, **kwargs: result)
+    monkeypatch.setattr("misosec.verify.run_verify_suite", lambda *args, **kwargs: result)
     assert main(["verify"]) == 1
     out = capsys.readouterr().out
     assert "PASS majorization" in out

@@ -1,6 +1,7 @@
 """Per-sample kernels and the streaming reducer."""
 import fcntl
 import functools
+import hashlib
 import os
 import signal
 import subprocess
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import misosec
-from conftest import suite_bits
+from conftest import python_env, suite_bits
 from misosec import _kernels as K
 from misosec import channel
 
@@ -523,15 +524,10 @@ def test_two_threads_calling_at_once_get_the_serial_bits(blocked_pool):
     assert [results[method] for method in methods] == [[value] * 5 for value in serial]
 
 
-def _env():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
-
 def _run_python(code):
     """Run code in a fresh interpreter; returns its stdout."""
     return subprocess.run(
-        [sys.executable, "-c", code], env=_env(), check=True, timeout=120,
+        [sys.executable, "-c", code], env=python_env(), check=True, timeout=120,
         stdout=subprocess.PIPE, text=True,
     ).stdout
 
@@ -594,7 +590,7 @@ def test_a_killed_caller_leaves_no_worker_running_after_1s():
     # of the pipe's end at the fork
     with subprocess.Popen(
         [sys.executable, "-c", _CALL + _FORK_A_SLEEPER],
-        env=_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        env=python_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     ) as proc:
         try:
             pids = [int(pid) for pid in proc.stdout.readline().split()]
@@ -633,3 +629,52 @@ if __name__ == "__main__":
     assert len(own) == len(parents) and not set(own) & set(parents)
 """
     _run_python(code)
+
+
+@needs_a_worker
+def test_a_multiprocessing_child_reaps_its_workers():
+    # the child leaves through os._exit, past the atexit hook; the finalizer
+    # its pool registered reaps the workers before it exits. A child killed,
+    # as by Pool.terminate(), runs no finalizer and is left out.
+    code = """
+import multiprocessing as mp, os
+from misosec import ChannelModel, EvalMethod, channel, secrecy_capacity
+def in_child(conn):
+    secrecy_capacity(ChannelModel(2, 1.0, 0.5), 10.0, EvalMethod.coupled_mc(2 * channel.CHUNK, 1))
+    conn.send([worker.pid for worker in channel._POOL.workers])
+if __name__ == "__main__":
+    ctx = mp.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=in_child, args=(sender,))
+    child.start()
+    pids = receiver.recv()
+    child.join(timeout=60)
+    assert child.exitcode == 0, child.exitcode
+    print(*pids)
+    print(*(pid for pid in pids if os.path.exists(f"/proc/{pid}")), flush=True)
+"""
+    pids, left = _run_python(code).split("\n")[:2]
+    assert pids.split()
+    assert left == "", f"workers left after the child exited: {left}"
+
+
+@needs_a_worker
+def test_workers_forked_before_verify_loads_run_its_tasks():
+    # the workers fork at a Monte Carlo call, before misosec.verify loads;
+    # each imports it when it unpickles the suite's first task list, serves
+    # the suite without dying, and the suite keeps its bits
+    code = f"""
+import hashlib, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from misosec import ChannelModel, EvalMethod, channel, secrecy_capacity
+secrecy_capacity(ChannelModel(2, 1.0, 0.5), 10.0, EvalMethod.coupled_mc(2 * channel.CHUNK, 1))
+pids = [worker.pid for worker in channel._POOL.workers]
+assert pids and "misosec.verify" not in sys.modules
+from conftest import suite_bits
+from misosec import run_verify_suite
+bits = suite_bits(run_verify_suite(0))
+assert [worker.pid for worker in channel._POOL.workers] == pids, "a worker died"
+print(hashlib.sha256(repr(bits).encode()).hexdigest())
+"""
+    want = hashlib.sha256(repr(suite_bits(misosec.run_verify_suite(0))).encode()).hexdigest()
+    assert _run_python(code).strip() == want
