@@ -80,10 +80,15 @@ from . import _kernels
 # rows per sampling chunk; fixed so chunk boundaries never depend on workers
 CHUNK = 1 << 15
 
-# disjoint substream tags
+# Substream tags, which must differ pairwise: every seeded draw comes from
+# _seeds(seed, tag, ...). The Monte Carlo chunk streams, then the keys of the
+# optimizer's random start, the verify suite's pairs and the sweeps' point seeds.
 STREAM_LEGITIMATE = 0
 STREAM_EAVESDROPPER = 1
 STREAM_GENERIC = 2
+_START_TAG = 8
+_PAIRS_TAG = 11
+_POINT_TAG = 13
 
 
 def _check_count(value: int, name: str, minimum: int) -> None:
@@ -186,13 +191,16 @@ class RateEstimate:
             raise ValueError(f"n_samples must be >= 1, got {self.n_samples}")
 
 
+def _seeds(seed: int, *keys: int) -> np.random.SeedSequence:
+    # SeedSequence entropy words must be nonnegative; fold negative seeds
+    return np.random.SeedSequence((seed % 2**63, *keys))
+
+
 def _chunk_rng(seed: int, stream: int, index: int) -> np.random.Generator:
     # SFC64 (see the module docstring): seeded and filling a CHUNK x 4 block
     # of uniforms took 201 us where PCG64 took 229 us, and a CHUNK x 1 block
     # of Gamma(5) 432 us against 491 us (medians, 2-core host).
-    # SeedSequence entropy words must be nonnegative; fold negative seeds
-    seeds = np.random.SeedSequence((seed % 2**63, stream, index))
-    return np.random.Generator(np.random.SFC64(seeds))
+    return np.random.Generator(np.random.SFC64(_seeds(seed, stream, index)))
 
 
 def _chunk_rows(count: int) -> list[tuple[int, int]]:
@@ -455,6 +463,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool_in_child)
 
 
+# processes, not threads: threads over the same claims lost on every benchmark workload
 def _pool_map(tasks: Sequence[tuple]) -> list:
     """[fn(*args) for fn, *args in tasks], run in the caller and in the pool's workers.
 

@@ -24,16 +24,15 @@ from numpy.typing import NDArray
 
 from . import _kernels, channel
 from .channel import (
+    _START_TAG,
     STREAM_EAVESDROPPER,
     ChannelModel,
     PowerAllocation,
     RateEstimate,
     _check_count,
+    _seeds,
 )
-from .rates import _check_headroom, _check_mc_route, _mgf_rate
-
-# substream tag of the random start
-_START_TAG = 8
+from .rates import _check_mc_route, _check_power, _mgf_rate
 
 _SIMPLEX_SLACK = 1e-12
 # Armijo fraction: on a quadratic, 1/2 accepts only steps up to 1/curvature,
@@ -102,6 +101,8 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     if not (math.isfinite(P) and P > 0):
         raise ValueError(f"P must be finite and positive, got {P}")
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim != 1:
+        raise ValueError(f"can only project a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
     total = float(v.sum())
@@ -163,7 +164,7 @@ def grad_estimate(
 
 
 def _random_start(n_t: int, P: float, seed: int) -> NDArray[np.float64]:
-    rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, _START_TAG)))
+    rng = np.random.default_rng(_seeds(seed, _START_TAG))
     return P * rng.dirichlet(np.ones(n_t))
 
 
@@ -189,7 +190,7 @@ def optimize_allocation(
         )
     if not (math.isfinite(P) and P > 0):
         raise ValueError(f"P must be finite and positive, got {P}")
-    _check_headroom(max(P, model.n_t), max(model.sigma_h, model.sigma_g))
+    _check_power(model, P)
     n_t = model.n_t
     tol = _TOL_SHARE * P
 

@@ -356,19 +356,8 @@ def _lemma_margins(
 
     Each chunk's draw and its two quadratic forms serve every a, and each a's
     lemma_difference is reduced on its own, with the bits of a batch of one.
+    The chunk fn is a partial of _lemma_chunk, so it can run in a pool worker.
     """
-    chunk = _lemma_chunks(d1, d2, sigma, a_values, n_samples, seed)
-    (moments,) = channel.stream_moments((chunk,), n_samples)
-    return [(mean + 3.0 * se, mean, se) for mean, se in moments]
-
-
-def _lemma_chunks(
-    d1: Sequence[float], d2: Sequence[float], sigma: float, a_values: Sequence[float],
-    n_samples: int, seed: int,
-) -> channel._ChunkFn:
-    """The chunk fn of _lemma_margins, after its checks: one lemma_difference
-    output per a in a_values, whose margin is its mean + 3 se. A
-    functools.partial of _lemma_chunk, so it can run in a pool worker."""
     dv1 = _allocation(d1)
     dv2 = _allocation(d2)
     for a in a_values:
@@ -378,15 +367,16 @@ def _lemma_chunks(
     _check_mc_samples(n_samples)
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
-
-    return functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, tuple(a_values), seed)
+    chunk = functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, tuple(a_values), seed)
+    (moments,) = channel.stream_moments((chunk,), n_samples)
+    return [(mean + 3.0 * se, mean, se) for mean, se in moments]
 
 
 def _lemma_chunk(
     sigma: float, dv1: NDArray[np.float64], ddv: NDArray[np.float64], a_values: Sequence[float],
     seed: int, index: int, rows: int,
 ) -> Iterator[NDArray[np.float64]]:
-    """Chunk index of a _lemma_chunks fn: lemma_difference(q1, q2 - q1, a) for
+    """Chunk index of _lemma_margins' chunk fn: lemma_difference(q1, q2 - q1, a) for
     each a, from the chunk's q1 = g^H D1 g and q2 - q1 = g^H (D2 - D1) g."""
     abs2 = channel._draw_abs2(sigma, dv1.shape[0], rows, seed, STREAM_GENERIC, index)
     q1 = _kernels.quad_form(abs2, dv1)

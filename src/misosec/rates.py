@@ -464,7 +464,12 @@ def _check_mc_route(model: ChannelModel, alloc: PowerAllocation, n_samples: int)
     _check_mc_samples(n_samples)
     if alloc.n_t != model.n_t:
         raise ValueError(f"allocation has {alloc.n_t} entries but the model has n_t={model.n_t}")
-    _check_headroom(max(alloc.budget, alloc.n_t), max(model.sigma_h, model.sigma_g))
+    _check_power(model, alloc.budget)
+
+
+def _check_power(model: ChannelModel, P: float) -> None:
+    """The routes' and the optimizer's headroom check at total power P on model."""
+    _check_headroom(max(P, model.n_t), max(model.sigma_h, model.sigma_g))
 
 
 def _check_headroom(scale: float, sigma: float) -> None:
@@ -501,38 +506,38 @@ def _capacities(
     (common random numbers), but form and reduce each power's values on their
     own, so no result depends on the other powers; all groups go to one
     _mc_rates reduce. quad makes one single-row _mgf_rate call per power, as a
-    shared rule would move ulps.
+    shared rule would move ulps. Each group's row starts as clamps, and only its
+    live powers are evaluated into it, at np.full(n_t, P / n_t): the floats of
+    PowerAllocation.uniform(n_t, P), without building its n_t-tuple.
     """
     if len({method.n_samples for _, _, method in groups}) != 1:
         raise ValueError("the groups of one call must share one n_samples")
-    found: list[list[RateEstimate] | None] = []  # None: the group's rates come from _mc_rates
-    mc_groups = []
+    out: list[list[RateEstimate]] = []
+    mc_groups, mc_slots = [], []  # each Monte Carlo group, and its row and live slots
     for model, powers, method in groups:
         for P in powers:
             if not (math.isfinite(P) and P >= 0):
                 raise ValueError(f"P must be finite and >= 0, got {P}")
-        live = [P for P in powers if P > 0 and model.sigma_h > model.sigma_g]
-        estimates: list[RateEstimate] | None = []
-        if live:
-            _check_headroom(max(max(live), model.n_t), max(model.sigma_h, model.sigma_g))
-            allocs = [PowerAllocation.uniform(model.n_t, P).as_array() for P in live]
-            if method.tag is MethodTag.QUADRATURE:
-                for d in allocs:
-                    mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
-                    estimates.append(RateEstimate(float(mean), float(err), nodes, method.seed))
-            else:
-                mc_groups.append((model, allocs, method))
-                estimates = None
-        found.append(estimates)
-    reduced = iter(_mc_rates(mc_groups) if mc_groups else ())
-    out = []
-    for (model, powers, method), estimates in zip(groups, found):
         # a clamp evaluates nothing: one "node" for quadrature, the requested count for MC
         count = 1 if method.tag is MethodTag.QUADRATURE else method.n_samples
         clamp = RateEstimate(mean=0.0, std_error=0.0, n_samples=count, seed=method.seed)
-        evaluated = iter(next(reduced) if estimates is None else estimates)
-        clamped = model.sigma_h <= model.sigma_g
-        out.append([clamp if clamped or P == 0 else next(evaluated) for P in powers])
+        row = [clamp] * len(powers)
+        out.append(row)
+        live = [i for i, P in enumerate(powers) if P > 0 and model.sigma_h > model.sigma_g]
+        if live:
+            _check_power(model, max(powers))
+            allocs = [np.full(model.n_t, powers[i] / model.n_t) for i in live]
+            if method.tag is MethodTag.QUADRATURE:
+                for i, d in zip(live, allocs):
+                    mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
+                    row[i] = RateEstimate(float(mean), float(err), nodes, method.seed)
+            else:
+                mc_groups.append((model, allocs, method))
+                mc_slots.append((row, live))
+    if mc_groups:
+        for (row, live), estimates in zip(mc_slots, _mc_rates(mc_groups)):
+            for i, estimate in zip(live, estimates):
+                row[i] = estimate
     return out
 
 

@@ -26,12 +26,8 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
-from .channel import ChannelModel
+from .channel import _POINT_TAG, ChannelModel, _seeds
 from .rates import EvalMethod, _capacities, asymptote_high_snr, asymptote_large_nt
-
-_POINT_TAG = 13
 
 
 class SweepKind(Enum):
@@ -124,9 +120,7 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 def point_seed(base_seed: int, index: int) -> int:
     """Derived per-point seed, recorded in the emitted row."""
-    return int(
-        np.random.SeedSequence((base_seed % 2**63, _POINT_TAG, index)).generate_state(1)[0]
-    )
+    return int(_seeds(base_seed, _POINT_TAG, index).generate_state(1)[0])
 
 
 # one evaluation group: its model, its grid values, their powers, and the

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .channel import ChannelModel
+from .channel import _PAIRS_TAG, ChannelModel, _seeds
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
@@ -162,7 +162,7 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     is random pair #0. The optimizer runs OptimizerConfig(seed=seed) on the
     reference problem.
     """
-    rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 11)))
+    rng = np.random.default_rng(_seeds(seed, _PAIRS_TAG))
     # pair i has dimension dims[i]; the pairs of one dimension are drawn
     # together, in index order, one Dirichlet and one uniform call per dimension
     dims = rng.choice(_PAIR_DIMS, size=_PAIRS)

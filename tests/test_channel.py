@@ -7,9 +7,11 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from complex_reference import quadratic_form, random_unitary, sample_channel
-from misosec import ChannelModel, PowerAllocation, RateEstimate
+from misosec import ChannelModel, PowerAllocation, RateEstimate, channel
 from misosec.channel import CHUNK, STREAM_EAVESDROPPER, STREAM_LEGITIMATE, _draw_abs2, iter_abs2
+from misosec.optimize import _random_start
 from misosec.rates import _GAMMA_MIN_NT, _draw_layout
+from misosec.sweeps import point_seed
 
 
 def test_sample_channel_deterministic():
@@ -100,6 +102,24 @@ def test_chunks_map_the_draws_of_an_sfc64_generator(seed, index):
     sums = generator().standard_gamma(n_t, (rows, 1)) * (sigma * sigma)
     drawn = _draw_abs2(sigma, n_t, rows, seed, STREAM_EAVESDROPPER, index, summed=True)
     assert np.array_equal(drawn, sums)
+
+
+def test_substream_tags_differ_pairwise():
+    tags = [
+        channel.STREAM_LEGITIMATE, channel.STREAM_EAVESDROPPER, channel.STREAM_GENERIC,
+        channel._START_TAG, channel._PAIRS_TAG, channel._POINT_TAG,
+    ]
+    assert len(set(tags)) == len(tags)
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+def test_random_start_and_point_seeds_fold_the_seed_under_their_tags(seed):
+    # hand-built references: the random start draws under tag 8, sweep points under 13
+    rng = np.random.default_rng(np.random.SeedSequence((seed % 2**63, 8)))
+    assert np.array_equal(_random_start(5, 3.0, seed), 3.0 * rng.dirichlet(np.ones(5)))
+    for index in (0, 7):
+        state = np.random.SeedSequence((seed % 2**63, 13, index)).generate_state(1)
+        assert point_seed(seed, index) == int(state[0])
 
 
 @pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])

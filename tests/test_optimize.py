@@ -1,5 +1,6 @@
 """Optimizer: simplex projection, gradient oracle agreement, ascent behavior."""
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -56,6 +57,15 @@ def test_projection_rejects_bad_inputs():
         project_to_simplex([], 1.0)
     with pytest.raises(ValueError):
         project_to_simplex([1.0], 0.0)
+
+
+@pytest.mark.parametrize(
+    "v, shape", [([[1.0, 2.0], [3.0, 4.0]], "(2, 2)"), ([[0.5, 0.5]], "(1, 2)"), (3.0, "()")]
+)
+def test_projection_names_the_shape_of_input_that_is_not_1d(v, shape):
+    # a point already on the simplex, like [[0.5, 0.5]], is rejected too
+    with pytest.raises(ValueError, match=re.escape(f"1-D vector, got shape {shape}")):
+        project_to_simplex(v, 1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -6,7 +6,13 @@ import pytest
 
 from conftest import suite_bits
 from misosec import channel, run_verify_suite
-from misosec.ordering import _lemma_exact, _lemma_margins, _random_majorization_pairs
+from misosec.ordering import (
+    OrderCheckReport,
+    _lemma_exact,
+    _lemma_margins,
+    _random_majorization_pairs,
+)
+from misosec.rates import _mgf_rate
 from misosec.verify import _PAIR_DIMS, _PAIR_TOTAL, _PAIRS
 
 EXPECTED_CHECKS = {
@@ -151,3 +157,50 @@ def test_sampled_lemma_lies_within_4_se_of_the_exact_value():
         exact = _lemma_exact(d1, d2, 1.0, a_values)
         for a, (_, mean, se), value in zip(a_values, sampled, exact):
             assert abs(mean - value) <= 4 * se, (d1, a, mean, se, value)
+
+
+# Negative controls: the uniform allocation is optimal only for i.i.d. entries.
+# With diagonal transmit covariances diag(v_h) and diag(v_g) the secrecy rate
+# is R(d) = E log2(1 + sum_k d_k v_h,k |h_k|^2) - E log2(1 + sum_k d_k v_g,k |g_k|^2),
+# and at n_t = 2, P = 10 the best of d = (t, 10 - t) on a 201-point grid
+# beats uniform. (v_h, v_g): (uniform rate, best rate, best d)
+NEGATIVE_CONTROLS = {
+    ((1.0, 1.0), (0.25, 1.0)): (0.6261, 1.3948, (10.0, 0.0)),
+    ((1.0, 0.5), (0.25, 0.25)): (1.1551, 1.3948, (10.0, 0.0)),
+    ((1.0, 1.0), (0.1, 0.5)): (1.4070, 2.0462, (10.0, 0.0)),
+}
+IID_CONTROL = ((1.0, 1.0), (0.25, 0.25))
+CONTROL_GRID = np.stack([np.linspace(0.0, 10.0, 201), np.linspace(10.0, 0.0, 201)], axis=1)
+
+
+def _diagonal_rates(v_h, v_g):
+    return (_mgf_rate(CONTROL_GRID * np.array(v_h), 1.0, 0.0)[0]
+            - _mgf_rate(CONTROL_GRID * np.array(v_g), 1.0, 0.0)[0])
+
+
+def _rate_schur_report(rates):
+    # the rate-Schur margins R(uniform) - R(d): uniform is majorized by every d
+    uniform = rates[100]
+    assert np.array_equal(CONTROL_GRID[100], [5.0, 5.0])
+    return OrderCheckReport._of_margins(
+        "uniform against a 201-point grid", uniform - rates, lambda i: f"d={CONTROL_GRID[i]}"
+    )
+
+
+@pytest.mark.parametrize("covariances", list(NEGATIVE_CONTROLS))
+def test_rate_schur_probe_fails_where_entries_are_not_iid(covariances):
+    uniform, best, best_d = NEGATIVE_CONTROLS[covariances]
+    rates = _diagonal_rates(*covariances)
+    assert abs(rates[100] - uniform) <= 1e-3
+    assert abs(rates.max() - best) <= 1e-3
+    assert tuple(CONTROL_GRID[np.argmax(rates)]) == best_d
+    report = _rate_schur_report(rates)
+    assert not report.holds
+    assert report.min_margin == pytest.approx(uniform - best, abs=2e-3)
+
+
+def test_rate_schur_probe_holds_on_the_iid_control():
+    rates = _diagonal_rates(*IID_CONTROL)
+    assert np.argmax(rates) == 100
+    assert abs(rates[100] - 1.5241) <= 1e-3
+    assert _rate_schur_report(rates).holds
