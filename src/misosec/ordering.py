@@ -14,11 +14,11 @@ forms on whole arrays through the private batched forms: _lt_gaps_grid
 (cm_derivative over a grid of a, x and n), _random_majorization_pairs
 (a batch of random_majorization_pair draws) and _lemma_exact (the
 expectation lemma's exact difference at several a, by the MGF and Frullani
-integrals of rates). _lemma_margins, the Monte Carlo lemma at several a on
-one stream of draws, is its sampled cross-check. The probes take 1-D
-allocations of finite, nonnegative entries (majorizes takes any finite
-vectors), pairs of one length and sum, and a sigma and s with the headroom
-of rates._check_headroom.
+integrals of rates). verify_lemma_LT_implies_expectation, the Monte Carlo
+lemma, is its sampled cross-check. The probes take 1-D allocations of
+finite, nonnegative entries (majorizes takes any finite vectors), pairs of
+one length and sum, and a sigma and s with the headroom of
+rates._check_headroom.
 
 An OrderCheckReport holds its margins as one array and labels a point only
 when it is read, so the suite's reports of up to 1100 points cost no more
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
@@ -330,12 +330,22 @@ def verify_lemma_LT_implies_expectation(
     mean + 3 se of the per-sample difference f(q2) - f(q1) is tight; it is
     exactly 0 (with zero std error) when d1 == d2. Each difference is one
     log1p (_kernels.lemma_difference). Rejects a sigma whose draws could
-    overflow, by the headroom rule of rates. A batch of one of _lemma_margins.
+    overflow, by the headroom rule of rates. The chunk fn is a partial of
+    _lemma_chunk, so it can run in a pool worker.
     """
-    ((margin, mean, se),) = _lemma_margins(d1, d2, sigma, (a,), n_samples, seed)
+    dv1 = _allocation(d1)
+    dv2 = _allocation(d2)
+    if not 0 <= a < 1:
+        raise ValueError(f"a must lie in [0, 1), got {a}")
+    _check_scale(sigma, 1.0, dv1)
+    _check_mc_samples(n_samples)
+    if not majorizes(dv1, dv2):
+        raise ValueError("precondition failed: d2 must be majorized by d1")
+    chunk = functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, a, seed)
+    (((mean, se),),) = channel.stream_moments((chunk,), n_samples)
     witness = Witness(
-        point=f"d1={list(_allocation(d1))}, d2={list(_allocation(d2))}, mean={mean}, se={se}",
-        margin=margin,
+        point=f"d1={list(dv1)}, d2={list(dv2)}, mean={mean}, se={se}",
+        margin=mean + 3.0 * se,
     )
     return OrderCheckReport(
         grid=f"n_samples={n_samples}, sigma={sigma}, a={a}, seed={seed}",
@@ -343,45 +353,16 @@ def verify_lemma_LT_implies_expectation(
     )
 
 
-def _lemma_margins(
-    d1: Sequence[float],
-    d2: Sequence[float],
-    sigma: float,
-    a_values: Sequence[float],
-    n_samples: int,
-    seed: int,
-) -> list[tuple[float, float, float]]:
-    """(margin, mean, se) of verify_lemma_LT_implies_expectation for each a in
-    a_values, all on one stream of draws.
-
-    Each chunk's draw and its two quadratic forms serve every a, and each a's
-    lemma_difference is reduced on its own, with the bits of a batch of one.
-    The chunk fn is a partial of _lemma_chunk, so it can run in a pool worker.
-    """
-    dv1 = _allocation(d1)
-    dv2 = _allocation(d2)
-    for a in a_values:
-        if not 0 <= a < 1:
-            raise ValueError(f"a must lie in [0, 1), got {a}")
-    _check_scale(sigma, 1.0, dv1)
-    _check_mc_samples(n_samples)
-    if not majorizes(dv1, dv2):
-        raise ValueError("precondition failed: d2 must be majorized by d1")
-    chunk = functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, tuple(a_values), seed)
-    (moments,) = channel.stream_moments((chunk,), n_samples)
-    return [(mean + 3.0 * se, mean, se) for mean, se in moments]
-
-
 def _lemma_chunk(
-    sigma: float, dv1: NDArray[np.float64], ddv: NDArray[np.float64], a_values: Sequence[float],
-    seed: int, index: int, rows: int,
-) -> Iterator[NDArray[np.float64]]:
-    """Chunk index of _lemma_margins' chunk fn: lemma_difference(q1, q2 - q1, a) for
-    each a, from the chunk's q1 = g^H D1 g and q2 - q1 = g^H (D2 - D1) g."""
+    sigma: float, dv1: NDArray[np.float64], ddv: NDArray[np.float64], a: float, seed: int,
+    index: int, rows: int,
+) -> tuple[NDArray[np.float64]]:
+    """Chunk index of the lemma's chunk fn: lemma_difference(q1, q2 - q1, a),
+    from the chunk's q1 = g^H D1 g and q2 - q1 = g^H (D2 - D1) g."""
     abs2 = channel._draw_abs2(sigma, dv1.shape[0], rows, seed, STREAM_GENERIC, index)
     q1 = _kernels.quad_form(abs2, dv1)
     dq = _kernels.quad_form(abs2, ddv)
-    return (_kernels.lemma_difference(q1, dq, a) for a in a_values)
+    return (_kernels.lemma_difference(q1, dq, a),)
 
 
 def _lemma_exact(

@@ -24,14 +24,15 @@ All rates are in bits per channel use. The three evaluation routes:
   allocations runs along the node axis, with the bits of a nodes-last sum
   (_sum_antennas); the rule's arrays are cached per node count (_mgf_rule).
 
-The Monte Carlo routes only need q, and for an equal allocation d = (P/n_t)1
-q is (P/n_t) sum_k |g_k|^2, whose sum is one Gamma(n_t) variate scaled by
-sigma^2. So from _GAMMA_MIN_NT antennas on, an equal allocation draws each row
-as that one variate (channel's summed layout) and weights it by d[:1]; every
-other allocation draws the n_t per-entry exponentials (by inversion of
-uniforms, see channel._draw_abs2) and forms q by quad_form. _draw_layout
-makes that choice. Each route reports a std_error, so it needs at least two
-samples.
+The capacity routes hold d = (P/n_t)1 as one entry P/n_t with the count n_t,
+so no capacity call allocates in proportion to n_t. The Monte Carlo routes only
+need q, and for an equal allocation q is (P/n_t) sum_k |g_k|^2, whose sum is
+one Gamma(n_t) variate scaled by sigma^2. So from _GAMMA_MIN_NT antennas on, an
+equal allocation draws each row as that one variate (channel's summed layout)
+and weights it by its entry; every other allocation draws the n_t per-entry
+exponentials (by inversion of uniforms, see channel._draw_abs2) and forms q by
+quad_form. _draw_layout makes that choice. Each route reports a std_error, so
+it needs at least two samples.
 
 The capacity is clamped to exactly 0 whenever sigma_h <= sigma_g.
 """
@@ -154,33 +155,36 @@ class EvalMethod:
         return cls(tag=MethodTag.QUADRATURE, seed=seed)
 
 
-def _draw_layout(d: NDArray[np.float64]) -> tuple[NDArray[np.float64], bool]:
-    """The allocation the kernels see for d, and whether its rows are drawn summed.
+def _draw_layout(d: NDArray[np.float64], n_t: int) -> tuple[NDArray[np.float64], bool]:
+    """The allocation the kernels see for d on n_t antennas, and whether its
+    rows are drawn summed. d holds n_t entries, or one entry that every
+    antenna carries.
 
-    An equal d with at least _GAMMA_MIN_NT entries weights each row's one
-    Gamma(n_t) sum by d[:1]; any other d keeps its per-entry draws.
+    An equal d on at least _GAMMA_MIN_NT antennas weights each row's one
+    Gamma(n_t) sum by d[:1]; any other d keeps its per-entry draws, a one-entry
+    d repeated n_t times (the floats of np.full, so quad_form keeps its bits).
     """
-    if d.shape[0] >= _GAMMA_MIN_NT and np.all(d == d[0]):
+    if n_t >= _GAMMA_MIN_NT and np.all(d == d[0]):
         return d[:1], True
-    return d, False
+    return (d if d.shape[0] == n_t else np.repeat(d, n_t)), False
 
 
 def _quad_form_chunks(
-    sigma: float, stream: int, ds: Sequence[NDArray[np.float64]], seed: int,
+    sigma: float, stream: int, ds: Sequence[NDArray[np.float64]], n_t: int, seed: int,
     kernel: Callable[[NDArray[np.float64]], NDArray[np.float64]],
 ) -> Callable[[int, int], Iterator[NDArray[np.float64]]]:
-    """The stream_moments chunk fn of one stream at scale sigma: per-row kernel(q),
-    q = g^H D g, for each D in ds in turn, all on one draw of the chunk. It is
-    a functools.partial of _quad_form_chunk, so it pickles (given a picklable
-    kernel) and can run in a pool worker.
+    """The stream_moments chunk fn of one stream at scale sigma on n_t antennas:
+    per-row kernel(q), q = g^H D g, for each D in ds in turn, all on one draw of
+    the chunk. It is a functools.partial of _quad_form_chunk, so it pickles
+    (given a picklable kernel) and can run in a pool worker.
 
-    ds is one allocation or several equal ones of one length, so _draw_layout
-    gives them all one layout.
+    ds is one allocation or several equal ones of one length, in either form
+    _draw_layout takes, so it gives them all one layout.
     """
-    layouts = [_draw_layout(d) for d in ds]
+    layouts = [_draw_layout(d, n_t) for d in ds]
     weights = [d for d, _ in layouts]
     return functools.partial(
-        _quad_form_chunk, sigma, ds[0].shape[0], layouts[0][1], weights, seed, stream, kernel
+        _quad_form_chunk, sigma, n_t, layouts[0][1], weights, seed, stream, kernel
     )
 
 
@@ -203,7 +207,9 @@ def ergodic_log_rate_mc(
     """
     _check_headroom(max(alloc.budget, alloc.n_t), sigma)
     _check_mc_samples(n_samples)
-    chunk = _quad_form_chunks(sigma, STREAM_GENERIC, (alloc.as_array(),), seed, _kernels.log_rate)
+    chunk = _quad_form_chunks(
+        sigma, STREAM_GENERIC, (alloc.as_array(),), alloc.n_t, seed, _kernels.log_rate
+    )
     (((mean, se),),) = channel.stream_moments((chunk,), n_samples)
     return RateEstimate(mean=mean, std_error=se, n_samples=n_samples, seed=seed)
 
@@ -225,7 +231,7 @@ def _mc_rates(
         else:
             draws = ((model.sigma_g, STREAM_EAVESDROPPER),)
             kernel = functools.partial(_kernels.coupled_integrand, a=model.a)
-        fns += [_quad_form_chunks(sigma, stream, ds, method.seed, kernel)
+        fns += [_quad_form_chunks(sigma, stream, ds, model.n_t, method.seed, kernel)
                 for sigma, stream in draws]
     moments = iter(channel.stream_moments(fns, groups[0][2].n_samples))
     out = []
@@ -330,7 +336,8 @@ def _mgf_rule(last: int) -> tuple[NDArray[np.float64], ...]:
 
 
 def _mgf_rate(
-    d: NDArray[np.float64], var_h: float, var_g: float | Sequence[float], *, grad: bool = False
+    d: NDArray[np.float64], var_h: float, var_g: float | Sequence[float], *,
+    grad: bool = False, count: int = 1,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | None, int]:
     """E[log2(1 + h^H D h)] - E[log2(1 + g^H D g)] by Hamdi's MGF integral.
 
@@ -350,6 +357,10 @@ def _mgf_rate(
     int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
     M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
     full relative accuracy where the two transforms nearly coincide.
+
+    Each entry of d stands for count antennas, in L and in the rule's row sum:
+    the uniform allocation is [P/n_t] with count n_t, one log1p per node.
+    Only rate-only calls pass a count.
 
     A row's rate can differ from its own single-row call by a few ulps, for
     two reasons. The whole call shares one rule, that of its largest row sum
@@ -374,7 +385,7 @@ def _mgf_rate(
     """
     several = not np.isscalar(var_g)
     var_gs = tuple(var_g) if several else (var_g,)
-    c = max(var_h, *var_gs) * float(d.sum(axis=-1).max())
+    c = max(var_h, *var_gs) * count * float(d.sum(axis=-1).max())
     last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * _MGF_STEP))
     s, weight, coarse, decay, w = _mgf_rule(last)
     variances = (var_h, *var_gs)
@@ -388,6 +399,8 @@ def _mgf_rate(
         # operands, so they run the BLAS calls, and give the bits, of that layout
         inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
         log = _sum_antennas(np.log1p(x, out=x))
+        if count != 1:
+            log *= count
         if grad:
             # the nodes' sums of w M / (1 + x_k), per transform
             p.extend((w * np.exp(-log))[..., None, :] @ np.divide(1.0, inverse, out=inverse))
@@ -443,7 +456,8 @@ def _log_gap(d: NDArray[np.float64], var: float) -> float:
 def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> float:
     """Deterministic E[log2(1 + (P/n_t) ||g||^2)], entries of g at scale sigma.
 
-    Uniform allocation is implied: each antenna carries total_power/n_t.
+    Uniform allocation is implied: each antenna carries total_power/n_t, held
+    as one entry with the count n_t.
     P = 0 returns exactly 0; negative P is rejected, and so are a P, n_t and
     sigma without headroom, as in secrecy_capacity.
     """
@@ -455,7 +469,7 @@ def ergodic_log_rate_quadrature(sigma: float, total_power: float, n_t: int) -> f
     if total_power == 0:
         return 0.0
     _check_headroom(max(total_power, n_t), sigma)
-    return float(_mgf_rate(np.full(n_t, total_power / n_t), sigma * sigma, 0.0)[0])
+    return float(_mgf_rate(np.array([total_power / n_t]), sigma * sigma, 0.0, count=n_t)[0])
 
 
 def _check_mc_route(model: ChannelModel, alloc: PowerAllocation, n_samples: int) -> None:
@@ -507,8 +521,8 @@ def _capacities(
     own, so no result depends on the other powers; all groups go to one
     _mc_rates reduce. quad makes one single-row _mgf_rate call per power, as a
     shared rule would move ulps. Each group's row starts as clamps, and only its
-    live powers are evaluated into it, at np.full(n_t, P / n_t): the floats of
-    PowerAllocation.uniform(n_t, P), without building its n_t-tuple.
+    live powers are evaluated into it, at the uniform allocation held as its one
+    entry P / n_t with the count n_t: no array of n_t entries is built.
     """
     if len({method.n_samples for _, _, method in groups}) != 1:
         raise ValueError("the groups of one call must share one n_samples")
@@ -526,10 +540,12 @@ def _capacities(
         live = [i for i, P in enumerate(powers) if P > 0 and model.sigma_h > model.sigma_g]
         if live:
             _check_power(model, max(powers))
-            allocs = [np.full(model.n_t, powers[i] / model.n_t) for i in live]
+            allocs = [np.array([powers[i] / model.n_t]) for i in live]
             if method.tag is MethodTag.QUADRATURE:
                 for i, d in zip(live, allocs):
-                    mean, err, _, nodes = _mgf_rate(d, model.sigma_h**2, model.sigma_g**2)
+                    mean, err, _, nodes = _mgf_rate(
+                        d, model.sigma_h**2, model.sigma_g**2, count=model.n_t
+                    )
                     row[i] = RateEstimate(float(mean), float(err), nodes, method.seed)
             else:
                 mc_groups.append((model, allocs, method))

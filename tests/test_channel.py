@@ -127,8 +127,11 @@ def test_summed_rows_match_complex_draws_in_distribution(n_t):
     # the equal-allocation routes draw q as (P/n_t) * sigma^2 Gamma(n_t) per row
     model = ChannelModel(n_t=n_t, sigma_h=1.0, sigma_g=0.5)
     alloc = PowerAllocation.uniform(n_t, 10.0)
-    weights, summed = _draw_layout(alloc.as_array())
+    weights, summed = _draw_layout(alloc.as_array(), n_t)
     assert summed and weights.shape == (1,)
+    # the capacity routes' one-entry form draws the same layout
+    one, one_summed = _draw_layout(alloc.as_array()[:1], n_t)
+    assert one_summed and np.array_equal(one, weights)
     count = 20_000
     drawn = _draw_abs2(model.sigma_g, n_t, count, 4, STREAM_EAVESDROPPER, 0, summed=True)
     assert drawn.shape == (count, 1)

@@ -20,7 +20,6 @@ from misosec.ordering import (
     MAX_DERIVATIVE_ORDER,
     _cm_derivatives,
     _lemma_exact,
-    _lemma_margins,
     _lt_gaps_grid,
     _random_majorization_pairs,
 )
@@ -385,14 +384,6 @@ def test_lemma_difference_keeps_the_bits_of_its_expression(n, a):
     assert np.array_equal(q1, forms[0]) and np.array_equal(dq, forms[1])
 
 
-def test_batched_lemma_gives_each_a_the_bits_of_the_probe():
-    d1, d2 = [4.0, 0.0], [2.0, 2.0]
-    batch = _lemma_margins(d1, d2, 1.0, (0.25, 0.0), 100_000, 5)
-    for (margin, _, _), a in zip(batch, (0.25, 0.0)):
-        report = verify_lemma_LT_implies_expectation(d1, d2, 1.0, a, 100_000, 5)
-        assert report.min_margin == margin
-
-
 def _lemma_by_quad(d1, d2, var, a):
     """E f(q2) - E f(q1) in bits by scipy quad, from f's Laplace form
     ln(a+q) - ln(1+q) = int (e^{-s} - e^{-as}) e^{-sq} ds/s, in u = ln s."""
@@ -450,8 +441,6 @@ def test_lemma_rejects_bad_inputs():
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, 1.0, 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 1.0, -0.1, 100, 0)
-    with pytest.raises(ValueError, match="a must"):  # a bad a anywhere in a batch
-        _lemma_margins([3.0, 1.0], [2.0, 2.0], 1.0, (0.25, 1.0), 100, 0)
     with pytest.raises(ValueError):
         verify_lemma_LT_implies_expectation([3.0, 1.0], [2.0, 2.0], 0.0, 0.25, 100, 0)
     with pytest.raises(ValueError, match="finite"):

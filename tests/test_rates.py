@@ -344,23 +344,23 @@ _BIT_GRID_DB = np.arange(-20.0, 61.0, 10.0)
 
 @pytest.mark.parametrize("n_t", [1, 2, 4, 8, 64, 256])
 def test_rate_only_calls_keep_the_bits_of_the_gradient_call(n_t):
-    # skipping the gradient must not move a rate or an error estimate by one bit
+    # skipping the gradient must not move a rate or an error estimate by one
+    # bit; the capacity routes are the rate-only call on the one entry P/n_t
     rng = np.random.default_rng(n_t)
     for P in 10.0 ** (_BIT_GRID_DB / 10.0):
-        uniform = np.full(n_t, P / n_t)
+        uniform, entry = np.full(n_t, P / n_t), np.array([P / n_t])
         batch = P * rng.dirichlet(np.ones(n_t), size=3)
         for ratio in (0.1, 0.5, 0.9, 0.999):
             est = secrecy_capacity(ChannelModel(n_t, 1.0, ratio), P, EvalMethod.quadrature())
-            rate, err, grad, nodes = _mgf_rate(uniform, 1.0, ratio**2, grad=True)
-            assert grad.shape == (n_t,)
+            rate, err, _, nodes = _mgf_rate(entry, 1.0, ratio**2, count=n_t)
             assert (est.mean, est.std_error, est.n_samples) == (rate, err, nodes)
             for d in (uniform, batch):
-                rate, err, _, nodes = _mgf_rate(d, 1.0, ratio**2, grad=True)
+                rate, err, grad, nodes = _mgf_rate(d, 1.0, ratio**2, grad=True)
                 rate1, err1, grad1, nodes1 = _mgf_rate(d, 1.0, ratio**2)
-                assert grad1 is None and nodes1 == nodes
+                assert grad.shape == d.shape and grad1 is None and nodes1 == nodes
                 assert np.array_equal(rate1, rate) and np.array_equal(err1, err)
         single = ergodic_log_rate_quadrature(1.0, P, n_t)
-        assert single == _mgf_rate(uniform, 1.0, 0.0, grad=True)[0]
+        assert single == _mgf_rate(entry, 1.0, 0.0, count=n_t)[0]
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 3, 4, 8, 64])
@@ -678,6 +678,74 @@ def test_equal_allocation_memory_does_not_scale_with_antennas():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+_HUGE_NT = 2**30
+
+
+@pytest.mark.parametrize(
+    "method",
+    [EvalMethod.quadrature(), EvalMethod.coupled_mc(20_000, 3), EvalMethod.direct_mc(20_000, 3)],
+    ids=["quad", "coupled", "direct"],
+)
+def test_capacity_at_2_30_antennas_runs_in_bounded_memory(method):
+    # every capacity route holds the uniform allocation as one entry P/n_t with
+    # its count; an array of n_t entries alone would take 8 GiB here
+    model = ChannelModel(n_t=_HUGE_NT, sigma_h=1.0, sigma_g=0.5)
+    tracemalloc.start()
+    try:
+        est = secrecy_capacity(model, 10.0, method)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # the capacity lies (t_h^2 - t_g^2)/(2 n_t ln 2), about 2e-10 bits, below its limit
+    assert abs(est.mean - asymptote_large_nt(model, 10.0)) < 1e-8 + 5 * est.std_error
+
+
+def test_single_rate_quadrature_at_2_30_antennas_runs_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        rate = ergodic_log_rate_quadrature(1.0, 10.0, _HUGE_NT)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert abs(rate - math.log2(11.0)) < 1e-8
+
+
+def _large_nt_expansion(lam, n):
+    """The terms of E ln(1 + lam X), X = Gamma(n)/n, through n^-3 (the central
+    moments of X against the Taylor series of ln(1 + lam x) at x = 1), with
+    t = lam/(1 + lam), and the size of the n^-4 term: the sum of its
+    coefficients' magnitudes, (24/5 + 65/3 + 30 + 105/8) t^5 / n^4 and below."""
+    t = lam / (1.0 + lam)
+    terms = [
+        math.log1p(lam),
+        -t**2 / (2 * n),
+        (2 * t**3 / 3 - 3 * t**4 / 4) / n**2,
+        (-3 * t**4 / 2 + 4 * t**5 - 5 * t**6 / 2) / n**3,
+    ]
+    return terms, (24 / 5 + 65 / 3 + 30 + 105 / 8) * t**5 / n**4
+
+
+@pytest.mark.parametrize("n_t", [2**k for k in range(10, 21)])
+def test_quadrature_matches_the_large_nt_expansion(n_t):
+    # quad against the stdlib expansion, to its truncation plus a few ulps of
+    # its terms: within 3e-15 bits from n_t = 4096 on, 6.6e-14 at 1024, 30 dB
+    eps = np.finfo(np.float64).eps
+    for db in range(-20, 31, 5):
+        P = 10.0 ** (db / 10.0)
+        terms_h, size_h = _large_nt_expansion(P, n_t)
+        for ratio in (0.1, 0.5, 0.9):
+            terms_g, size_g = _large_nt_expansion(P * ratio**2, n_t)
+            expansion = (math.fsum(terms_h) - math.fsum(terms_g)) / math.log(2)
+            tol = (size_h + size_g + 8 * eps * sum(map(abs, terms_h + terms_g))) / math.log(2)
+            est = secrecy_capacity(ChannelModel(n_t, 1.0, ratio), P, EvalMethod.quadrature())
+            assert abs(est.mean - expansion) <= tol, (n_t, db, ratio, est.mean, expansion)
+        tol = (size_h + 8 * eps * sum(map(abs, terms_h))) / math.log(2)
+        rate = ergodic_log_rate_quadrature(1.0, P, n_t)
+        assert abs(rate - math.fsum(terms_h) / math.log(2)) <= tol, (n_t, db, rate)
 
 
 def test_std_error_matches_two_pass_at_high_snr_many_antennas():

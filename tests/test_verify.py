@@ -1,15 +1,16 @@
 """Verification suite: check composition, exit codes, fixed probe sizes."""
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from conftest import suite_bits
-from misosec import channel, run_verify_suite
+from misosec import channel, run_verify_suite, verify_lemma_LT_implies_expectation
 from misosec.ordering import (
     OrderCheckReport,
+    _lemma_chunk,
     _lemma_exact,
-    _lemma_margins,
     _random_majorization_pairs,
 )
 from misosec.rates import _mgf_rate
@@ -153,9 +154,15 @@ def test_sampled_lemma_lies_within_4_se_of_the_exact_value():
         ((2.0, 1.0, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0), (0.5,) * 8, (0.0, 0.25), 5),
     ]
     for d1, d2, a_values, seed in cases:
-        sampled = _lemma_margins(d1, d2, 1.0, a_values, 200_000, seed)
         exact = _lemma_exact(d1, d2, 1.0, a_values)
-        for a, (_, mean, se), value in zip(a_values, sampled, exact):
+        dv1, dv2 = np.array(d1), np.array(d2)
+        for a, value in zip(a_values, exact):
+            # the probe's own chunk fn, one reduction per a on the same draws,
+            # which gives the probe's margin to the bit
+            chunk = functools.partial(_lemma_chunk, 1.0, dv1, dv2 - dv1, a, seed)
+            (((mean, se),),) = channel.stream_moments((chunk,), 200_000)
+            report = verify_lemma_LT_implies_expectation(d1, d2, 1.0, a, 200_000, seed)
+            assert report.min_margin == mean + 3.0 * se
             assert abs(mean - value) <= 4 * se, (d1, a, mean, se, value)
 
 

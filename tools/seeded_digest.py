@@ -30,7 +30,8 @@ def _cli_commands(out_dir: str) -> list[list[str]]:
     for seed in range(11):
         commands.append(["verify", "--seed", str(seed)])
         commands.append(["verify", "--seed", str(seed), "--skip-optimizer"])
-    for n_t in (1, 4, 8, 64):
+    # 2^20 antennas pins the capacity routes' one-entry uniform allocation
+    for n_t in (1, 4, 8, 64, 2**20):
         for method in ("quad", "coupled", "direct"):
             commands.append(["capacity", "--ntx", str(n_t), *MODEL, "--snr-db", "10",
                              "--method", method, "--samples", "200000", "--seed", "3"])
