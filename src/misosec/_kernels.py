@@ -1,11 +1,11 @@
 """Per-sample kernels behind the Monte Carlo estimators, and the streaming
 reducer arithmetic that averages them (channel.stream_moments schedules it).
 
-The kernels are vectorized numpy, pure and side-effect free. The two that
-every Monte Carlo chunk runs, coupled_integrand and log_rate, allocate one
-output array each and work in it in place; lemma_difference leaves the two
-quadratic forms it is given as they are, and works in one output array and
-one scratch array. Results are exactly reproducible for a given numpy build.
+The kernels are vectorized numpy, and all but lemma_difference are pure. The
+two that every Monte Carlo chunk runs, coupled_integrand and log_rate,
+allocate one output array each and work in it in place; lemma_difference
+works in one output array and in the buffers of its two quadratic forms.
+Results are exactly reproducible for a given numpy build.
 """
 from __future__ import annotations
 
@@ -68,8 +68,8 @@ def lemma_difference(q1: FloatArray, dq: FloatArray, a: float) -> FloatArray:
     """Per-sample f(q1 + dq) - f(q1) for f(q) = log2(a+q) - log2(1+q).
 
     q1 = quad_form(abs2, d1) and dq = quad_form(abs2, d2 - d1) are the two
-    forms of an expectation-lemma pair, q2 = q1 + dq; both are left unchanged,
-    so one pair of forms serves every a. Formed as
+    forms of an expectation-lemma pair, q2 = q1 + dq; both are overwritten,
+    since each chunk's forms serve its one a. Formed as
     log1p((1-a) dq / ((1+q2)(a+q1))) / ln 2, the one log of the ratio
     (a+q2)(1+q1) / ((1+q2)(a+q1)). The four logs of f(q2) - f(q1) agree to
     within about 1-a, so subtracting them loses relative accuracy as a -> 1;
@@ -79,10 +79,10 @@ def lemma_difference(q1: FloatArray, dq: FloatArray, a: float) -> FloatArray:
     # (1-a) dq / out, log1p and / ln 2 in out's buffer
     out = np.add(q1, 1.0)
     out += dq
-    scratch = np.add(q1, a)
-    out *= scratch
-    np.multiply(dq, 1.0 - a, out=scratch)
-    np.divide(scratch, out, out=out)
+    q1 += a
+    out *= q1
+    dq *= 1.0 - a
+    np.divide(dq, out, out=out)
     np.log1p(out, out=out)
     out /= _LN2
     return out

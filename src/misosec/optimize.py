@@ -96,7 +96,9 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
     """Euclidean projection onto {d >= 0, sum d = P}.
 
     Idempotent (points already on the simplex are returned unchanged) and
-    order preserving.
+    order preserving. Finite entries of any size land within
+    _SIMPLEX_SLACK * P of the simplex; a P so large that the sums overflow
+    is rejected.
     """
     if not (math.isfinite(P) and P > 0):
         raise ValueError(f"P must be finite and positive, got {P}")
@@ -105,19 +107,30 @@ def project_to_simplex(v: Sequence[float] | NDArray, P: float) -> NDArray[np.flo
         raise ValueError(f"can only project a 1-D vector, got shape {v.shape}")
     if v.size == 0:
         raise ValueError("cannot project an empty vector")
-    total = float(v.sum())
-    if np.all(v >= 0.0) and abs(total - P) <= _SIMPLEX_SLACK * P:
-        return v.copy()
-    # a nan or inf entry never passes the check above, and would leave no rho below
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ValueError(f"entries must be finite, got v[{bad[0]}] = {v[bad[0]]}")
     u = np.sort(v)[::-1]
-    css = np.cumsum(u) - P
-    counts = np.arange(1, v.size + 1, dtype=np.float64)
-    rho = np.nonzero(u - css / counts > 0)[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    # nan sorts last, so it heads u, and the infinities sort to the ends
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        bad = np.flatnonzero(~np.isfinite(v))[0]
+        raise ValueError(f"entries must be finite, got v[{bad}] = {v[bad]}")
+    # sums near the largest double overflow, and their result misses the simplex
+    with np.errstate(over="ignore", invalid="ignore"):
+        if u[-1] >= 0.0 and abs(float(v.sum()) - P) <= _SIMPLEX_SLACK * P:
+            return v.copy()
+        css = np.cumsum(u) - P
+        counts = np.arange(1, v.size + 1, dtype=np.float64)
+        rho = np.flatnonzero(u - css / counts > 0)
+        # entries that dwarf P can round every term to 0; theta is then nan
+        theta = css[rho[-1]] / (rho[-1] + 1.0) if rho.size else math.nan
+        d = np.maximum(v - theta, 0.0)
+        if abs(float(d.sum()) - P) <= _SIMPLEX_SLACK * P:
+            return d
+        # Entries that dwarf P round theta or the terms above. v - max(v) has
+        # the same projection, with terms of the size of P once its entries at
+        # or below -P, which project to 0, are clipped there. A v of that form
+        # (the retry itself) misses only where P is so large that sums overflow.
+        if u[0] == 0.0 and u[-1] >= -P:
+            raise ValueError(f"sums overflow or round off the simplex at P = {P}")
+        return project_to_simplex(np.maximum(v - u[0], -P), P)
 
 
 def _grad_objective(

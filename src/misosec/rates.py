@@ -84,10 +84,6 @@ _MGF_STEP, _MGF_TOP, _MGF_DEPTH = 0.25, 4.0, 14.0
 # The tail nodes of the rules of step h and 2h, as fractions of s_L, and their weights.
 _MGF_TAIL_AT = 1.0 / (np.exp([_MGF_STEP, 2 * _MGF_STEP]) + 1.0)
 _MGF_TAIL_WEIGHT = (_MGF_STEP / math.tanh(_MGF_STEP / 2), 2 * _MGF_STEP / math.tanh(_MGF_STEP))
-# _mgf_rate forms as many transforms in one block as fit in this many elements
-# (512 KiB), and a transform alone when it is larger: a single allocation's
-# few transforms take the fewest calls, and a large batch holds one at a time.
-_MGF_BLOCK = 1 << 16
 # Bound on the factor the routes put on max(P, n_t) * sigma^2 before a log.
 # An Exponential(1) draw -log(1 - U) of a 53-bit uniform U stays at or below
 # 53 ln 2 < 36.8, and a quadratic form's weights sum to P. A summed draw has
@@ -178,7 +174,7 @@ def _quad_form_chunks(
     the chunk. It is a functools.partial of _quad_form_chunk, so it pickles
     (given a picklable kernel) and can run in a pool worker.
 
-    ds is one allocation or several equal ones of one length, in either form
+    ds is one allocation or a batch of equal ones of one length, in either form
     _draw_layout takes, so it gives them all one layout.
     """
     layouts = [_draw_layout(d, n_t) for d in ds]
@@ -336,8 +332,7 @@ def _mgf_rule(last: int) -> tuple[NDArray[np.float64], ...]:
 
 
 def _mgf_rate(
-    d: NDArray[np.float64], var_h: float, var_g: float | Sequence[float], *,
-    grad: bool = False, count: int = 1,
+    d: NDArray[np.float64], var_h: float, var_g: float, *, grad: bool = False, count: int = 1,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64] | None, int]:
     """E[log2(1 + h^H D h)] - E[log2(1 + g^H D g)] by Hamdi's MGF integral.
 
@@ -351,12 +346,10 @@ def _mgf_rate(
     explicit nodes, without the two tail nodes that sum everything below
     them. Only a caller that sets grad gets the gradients; the others get
     None and skip their cost, with the same rates and error estimates to the
-    bit. var_g may also be a sequence of variances: the rates, error
-    estimates and gradients then gain a leading axis, one entry per var_g,
-    and M_h is formed once for them all. After s = e^u the rate is
-    int e^{-s} [M_g - M_h] du, with M_g - M_h formed as
-    M_g * (-expm1(L_g - L_h)), L = sum_k log1p(s sigma^2 d_k), so it keeps
-    full relative accuracy where the two transforms nearly coincide.
+    bit. After s = e^u the rate is int e^{-s} [M_g - M_h] du, with
+    M_g - M_h formed as M_g * (-expm1(L_g - L_h)),
+    L = sum_k log1p(s sigma^2 d_k), so it keeps full relative accuracy where
+    the two transforms nearly coincide.
 
     Each entry of d stands for count antennas, in L and in the rule's row sum:
     the uniform allocation is [P/n_t] with count n_t, one log1p per node.
@@ -364,64 +357,40 @@ def _mgf_rate(
 
     A row's rate can differ from its own single-row call by a few ulps, for
     two reasons. The whole call shares one rule, that of its largest row sum
-    and its largest variance (var_h or any var_g). And each rate is
-    f @ weight on a (..., nodes) block f: on a 2-D f that is a BLAS gemv,
-    whose sum order differs from that of the 1-D dot of a single row. Each
-    var_g's f is its own block, of the shape a call with that var_g alone
-    forms, so its rates have that call's bits whenever the two share a rule.
+    and the larger of var_h and var_g. And each rate is f @ weight on a
+    (..., nodes) block f: on a 2-D f that is a BLAS gemv, whose sum order
+    differs from that of the 1-D dot of a single row.
 
-    The arrays are antenna-first: the log1p terms of a block of transforms are
-    one C-contiguous (n_t, j, ..., nodes) block, so every elementwise step and
-    each add of the antenna sum runs over long contiguous slabs. A block takes
-    as many transforms as fit in _MGF_BLOCK elements, and at least one. So a
-    single allocation's transforms are one block, the fewest calls for the
-    optimizer's small arrays, while a large batch forms its transforms a few
-    at a time and copies out each block's antenna sums before the next, so
-    its working memory is bounded however many var_g it has. _sum_antennas
-    adds the slabs in numpy's pairwise order, so the bits are those of
-    np.sum over the last axis of a (..., nodes, n_t) block, however the
-    transforms are grouped. The rule's arrays are built once per node count
-    and cached (_mgf_rule).
+    The arrays are antenna-first: the log1p terms of the two transforms, h and
+    g, are one C-contiguous (n_t, 2, ..., nodes) block, so every elementwise
+    step and each add of the antenna sum runs over long contiguous slabs.
+    _sum_antennas adds the slabs in numpy's pairwise order, so the bits are
+    those of np.sum over the last axis of a (..., nodes, n_t) block. The
+    rule's arrays are built once per node count and cached (_mgf_rule).
     """
-    several = not np.isscalar(var_g)
-    var_gs = tuple(var_g) if several else (var_g,)
-    c = max(var_h, *var_gs) * count * float(d.sum(axis=-1).max())
+    c = max(var_h, var_g) * count * float(d.sum(axis=-1).max())
     last = 2 * math.ceil((_MGF_TOP + math.log(max(c, 1.0)) + _MGF_DEPTH) / (2 * _MGF_STEP))
     s, weight, coarse, decay, w = _mgf_rule(last)
-    variances = (var_h, *var_gs)
-    # as many transforms per block as fit in _MGF_BLOCK elements, at least one
-    per_block = max(1, _MGF_BLOCK // (d.size * s.size))
-    logs, p = [], []
-    for start in range(0, len(variances), per_block):
-        # x[k, j] = s variances[start + j] d_k: the block's transforms side by side
-        x = _antenna_first(np.multiply.outer(variances[start : start + per_block], d), s)
-        # the gradient's matmuls take 1/(1+x) as C-contiguous (..., nodes, n_t)
-        # operands, so they run the BLAS calls, and give the bits, of that layout
-        inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
-        log = _sum_antennas(np.log1p(x, out=x))
-        if count != 1:
-            log *= count
-        if grad:
-            # the nodes' sums of w M / (1 + x_k), per transform
-            p.extend((w * np.exp(-log))[..., None, :] @ np.divide(1.0, inverse, out=inverse))
-        # the sums are views of x: when another block follows, they are copied
-        # out and x is let go before that block is formed
-        logs.extend(log if per_block >= len(variances) else log.copy())
-        del x, log, inverse
-    rates, errs, drs = [], [], []
-    for j, v in enumerate(var_gs, 1):
-        m_g = np.exp(-logs[j])
-        f = decay * m_g * -np.expm1(logs[j] - logs[0])
-        rate = f @ weight / _LN2
-        rate_coarse = f @ coarse / _LN2
-        rates.append(rate)
-        errs.append(np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2))
-        if grad:
-            # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
-            drs.append((var_h * p[0] - v * p[j])[..., 0, :] / _LN2)
-    if several:
-        return np.array(rates), np.array(errs), np.array(drs) if grad else None, last + 1
-    return rates[0], errs[0], drs[0] if grad else None, last + 1
+    # x[k, j] = s (var_h, var_g)[j] d_k: both transforms side by side
+    x = _antenna_first(np.multiply.outer((var_h, var_g), d), s)
+    # the gradient's matmuls take 1/(1+x) as C-contiguous (..., nodes, n_t)
+    # operands, so they run the BLAS calls, and give the bits, of that layout
+    inverse = np.add(x.transpose(*range(1, x.ndim), 0), 1.0, order="C") if grad else None
+    log = _sum_antennas(np.log1p(x, out=x))
+    if count != 1:
+        log *= count
+    log_h, log_g = log
+    f = decay * np.exp(-log_g) * -np.expm1(log_g - log_h)
+    rate = f @ weight / _LN2
+    rate_coarse = f @ coarse / _LN2
+    err = np.maximum(np.abs(rate - rate_coarse), _EPS * (np.abs(f) @ weight) / _LN2)
+    dr = None
+    if grad:
+        # the nodes' sums of w M / (1 + x_k), per transform
+        p_h, p_g = (w * np.exp(-log))[..., None, :] @ np.divide(1.0, inverse, out=inverse)
+        # dR/dd_k = (1/ln 2) int e^{-s} s [var_h M_h/(1+x_h,k) - var_g M_g/(1+x_g,k)] du
+        dr = (var_h * p_h - var_g * p_g)[..., 0, :] / _LN2
+    return rate, err, dr, last + 1
 
 
 # Frullani's integral E ln q0 - E ln q1 = int (M1(s) - M0(s)) ds/s, for two

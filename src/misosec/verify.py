@@ -11,9 +11,9 @@ rounding, so the suite draws nothing and its output depends only on the seed.
 Every probe is array work, through to its report. The pairs of one
 dimension are drawn by one Dirichlet and one uniform call, and each pair
 probe evaluates them in one call per dimension (and per sigma, or per side
-of the pair). The rate probe asks the MGF evaluator for rates only, without
-the gradient, and for both ratios at once, so each side's sigma_h transform
-serves both. The probes of one pair dimension are one task;
+of the pair and ratio). The rate probe asks the MGF evaluator for rates
+only, without the gradient, one ordinary call per side and per ratio. The
+probes of one pair dimension are one task;
 channel._pool_map runs them in the calling thread and in the chunk pool's
 worker processes. It claims tasks in list order, and the suite lists the
 largest dimension first, so that task starts first; the calling thread then
@@ -71,7 +71,7 @@ _CM_ORDERS = 10
 _LT_SIGMAS = (1.0, np.sqrt(2.0))
 # sigma_g/sigma_h ratios of the secrecy-rate Schur probe (sigma_h = 1)
 _RATE_RATIOS = (0.5, 0.9)
-# the probe's sigma_g^2, asked of the MGF evaluator in one call per side
+# the probe's sigma_g^2, each asked of the MGF evaluator once per side
 _RATE_VAR_G = tuple(r * r for r in _RATE_RATIOS)
 
 
@@ -132,7 +132,7 @@ def _pair_probes(
     """The pair probes' margins on the (k, n) pairs of one dimension: majorization
     (k,), LT order (k, sigmas) with the index of each worst s, Schur concavity
     at the (k, 1) column s_schur (k,), and the secrecy rate's Schur concavity
-    (k, ratios). Each probe is one array call (per sigma, or per side)."""
+    (k, ratios). Each probe is one array call (per sigma, or per side and ratio)."""
     # majorization: every generated pair must satisfy d_star majorized by d,
     # with the margin being the worst prefix-sum gap
     maj = _majorization_margin(d, d_star)
@@ -146,9 +146,10 @@ def _pair_probes(
     # Schur concavity of S(d) = sum log2(1 + s d_k) at one random s per pair
     schur = _lt_gaps_grid(d_star, d, 1.0, s_schur)[:, 0]
     # Schur concavity of the secrecy rate itself, R(d_star) >= R(d), exact to
-    # rounding; each side's sigma_h transform serves both ratios
-    rate = _mgf_rate(d_star, 1.0, _RATE_VAR_G)[0] - _mgf_rate(d, 1.0, _RATE_VAR_G)[0]
-    return maj, lt, lt_at, schur, rate.T
+    # rounding; one call per side and per ratio, a column per ratio
+    rate = np.stack([_mgf_rate(d_star, 1.0, v)[0] - _mgf_rate(d, 1.0, v)[0] for v in _RATE_VAR_G],
+                    axis=-1)
+    return maj, lt, lt_at, schur, rate
 
 
 def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuiteResult:

@@ -76,6 +76,35 @@ def test_non_finite_start_is_named(bad):
         optimize_allocation(ChannelModel(2, 1.0, 0.5), 4.0, start=[bad, 1.0])
 
 
+@pytest.mark.parametrize("scale", [1e15, 3e16, 1e17])
+def test_projection_of_entries_that_dwarf_p_lands_on_the_simplex(scale):
+    # at 3e16 and 1e17 the threshold's rounding left no support index or put
+    # the result off the simplex for most of these vectors. Entries at or
+    # below max - P project to 0; those within P of the max keep their order
+    vs = np.random.default_rng(1).normal(size=(2000, 4)) * scale
+    for v in vs:
+        d = project_to_simplex(v, REF_POWER)
+        assert np.all(d >= 0.0) and abs(d.sum() - REF_POWER) <= 1e-12 * REF_POWER, v
+        assert np.all(d[v - v.max() <= -REF_POWER] == 0.0), v
+        order = np.argsort(v)
+        assert np.all(np.diff(d[order]) >= 0.0), v
+
+
+@pytest.mark.parametrize("big", [1e17, 1e308])
+def test_projection_of_equal_huge_entries_splits_p(big):
+    # 1e308 + 1e308 overflows: a RuntimeWarning, which pytest makes an error
+    assert np.array_equal(project_to_simplex([big, big], 4.0), [2.0, 2.0])
+    assert np.array_equal(project_to_simplex([big, -big], 4.0), [4.0, 0.0])
+    start = optimize_allocation(REF_MODEL, 4.0, start=[big] * 4, config=OptimizerConfig(max_iters=1))
+    assert np.array_equal(start.iterates[0].as_array(), np.full(4, 1.0))
+
+
+def test_projection_rejects_a_p_whose_sums_overflow():
+    # the shifted v, [0, -P, -P], still sums past the largest double
+    with pytest.raises(ValueError, match="overflow"):
+        project_to_simplex([0.0, -1e308, -1e308], 1e308)
+
+
 # --- gradient ------------------------------------------------------------
 
 

@@ -33,6 +33,7 @@ from misosec.channel import (
     _chunk_rows,
 )
 from misosec.optimize import _grad_objective
+from misosec.ordering import _random_majorization_pairs
 from misosec.rates import (
     _GAMMA_MIN_NT,
     _MGF_DEPTH,
@@ -45,6 +46,7 @@ from misosec.rates import (
     _mgf_rule,
     _sum_antennas,
 )
+from misosec.verify import _RATE_VAR_G, _pair_probes
 
 # E[log2(1+X)] for X ~ Exp(1): e*E1(1)/ln 2, evaluated independently ahead of time
 SINGLE_ANTENNA_UNIT_RATE = 0.8603473822708868
@@ -363,71 +365,23 @@ def test_rate_only_calls_keep_the_bits_of_the_gradient_call(n_t):
         assert single == _mgf_rate(entry, 1.0, 0.0, count=n_t)[0]
 
 
-@pytest.mark.parametrize("n_t", [1, 2, 3, 4, 8, 64])
-def test_several_var_g_keep_the_bits_of_one_call_each(n_t):
-    # var_h = 1 is the largest variance, so every call below has one rule;
-    # the shared M_h moves no bit
-    rng = np.random.default_rng(n_t)
-    var_g = [0.25, 0.81, 0.0, 0.5]
-    for d in (np.full(n_t, 4.0 / n_t), 4.0 * rng.dirichlet(np.ones(n_t), size=7)):
-        for grad in (False, True):
-            rates, errs, grads, nodes = _mgf_rate(d, 1.0, var_g, grad=grad)
-            assert rates.shape == errs.shape == (len(var_g), *d.shape[:-1])
-            assert grads is None if not grad else grads.shape == (len(var_g), *d.shape)
-            for j, v in enumerate(var_g):
-                rate, err, g, nodes1 = _mgf_rate(d, 1.0, v, grad=grad)
-                assert nodes1 == nodes
-                assert rates[j].tobytes() == np.asarray(rate).tobytes()
-                assert errs[j].tobytes() == np.asarray(err).tobytes()
-                assert not grad or grads[j].tobytes() == g.tobytes()
-
-
-def test_several_var_g_share_the_rule_of_the_largest_variance():
-    d = np.array([3.0, 1.0])
-    rates, _, _, nodes = _mgf_rate(d, 1.0, [0.25, 50.0])
-    assert nodes == _mgf_rate(d, 1.0, 50.0)[3] > _mgf_rate(d, 1.0, 0.25)[3]
-    assert rates[1] == _mgf_rate(d, 1.0, 50.0)[0]
-
-
-@pytest.mark.parametrize("n_t", [1, 2, 3, 8, 64])
-def test_transform_blocks_move_no_bit(monkeypatch, n_t):
-    # a block takes as many transforms as fit in _MGF_BLOCK elements: one
-    # transform per block, two, or all of them give the same bits
-    rng = np.random.default_rng(n_t)
-    calls = [
-        (4.0 * rng.dirichlet(np.ones(n_t), size=size), var_h, var_g)
-        for size in ((), (5,), (2, 3))
-        for var_h, var_g in ((1.0, 0.25), (1.0, [0.25, 0.81, 0.0]), (0.5, [2.0]))
-    ]
-
-    def evaluate():
-        return [
-            [np.asarray(a).tobytes() for a in _mgf_rate(d, var_h, var_g, grad=grad)[:3] if a is not None]
-            for d, var_h, var_g in calls
-            for grad in (False, True)
-        ]
-
-    expected = evaluate()
-    one_transform = calls[0][0].size * (_mgf_rate(calls[0][0], 1.0, 0.25)[3] + 2)
-    for block in (1, 2 * one_transform, 2**40):
-        monkeypatch.setattr("misosec.rates._MGF_BLOCK", block)
-        assert evaluate() == expected, block
-
-
-def test_several_var_g_hold_one_transform_block_at_a_time():
-    # a verify rate probe's call: 150 eight-antenna rows, M_h and two M_g,
-    # each transform a (8, 150, 81) block of 0.74 MiB. One block with the
-    # three transforms' antenna sums peaks near 1.4 blocks; two blocks alive
-    # at once would pass 2
-    d = 4.0 * np.random.default_rng(0).dirichlet(np.ones(8), size=150)
-    block = 8 * d.size * (_mgf_rate(d, 1.0, 0.25)[3] + 2)
+def test_rate_probe_calls_hold_under_three_transform_blocks():
+    # the verify pair probes' largest case: 150 eight-antenna pairs. The rate
+    # probe makes one call per side and per ratio, and a call's h and g
+    # transforms are one (8, 2, 150, nodes + 2) block, two of the blocks
+    # below; the probes peak near 2.5 of them. Stacking both sides into one
+    # call per ratio doubles the block and passes 4
+    d_star, d = _random_majorization_pairs(8, 4.0, np.random.default_rng(0), 150)
+    block = 8 * d.size * (_mgf_rate(d, 1.0, max(_RATE_VAR_G))[3] + 2)
+    s_grid = np.logspace(-3.0, 3.0, 51)[1:]
+    s_schur = np.full((150, 1), 1.0)
     tracemalloc.start()
     try:
-        _mgf_rate(d, 1.0, [0.25, 0.81])
+        _pair_probes(d_star, d, s_grid, s_schur)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * block
+    assert peak < 3 * block
 
 
 _SUM_NT = [*range(1, 10), 15, 16, 17, 64, 127, 128, 129, 200, 256, 257, 300]

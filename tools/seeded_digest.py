@@ -41,6 +41,11 @@ def _cli_commands(out_dir: str) -> list[list[str]]:
                          "--method", method, "--samples", "200000"])
     commands.append(["sweep-nt", "--nt-grid", "1,2,4,8,16", *MODEL, "--snr-db", "10",
                      "--samples", "200000"])
+    # the MGF gradient path: the benchmark's model at 8 antennas, and 64, whose
+    # antenna sums fold eight running sums
+    for n_t in (8, 64):
+        commands.append(["optimize", "--ntx", str(n_t), "--sigma-h", "1", "--sigma-g", "0.7",
+                         "--snr-db", "10", "--seed", "0"])
     # the README's commands, each on quad and on Monte Carlo
     commands.append(["optimize", "--ntx", "4", *MODEL, "--snr-db", "6", "--seed", "0"])
     for method in ("quad", "coupled"):
