@@ -10,23 +10,13 @@ numerically verifies the stochastic-ordering chain behind the optimality of
 the uniform allocation: majorization, Laplace-transform order, complete
 monotonicity and Schur concavity, down to the secrecy rate itself.
 
-Every Monte Carlo route draws the squared channel magnitudes |g_k|^2
-directly as Exponential(sigma^2) in counter-seeded chunks, or, at an equal
-allocation over 5 or more antennas, each row's sum ||g||^2 as one
-sigma^2 Gamma(n_t) draw, and averages vectorized numpy kernels over them
-with one streaming reducer; no route draws the complex entries, whose
-reference sampler lives with the tests. The top level exports what the CLI,
-the README and the benchmark use; the chunk stream (CHUNK, iter_abs2), the
-route tags (MethodTag) and the CSV writers stay in channel, rates and sweeps.
-
-Importing the package loads channel, rates and sweeps, which are all that a
-capacity or a sweep runs. The optimizer's exports (OptimizerConfig,
-OptimizerTrace, grad_estimate, optimize_allocation, project_to_simplex), the
-ordering checks' (OrderCheckReport, Witness, cm_derivative, lt_order_gap,
-majorizes, mgf_quadratic_form, random_majorization_pair,
-verify_lemma_LT_implies_expectation) and run_verify_suite load with their
-module on first use, as do the modules optimize, ordering and verify
-themselves.
+The top level exports what the CLI, the README and the benchmark use; the
+chunk stream (CHUNK, iter_abs2), the route tags (MethodTag) and the CSV
+writers stay in channel, rates and sweeps. Importing the package loads
+channel, rates and sweeps, which are all that a capacity or a sweep runs.
+The exports of optimize, ordering and verify (_LAZY) load with their module
+on first use, as do those modules themselves: without a bytecode cache every
+process compiles what it imports from source.
 """
 import importlib
 

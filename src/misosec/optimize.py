@@ -30,6 +30,7 @@ from .channel import (
     PowerAllocation,
     RateEstimate,
     _check_count,
+    _check_seed,
     _seeds,
 )
 from .rates import _check_mc_route, _check_power, _mgf_rate
@@ -61,6 +62,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         _check_count(self.max_iters, "max_iters", 1)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,7 @@ def grad_estimate(
             "(objective nonpositive, capacity 0)"
         )
     _check_mc_route(model, alloc, n_samples)
+    _check_seed(seed)
     return _grad_objective(model, alloc.as_array(), n_samples, seed)[0]
 
 

@@ -20,10 +20,6 @@ finite, nonnegative entries (majorizes takes any finite vectors), pairs of
 one length and sum, and a sigma and s with the headroom of
 rates._check_headroom.
 
-An OrderCheckReport holds its margins as one array and labels a point only
-when it is read, so the suite's reports of up to 1100 points cost no more
-than their arrays until a caller asks for their witnesses.
-
 All operations are pure, stateless and safe for concurrent use.
 """
 from __future__ import annotations
@@ -37,7 +33,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from . import _kernels, channel
-from .channel import STREAM_GENERIC, _check_count
+from .channel import STREAM_GENERIC, _check_count, _check_seed
 from .rates import (
     _antenna_first, _check_headroom, _check_mc_samples, _log_gap, _mgf_rate, _sum_antennas,
 )
@@ -220,11 +216,9 @@ def _lt_gaps_grid(
     rows give (k, S) gaps on an (S,) grid and one gap per row on a (k, 1)
     column.
 
-    The arrays are antenna-first: both sides' log2 terms are one C-contiguous
-    (n, 2, ..., S) block, so each elementwise step and each add of the antenna
-    sum runs over long contiguous slabs. rates._sum_antennas adds the slabs in
-    numpy's pairwise order, so the bits are those of np.sum over the last axis
-    of a (..., S, n) block.
+    Both sides' log2 terms are one antenna-first (n, 2, ..., S) block, laid
+    out and summed as in rates._mgf_rate, so the bits are those of np.sum over
+    the last axis of a (..., S, n) block.
     """
     # x[k, 0] = c d*_k and x[k, 1] = c d_k: both sides in one block
     x = _antenna_first(np.array((d_star, d)), (sigma * sigma) * s_grid)
@@ -339,6 +333,7 @@ def verify_lemma_LT_implies_expectation(
         raise ValueError(f"a must lie in [0, 1), got {a}")
     _check_scale(sigma, 1.0, dv1)
     _check_mc_samples(n_samples)
+    _check_seed(seed)
     if not majorizes(dv1, dv2):
         raise ValueError("precondition failed: d2 must be majorized by d1")
     chunk = functools.partial(_lemma_chunk, sigma, dv1, dv2 - dv1, a, seed)

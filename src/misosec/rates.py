@@ -15,24 +15,19 @@ All rates are in bits per channel use. The three evaluation routes:
       R(d) = (1/ln 2) int_0^inf e^{-s}/s [M_g(s) - M_h(s)] ds,
       M(s) = prod_k 1/(1 + s sigma^2 d_k),
 
-  on one fixed trapezoid rule in u = ln s whose left tail, where the
-  integrand is a power series in s, is summed by one weighted node.
-  Deterministic; its std_error is an error estimate (the difference from the
-  rule of twice the step, but never below the rounding error of the sum).
-  The same pass gives the exact gradient dR/dd_k, which the optimizer
-  ascends. Its arrays are antenna-first, (n_t, ..., nodes), so a batch of
-  allocations runs along the node axis, with the bits of a nodes-last sum
-  (_sum_antennas); the rule's arrays are cached per node count (_mgf_rule).
+  on one fixed trapezoid rule in u = ln s (_mgf_rate, whose rule the comment
+  above _MGF_STEP derives). Deterministic; its std_error is an error
+  estimate, not yet a bound (see channel.RateEstimate). The same pass gives
+  the exact gradient dR/dd_k, which the optimizer ascends. The antenna sum
+  adds whole slabs in numpy's pairwise order (_sum_antennas). That fold is
+  there for accuracy, not only for bits: a rate is the small difference of
+  two such sums, and a plain left-to-right slab sum loses digits in it.
 
 The capacity routes hold d = (P/n_t)1 as one entry P/n_t with the count n_t,
 so no capacity call allocates in proportion to n_t. The Monte Carlo routes only
-need q, and for an equal allocation q is (P/n_t) sum_k |g_k|^2, whose sum is
-one Gamma(n_t) variate scaled by sigma^2. So from _GAMMA_MIN_NT antennas on, an
-equal allocation draws each row as that one variate (channel's summed layout)
-and weights it by its entry; every other allocation draws the n_t per-entry
-exponentials (by inversion of uniforms, see channel._draw_abs2) and forms q by
-quad_form. _draw_layout makes that choice. Each route reports a std_error, so
-it needs at least two samples.
+need q = sum_k d_k |g_k|^2; _draw_layout picks how its rows are drawn (see
+_GAMMA_MIN_NT). Each route reports a std_error, so it needs at least two
+samples.
 
 The capacity is clamped to exactly 0 whenever sigma_h <= sigma_g.
 """
@@ -56,6 +51,7 @@ from .channel import (
     PowerAllocation,
     RateEstimate,
     _check_count,
+    _check_seed,
 )
 
 DEFAULT_MC_SAMPLES = 1_000_000
@@ -98,13 +94,15 @@ _MGF_TAIL_WEIGHT = (_MGF_STEP / math.tanh(_MGF_STEP / 2), 2 * _MGF_STEP / math.t
 # 53 bits of one 64-bit output times 2^-53.
 _HEADROOM = 1e3
 # Smallest n_t at which an equal allocation draws each row as one Gamma(n_t)
-# variate. standard_gamma (Marsaglia & Tsang, ACM TOMS 26(3), 2000) costs about
-# the same per row whatever n_t is; n_t exponentials plus the quad_form gemv
-# grow with n_t. Per CHUNK rows drawn by SFC64 on a 2-core host (lower
-# quartile/median of 80 interleaved chunks, draw plus quad_form, in three
-# runs): 0.44 ms for the variate at n_t=5, against 0.35-0.36 ms at n_t=4 per
-# entry, 0.44-0.46 ms at 5 (a tie) and 0.53-0.55 ms at 6. A measured
-# crossover, not a setting.
+# variate: for an equal d, q = d_1 sum_k |g_k|^2, and the sum is sigma^2 times
+# one Gamma(n_t, 1) variate (channel._draw_abs2's summed layout), a chunk of
+# one number per row whatever n_t is. standard_gamma (Marsaglia & Tsang, ACM
+# TOMS 26(3), 2000) costs about the same per row whatever n_t is; n_t
+# exponentials plus the quad_form gemv grow with n_t. Per CHUNK rows drawn by
+# SFC64 on a 2-core host (lower quartile/median of 80 interleaved chunks, draw
+# plus quad_form, in three runs): 0.44 ms for the variate at n_t=5, against
+# 0.35-0.36 ms at n_t=4 per entry, 0.44-0.46 ms at 5 (a tie) and 0.53-0.55 ms
+# at 6. A measured crossover, not a setting.
 _GAMMA_MIN_NT = 5
 
 
@@ -137,6 +135,7 @@ class EvalMethod:
             _check_mc_samples(self.n_samples)
         else:
             _check_count(self.n_samples, "n_samples", 1)
+        _check_seed(self.seed)
 
     @classmethod
     def direct_mc(cls, n_samples: int = DEFAULT_MC_SAMPLES, seed: int = 0) -> EvalMethod:
@@ -203,6 +202,7 @@ def ergodic_log_rate_mc(
     """
     _check_headroom(max(alloc.budget, alloc.n_t), sigma)
     _check_mc_samples(n_samples)
+    _check_seed(seed)
     chunk = _quad_form_chunks(
         sigma, STREAM_GENERIC, (alloc.as_array(),), alloc.n_t, seed, _kernels.log_rate
     )
@@ -283,6 +283,15 @@ def _sum_antennas(x: NDArray[np.float64]) -> NDArray[np.float64]:
     128, the two halves split at a multiple of 8. So each add runs over whole
     contiguous slabs, where np.sum over a last axis of n_t terms runs one inner
     loop of n_t elements per output.
+
+    The fold is there for accuracy, not only to keep those bits. A plain slab
+    sum, x.sum(axis=0), adds the slabs left to right, and a secrecy rate is
+    the small difference of two such sums. With it, test_rates'
+    test_tail_node_matches_the_node_by_node_rule failed at n_t = 8, 64, 128
+    and 256: at n_t=8, -60 dB, ratio 0.999 the rate moved 2.3e-15 relative,
+    past the test's 8 eps. Against a 50-digit mpmath quadrature (n_t 8 to
+    256, -60 to 20 dB, ratios 0.5 and 0.999) the median relative error was
+    4.2e-16 with the fold and 2.1e-15 with the plain sum.
     """
     n = x.shape[0]
     if n > 128:

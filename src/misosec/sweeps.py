@@ -11,11 +11,8 @@ point_seed(seed, i). The sweep is one rates._capacities call on the calling
 thread, the evaluator behind secrecy_capacity, and each power of each group
 gets the bits of its own call, so a row can be reproduced by calling
 secrecy_capacity with the row's parameters and seed. For the Monte Carlo
-routes every group's chunk fns go to one channel.stream_moments call, which
-runs each chunk as a task in the calling thread and in the one shared chunk
-pool's worker processes, claimed in grid order with no wait at a group's
-end, and merges them in chunk order; that pool is the sweeps' only
-parallelism. Rows come back in grid order.
+routes every group's chunk fns go to one channel.stream_moments call, in grid
+order. Rows come back in grid order.
 The CSV columns are SweepRow's fields in declaration order. Identical spec +
 seed produces a byte-identical file.
 """
@@ -26,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Sequence
 
-from .channel import _POINT_TAG, ChannelModel, _seeds
+from .channel import _POINT_TAG, ChannelModel, _check_seed, _seeds
 from .rates import EvalMethod, _capacities, asymptote_high_snr, asymptote_large_nt
 
 
@@ -120,6 +117,7 @@ CSV_HEADER = ",".join(f.name for f in fields(SweepRow))
 
 def point_seed(base_seed: int, index: int) -> int:
     """Derived per-point seed, recorded in the emitted row."""
+    _check_seed(base_seed)
     return int(_seeds(base_seed, _POINT_TAG, index).generate_state(1)[0])
 
 

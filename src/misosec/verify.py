@@ -3,32 +3,28 @@
 Runs randomized majorization, Laplace-transform order, Schur-concavity and
 complete-monotonicity probes, the expectation-ordering lemma, a
 deterministic check that the secrecy rate itself is Schur-concave
-(R(d*) >= R(d) whenever d* is majorized by d, by Hamdi's MGF integral), and
-one optimizer run that must land on the uniform allocation. Margins use the
+(R(d*) >= R(d) whenever d* is majorized by d, by rates._mgf_rate), and one
+optimizer run that must land on the uniform allocation. Margins use the
 convention "claim holds iff margin >= -1e-12". Every probe is exact to
-rounding, so the suite draws nothing and its output depends only on the seed.
+rounding, so the suite draws nothing and its output depends only on the
+seed, which draws the random pairs and the optimizer's start.
 
-Every probe is array work, through to its report. The pairs of one
-dimension are drawn by one Dirichlet and one uniform call, and each pair
-probe evaluates them in one call per dimension (and per sigma, or per side
-of the pair and ratio). The rate probe asks the MGF evaluator for rates
-only, without the gradient, one ordinary call per side and per ratio. The
-probes of one pair dimension are one task;
-channel._pool_map runs them in the calling thread and in the chunk pool's
-worker processes. It claims tasks in list order, and the suite lists the
-largest dimension first, so that task starts first; the calling thread then
-runs the ascent. A task computes the same margins wherever it runs, so the
-output does not depend on the core count. A task in a worker runs under
-numpy's default np.errstate, not the caller's (a context variable in numpy
-2); the suite sets off no floating-point error, even under
-np.errstate(all="raise"), so that changes nothing. The complete-monotonicity
-grid is one array evaluation of the closed form. It and the lemma's two
-canonical cases are the same at every seed, so each process computes them
-once (_cm_margins, _canonical_lemma) and keeps them as read-only arrays.
-Each lemma case's margin is its exact difference E f(q2) - E f(q1), a
-difference of two MGF rates and at a = 0 Frullani's integral
-(ordering._lemma_exact). Each report holds its probe's margins as one array
-and labels a point only when it is read (the CLI reads the worst).
+Every probe is array work. The pairs of one dimension are drawn by one
+Dirichlet and one uniform call, and each pair probe evaluates them in one
+call per dimension (and per sigma, or per side of the pair and ratio); the
+rate probe asks for rates only, without the gradient. The probes of one pair
+dimension are one _pair_probes task of channel._pool_map, listed largest
+dimension first so that the costliest starts first; the calling thread then
+runs the ascent. The suite sets off no floating-point error, even under
+np.errstate(all="raise"), so it does not matter that a worker runs its task
+under numpy's default errstate. The complete-monotonicity grid is one array
+evaluation of the closed form. It and the lemma's two canonical cases are
+the same at every seed, so each process computes them once (_cm_margins,
+_canonical_lemma) and keeps them as read-only arrays.
+
+The lemma, E f(q1) <= E f(q2) for f(q) = log2(a+q) - log2(1+q) when d2 is
+majorized by d1, is evaluated exactly (ordering._lemma_exact), and its
+margin is that exact difference, as for the secrecy-rate probe.
 
 Exit code semantics (mirrored by the CLI): 0 all margins hold and the
 optimizer reached uniform; 1 some margin or the optimizer tolerance failed.
@@ -41,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channel
-from .channel import _PAIRS_TAG, ChannelModel, _seeds
+from .channel import _PAIRS_TAG, ChannelModel, _check_seed, _seeds
 from .optimize import OptimizerConfig, optimize_allocation
 from .ordering import (
     OrderCheckReport,
@@ -159,10 +155,11 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     probes and the LT probe runs on _S_POINTS log-spaced s. The seed's
     generator draws the pair dimensions, then each dimension's pairs in one
     batch (in _PAIR_DIMS order), then the Schur probe's s values. The lemma's
-    cases #0 and #1 are the canonical spike-vs-flat pair at two a, and case #2
-    is random pair #0. The optimizer runs OptimizerConfig(seed=seed) on the
+    cases #0 and #1 are the canonical pair (4, 0) against (2, 2) at a = 0.25
+    and a = 0, and case #2 is random pair #0 at a = 0.5. The optimizer runs OptimizerConfig(seed=seed) on the
     reference problem.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(_seeds(seed, _PAIRS_TAG))
     # pair i has dimension dims[i]; the pairs of one dimension are drawn
     # together, in index order, one Dirichlet and one uniform call per dimension
@@ -174,10 +171,9 @@ def run_verify_suite(seed: int = 0, *, run_optimizer: bool = True) -> VerifySuit
     s_draws = 10.0 ** rng.uniform(-3.0, 3.0, size=_PAIRS)
     s_grid = np.logspace(-3.0, 3.0, _S_POINTS + 1)[1:]  # half-open (1e-3, 1e3]
 
-    # one task per pair dimension, largest first: the pool claims tasks in
-    # list order, so the costliest starts first. Each task's margins are
-    # written at its pairs' rows, so every report lists its points by pair,
-    # then by sigma or ratio
+    # one task per pair dimension, largest first (see the module docstring).
+    # Each task's margins are written at its pairs' rows, so every report
+    # lists its points by pair, then by sigma or ratio
     largest_first = sorted(_PAIR_DIMS, reverse=True)
     done = channel._pool_map([
         (_pair_probes, d_star, d, s_grid, s_draws[rows, None])

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import ks_2samp, kstest
 
 from complex_reference import quadratic_form, random_unitary, sample_channel
+import misosec
 from misosec import ChannelModel, PowerAllocation, RateEstimate, channel
 from misosec.channel import CHUNK, STREAM_EAVESDROPPER, STREAM_LEGITIMATE, _draw_abs2, iter_abs2
 from misosec.optimize import _random_start
@@ -120,6 +121,38 @@ def test_random_start_and_point_seeds_fold_the_seed_under_their_tags(seed):
     for index in (0, 7):
         state = np.random.SeedSequence((seed % 2**63, 13, index)).generate_state(1)
         assert point_seed(seed, index) == int(state[0])
+
+
+_MODEL, _ALLOC = ChannelModel(2, 1.0, 0.5), PowerAllocation((1.0, 3.0), 4.0)
+# each public call that takes a seed, given only the seed
+_SEEDED = {
+    "coupled_mc": lambda s: misosec.secrecy_capacity(
+        _MODEL, 10.0, misosec.EvalMethod.coupled_mc(2000, seed=s)),
+    "direct_mc": lambda s: misosec.EvalMethod.direct_mc(2000, seed=s),
+    "quadrature": lambda s: misosec.EvalMethod.quadrature(seed=s),
+    "optimizer_config": lambda s: misosec.OptimizerConfig(seed=s),
+    "verify_suite": lambda s: misosec.run_verify_suite(s, run_optimizer=False),
+    "ergodic_log_rate_mc": lambda s: misosec.ergodic_log_rate_mc(1.0, _ALLOC, 100, s),
+    "secrecy_rate_direct_mc": lambda s: misosec.secrecy_rate_direct_mc(_MODEL, _ALLOC, 100, s),
+    "secrecy_rate_coupled_mc": lambda s: misosec.secrecy_rate_coupled_mc(_MODEL, _ALLOC, 100, s),
+    "grad_estimate": lambda s: misosec.grad_estimate(_MODEL, _ALLOC, 100, s),
+    "lemma": lambda s: misosec.verify_lemma_LT_implies_expectation(
+        [3.0, 1.0], [2.0, 2.0], 1.0, 0.25, 100, s),
+    "iter_abs2": lambda s: iter_abs2(1.0, 2, 10, s, STREAM_LEGITIMATE),
+    "point_seed": lambda s: point_seed(s, 0),
+}
+
+
+@pytest.mark.parametrize("call", _SEEDED.values(), ids=_SEEDED.keys())
+def test_a_seed_must_be_an_integer(call):
+    # a string raised TypeError from the fold, nan and "3" were recorded as
+    # seeds, and True drew the stream of seed 1
+    for seed in ("3", None, float("nan"), 3.0, True, np.bool_(True)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            call(seed)
+    # any Python or numpy integer is a seed, folded mod 2^63
+    for seed in (0, -1, 2**70, np.int64(-1), np.uint64(2**64 - 1)):
+        call(seed)
 
 
 @pytest.mark.parametrize("n_t", [_GAMMA_MIN_NT, 64])
